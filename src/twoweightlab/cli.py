@@ -8,6 +8,7 @@ the configuration (no timestamps anywhere in the bodies).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -103,7 +104,7 @@ def _load_config(args) -> dict:
         config.setdefault("criteria", {})
         for cid in SCENARIOS.get(config.get("scenario", ""), ()):
             config["criteria"].setdefault(cid, {})
-            if "seed" in CRITERIA[cid].__code__.co_varnames:
+            if "seed" in inspect.signature(CRITERIA[cid]).parameters:
                 config["criteria"][cid]["seed"] = args.seed
     return config
 

@@ -16,6 +16,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .enclosure import (FloatInterval, Q, log_abs_ratio_interval,
                         ratio_interval)
@@ -34,22 +35,14 @@ def hilbert_indicator(a, b, x) -> float:
     a, b, x = Fraction(a), Fraction(b), Fraction(x)
     if not a < b:
         raise ValueError("need a < b")
-    if x == a or x == b:
-        raise BoundaryError(f"kernel endpoint hit at x={x}")
     return _indicator_iv(a, b, x).mid
 
 
-def _indicator_iv(a: Fraction, b: Fraction, x: Fraction) -> FloatInterval:
+def _indicator_iv(a, b, x) -> FloatInterval:
+    """Log-kernel enclosure for [a, b] at x; any exact numbers on one scale."""
     if x == a or x == b:
-        raise BoundaryError(f"kernel endpoint hit at x={x}")
+        raise BoundaryError("evaluation point is a kernel endpoint")
     return log_abs_ratio_interval(x - a, x - b)
-
-
-@dataclass(frozen=True)
-class _Block:
-    gen: int
-    left: Fraction
-    count: int  # contiguous carrier cells of this generation
 
 
 @dataclass
@@ -65,24 +58,44 @@ class HilbertValue:
 
 
 class _GenConstants:
-    """Per-generation geometry constants reused across adaptive blocks."""
+    """One generation of the walk for one point x = xn/xd, in integer units.
 
-    __slots__ = ("length", "mass", "density", "mass_f", "slen", "side_right")
+    Every block end, core third and support sliver of generation `gen` is a
+    multiple of 3^-((gen+1)k), so coordinates are stored multiplied by
+    den = xd * 3^((gen+1)k).  In these units a cell, its third and the
+    sliver have the same lengths at every generation.
+    """
 
-    def __init__(self, model: WeightModel, gen: int):
-        self.length = Q(1, 3 ** (gen * model.k))
-        self.mass = model.carrier_w_mass(gen)
-        self.density = FloatInterval.from_fraction(self.mass / self.length)
-        self.mass_f = float(self.mass)
-        self.slen = self.length / 3 ** model.k
-        self.side_right = model.side_for(gen + 1) == "right"
+    __slots__ = ("den", "x", "length", "third", "slen", "sliver", "hull",
+                 "mass_num", "mass_f", "density", "w_next")
+
+    def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
+        scale = 3 ** ((gen + 1) * model.k)
+        self.den = xd * scale
+        self.x = xn * scale
+        self.slen = xd
+        self.third = xd * 3 ** (model.k - 1)
+        self.length = 3 * self.third
+        mass = model.carrier_w_mass(gen)
+        self.mass_num = mass * self.den  # mass / (x - c) == mass_num / (X - C)
+        self.mass_f = float(mass)
+        self.density = FloatInterval.from_fraction(mass / _cell_length(model, gen))
+        self.w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
+        # offsets from a cell's left end: the support sliver beside the core,
+        # and the hull of core plus sliver where all of the cell's mass lives
+        if model.side_for(gen + 1) == "right":
+            self.sliver = 2 * self.third
+            self.hull = (self.third, 2 * self.third + xd)
+        else:
+            self.sliver = self.third - xd
+            self.hull = (self.third - xd, 2 * self.third)
 
 
 def _cell_length(model: WeightModel, gen: int) -> Fraction:
     return Q(1, 3 ** (gen * model.k))
 
 
-def _enclose_block(gc: _GenConstants, blk: _Block, x: Fraction) -> FloatInterval | None:
+def _enclose_block(gc: _GenConstants, left: int, count: int) -> FloatInterval | None:
     """Interval containing the block's kernel integral; None forces expansion.
 
     For a single cell the kernel range `mass * [min 1/(x-t), max 1/(x-t)]` is
@@ -91,24 +104,18 @@ def _enclose_block(gc: _GenConstants, blk: _Block, x: Fraction) -> FloatInterval
     lower/upper Riemann pair around the exact log integral is tighter: the
     per-cell granularity costs at most mass * (kernel range over the run).
     """
-    length = gc.length
-    lo, hi = blk.left, blk.left + blk.count * length
-    if lo <= x <= hi:
+    x = gc.x
+    hi = left + count * gc.length
+    if left <= x <= hi:
         return None
-    mass = gc.mass
-    if blk.count == 1:
-        # all mass lives in the middle third plus the adjacent support sliver
-        if gc.side_right:
-            clo, chi = lo + length / 3, lo + 2 * length / 3 + gc.slen
-        else:
-            clo, chi = lo + length / 3 - gc.slen, lo + 2 * length / 3
-        iv_a = ratio_interval(mass, x - clo)
-        iv_b = ratio_interval(mass, x - chi)
+    if count == 1:
+        iv_a = ratio_interval(gc.mass_num, x - (left + gc.hull[0]))
+        iv_b = ratio_interval(gc.mass_num, x - (left + gc.hull[1]))
         return FloatInterval(min(iv_a.lo, iv_b.lo), max(iv_a.hi, iv_b.hi))
-    base = _indicator_iv(lo, hi, x) * gc.density
+    base = _indicator_iv(left, hi, x) * gc.density
     # upper bound on the kernel range suffices; floats with a pad are sound
     # because the exact differences below are positive and well separated
-    dl, dh = float(x - lo), float(x - hi)
+    dl, dh = (x - left) / gc.den, (x - hi) / gc.den
     slack = gc.mass_f * abs(1.0 / dl - 1.0 / dh) * (1 + 1e-9) + 1e-300
     return FloatInterval(base.lo - slack, base.hi + slack)
 
@@ -118,106 +125,79 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
     """Adaptive enclosure of Hw(x); reports the achieved width if the budget
     cannot be met within the expansion cap."""
     x = Fraction(x)
+    up, children = 3 ** model.k, 3 ** (model.k - 1)
     acc = FloatInterval(0.0, 0.0)
-    blocks: dict[int, tuple[_Block, FloatInterval | None]] = {}
-    heap: list[tuple[float, int]] = []
+    # pending blocks: (-width, id, gen, left, count, enclosure or None)
+    heap: list[tuple] = []
     counter = 0
     pending_width = 0.0
     unresolved = 0
-    gcs: dict[int, _GenConstants] = {}
+    gcs: list[_GenConstants] = []
 
     def constants(gen: int) -> _GenConstants:
-        gc = gcs.get(gen)
-        if gc is None:
-            gc = gcs[gen] = _GenConstants(model, gen)
-        return gc
+        while len(gcs) <= gen:
+            gcs.append(_GenConstants(model, len(gcs), x.numerator, x.denominator))
+        return gcs[gen]
 
-    def push(blk: _Block):
+    def push(gen: int, left: int, count: int):
         nonlocal counter, pending_width, unresolved
-        gc = constants(blk.gen)
-        if blk.count > 1:
-            lo = blk.left
-            hi = blk.left + blk.count * gc.length
-            if lo < x < hi:
-                # split the run around the cell whose closure holds x
-                t = min(blk.count - 1, int((x - lo) / gc.length))
-                if t > 0:
-                    push(_Block(blk.gen, lo, t))
-                push(_Block(blk.gen, lo + t * gc.length, 1))
-                if t + 1 < blk.count:
-                    push(_Block(blk.gen, lo + (t + 1) * gc.length, blk.count - t - 1))
-                return
-        enc = _enclose_block(gc, blk, x)
-        blocks[counter] = (blk, enc)
+        gc = constants(gen)
+        if count > 1 and left < gc.x < left + count * gc.length:
+            # split the run around the cell whose closure holds x
+            t = min(count - 1, (gc.x - left) // gc.length)
+            if t > 0:
+                push(gen, left, t)
+            push(gen, left + t * gc.length, 1)
+            if t + 1 < count:
+                push(gen, left + (t + 1) * gc.length, count - t - 1)
+            return
+        enc = _enclose_block(gc, left, count)
         if enc is None:
             unresolved += 1
             width = _INF
         else:
             width = enc.width
             pending_width += width
-        heapq.heappush(heap, (-width, counter))
+        heapq.heappush(heap, (-width, counter, gen, left, count, enc))
         counter += 1
 
-    def expand(blk: _Block):
+    def expand(gen: int, left: int):
         nonlocal acc
-        gc = constants(blk.gen)
-        third = gc.length / 3
-        core_l = blk.left + third
-        core_r = blk.left + 2 * third
-        if gc.side_right:
-            sl, sr = core_r, core_r + gc.slen
-        else:
-            sl, sr = core_l - gc.slen, core_l
-        value = model.w_value(blk.gen + 1)
-        acc = acc + _indicator_iv(sl, sr, x) * FloatInterval.from_fraction(value)
-        push(_Block(blk.gen + 1, core_l, 3 ** (model.k - 1)))
+        gc = constants(gen)
+        sl = left + gc.sliver
+        acc = acc + _indicator_iv(sl, sl + gc.slen, gc.x) * gc.w_next
+        # the core's tiles are the next generation's carriers
+        push(gen + 1, (left + gc.third) * up, children)
 
-    push(_Block(0, Q(0), 1))
+    push(0, 0, 1)
     expansions = 0
     while expansions < max_expansions:
         if not unresolved and acc.width + pending_width <= tail_budget:
             break
         if not heap:
             break
-        _neg_w, ident = heapq.heappop(heap)
-        if ident not in blocks:
-            continue
-        blk, enc = blocks.pop(ident)
+        _neg_w, _ident, gen, left, count, enc = heapq.heappop(heap)
         if enc is None:
             unresolved -= 1
         else:
             pending_width -= enc.width
-        if blk.count > 1:
+        if count > 1:
             # halve the run; the x-side half concentrates the kernel range,
             # so widths decay geometrically under repeated splitting
-            cut = blk.count // 2
-            length = constants(blk.gen).length
-            push(_Block(blk.gen, blk.left, cut))
-            push(_Block(blk.gen, blk.left + cut * length, blk.count - cut))
+            cut = count // 2
+            push(gen, left, cut)
+            push(gen, left + cut * constants(gen).length, count - cut)
         else:
-            expand(blk)
+            expand(gen, left)
         expansions += 1
     total = acc
-    for _blk, enc in blocks.values():
+    # sum in push order, so the float total does not depend on heap layout
+    for *_block, enc in sorted(heap, key=itemgetter(1)):
         if enc is None:
             return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
         total = total + enc
     return HilbertValue(total, total.width, expansions,
                         total.width <= tail_budget * (1 + 1e-9) + 1e-300)
-
-
-def hilbert_weight_scaled(model: WeightModel, x, which: str = "w",
-                          tail_budget: float = 1e-6,
-                          max_expansions: int = 20000) -> HilbertValue:
-    """H(w) or H(wtilde) at x."""
-    hv = hilbert_weight(model, x, tail_budget, max_expansions)
-    if which == "w":
-        return hv
-    if which != "wTilde":
-        raise ValueError("which must be w|wTilde")
-    s = FloatInterval(float(model.scale.lo), float(model.scale.hi))
-    val = hv.value * s
-    return HilbertValue(val, val.width, hv.expansions, hv.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +283,11 @@ def _edge_panels(a: Fraction, b: Fraction, levels: int) -> list[tuple[Fraction, 
 
 
 def _panel_sum(model: WeightModel, panels, p: float, nodes: int, budget: float,
-               scale: float) -> tuple[float, float]:
+               scale: float) -> tuple[list[float], float]:
+    """Gauss terms of |Hw|^p over `panels`, point by point, and the worst
+    width/scale."""
     xs, ws = _GAUSS[nodes]
-    total = 0.0
+    terms = []
     worst = 0.0
     for pa, pb in panels:
         half = (pb - pa) / 2
@@ -314,8 +296,16 @@ def _panel_sum(model: WeightModel, panels, p: float, nodes: int, budget: float,
             xq = mid + half * Q(xi)
             hv = hilbert_weight(model, xq, tail_budget=budget)
             worst = max(worst, hv.width / scale)
-            total += wi * float(half) * abs(hv.value.mid) ** p
-    return total, worst
+            terms.append(wi * float(half) * abs(hv.value.mid) ** p)
+    return terms, worst
+
+
+def _running_sum(terms) -> float:
+    """Left-to-right float sum (builtin sum() may compensate)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
@@ -328,16 +318,18 @@ def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
     pair differs exactly by the extra refinement next to the log singularity.
     """
     fine_panels = _edge_panels(cell.left, cell.right, levels + 1)
-    fine, worst = _panel_sum(model, fine_panels, p, nodes, budget, scale)
+    terms, worst = _panel_sum(model, fine_panels, p, nodes, budget, scale)
     h = (cell.right - cell.left) / 2
     coarse_inner = [(cell.left, cell.left + h * Q(1, 3 ** levels)),
                     (cell.right - h * Q(1, 3 ** levels), cell.right)]
-    inner_coarse, w2 = _panel_sum(model, coarse_inner, p, nodes, budget, scale)
-    # the two innermost fine panels at each edge merge into the coarse ones
-    fine_inner = fine_panels[:2] + fine_panels[-2:]
-    inner_fine, w3 = _panel_sum(model, fine_inner, p, nodes, budget, scale)
-    coarse = fine - inner_fine + inner_coarse
-    return fine, coarse, max(worst, w2, w3)
+    coarse_terms, w2 = _panel_sum(model, coarse_inner, p, nodes, budget, scale)
+    # the two innermost fine panels at each edge merge into the coarse ones;
+    # their terms are reused from the fine pass
+    edge = 2 * nodes
+    fine = _running_sum(terms)
+    inner_fine = _running_sum(terms[:edge] + terms[-edge:])
+    coarse = fine - inner_fine + _running_sum(coarse_terms)
+    return fine, coarse, max(worst, w2)
 
 
 def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,

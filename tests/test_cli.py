@@ -1,7 +1,9 @@
 """CLI: subcommands, exit codes, and byte-identical scenario reruns."""
 
+import argparse
 import json
 
+from twoweightlab import cli
 from twoweightlab.cli import main, run_scenario
 
 
@@ -91,3 +93,18 @@ def test_criteria_overrides_flow_through(tmp_path):
     summary = run_scenario(cfg, tmp_path)
     body = (tmp_path / "C13.csv").read_text()
     assert body.count("\n") == 4  # header + three rows
+
+
+def test_seed_goes_only_to_criteria_with_a_seed_parameter(monkeypatch):
+    def local_seed_only(scale=1):
+        seed = 3 * scale  # a local, not a parameter
+        return seed
+
+    def takes_seed(seed=0):
+        return seed
+
+    monkeypatch.setitem(cli.CRITERIA, "C1", local_seed_only)
+    monkeypatch.setitem(cli.CRITERIA, "C2", takes_seed)
+    args = argparse.Namespace(config=None, name="averages-exact", seed=7)
+    config = cli._load_config(args)
+    assert config["criteria"] == {"C1": {}, "C2": {"seed": 7}}

@@ -1,10 +1,16 @@
 """Log-kernel transform and maximal function: identities and enclosures."""
 
+import heapq
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
 
+from twoweightlab import hilbert
+from twoweightlab.enclosure import (FloatInterval, log_abs_ratio_interval,
+                                    ratio_interval)
 from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
                                   hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
@@ -119,3 +125,234 @@ def test_maximal_report_within_13():
     m = model(k=5)
     rep = maximal_report(m, 2, cells_per_gen=3, seed=1)
     assert rep["all_within_13"]
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the adaptive walk on Fraction coordinates.  The library's
+# walk runs on integer coordinates and must give bit-identical results.
+
+def _ref_indicator_iv(a, b, x):
+    if x == a or x == b:
+        raise BoundaryError(f"kernel endpoint hit at x={x}")
+    return log_abs_ratio_interval(x - a, x - b)
+
+
+@dataclass(frozen=True)
+class _RefBlock:
+    gen: int
+    left: Q
+    count: int
+
+
+class _RefGen:
+    def __init__(self, m, gen):
+        self.length = Q(1, 3 ** (gen * m.k))
+        self.mass = m.carrier_w_mass(gen)
+        self.density = FloatInterval.from_fraction(self.mass / self.length)
+        self.mass_f = float(self.mass)
+        self.slen = self.length / 3 ** m.k
+        self.side_right = m.side_for(gen + 1) == "right"
+
+
+def _ref_enclose_block(gc, blk, x):
+    length = gc.length
+    lo, hi = blk.left, blk.left + blk.count * length
+    if lo <= x <= hi:
+        return None
+    mass = gc.mass
+    if blk.count == 1:
+        if gc.side_right:
+            clo, chi = lo + length / 3, lo + 2 * length / 3 + gc.slen
+        else:
+            clo, chi = lo + length / 3 - gc.slen, lo + 2 * length / 3
+        iv_a = ratio_interval(mass, x - clo)
+        iv_b = ratio_interval(mass, x - chi)
+        return FloatInterval(min(iv_a.lo, iv_b.lo), max(iv_a.hi, iv_b.hi))
+    base = _ref_indicator_iv(lo, hi, x) * gc.density
+    dl, dh = float(x - lo), float(x - hi)
+    slack = gc.mass_f * abs(1.0 / dl - 1.0 / dh) * (1 + 1e-9) + 1e-300
+    return FloatInterval(base.lo - slack, base.hi + slack)
+
+
+def reference_hilbert_weight(m, x, tail_budget=1e-6, max_expansions=20000):
+    x = Q(x)
+    acc = FloatInterval(0.0, 0.0)
+    blocks = {}
+    heap = []
+    counter = 0
+    pending_width = 0.0
+    unresolved = 0
+    gcs = {}
+
+    def constants(gen):
+        if gen not in gcs:
+            gcs[gen] = _RefGen(m, gen)
+        return gcs[gen]
+
+    def push(blk):
+        nonlocal counter, pending_width, unresolved
+        gc = constants(blk.gen)
+        if blk.count > 1:
+            lo = blk.left
+            hi = blk.left + blk.count * gc.length
+            if lo < x < hi:
+                t = min(blk.count - 1, int((x - lo) / gc.length))
+                if t > 0:
+                    push(_RefBlock(blk.gen, lo, t))
+                push(_RefBlock(blk.gen, lo + t * gc.length, 1))
+                if t + 1 < blk.count:
+                    push(_RefBlock(blk.gen, lo + (t + 1) * gc.length,
+                                   blk.count - t - 1))
+                return
+        enc = _ref_enclose_block(gc, blk, x)
+        blocks[counter] = (blk, enc)
+        if enc is None:
+            unresolved += 1
+            width = math.inf
+        else:
+            width = enc.width
+            pending_width += width
+        heapq.heappush(heap, (-width, counter))
+        counter += 1
+
+    def expand(blk):
+        nonlocal acc
+        gc = constants(blk.gen)
+        third = gc.length / 3
+        core_l = blk.left + third
+        core_r = blk.left + 2 * third
+        if gc.side_right:
+            sl, sr = core_r, core_r + gc.slen
+        else:
+            sl, sr = core_l - gc.slen, core_l
+        value = m.w_value(blk.gen + 1)
+        acc = acc + _ref_indicator_iv(sl, sr, x) * FloatInterval.from_fraction(value)
+        push(_RefBlock(blk.gen + 1, core_l, 3 ** (m.k - 1)))
+
+    push(_RefBlock(0, Q(0), 1))
+    expansions = 0
+    while expansions < max_expansions:
+        if not unresolved and acc.width + pending_width <= tail_budget:
+            break
+        if not heap:
+            break
+        _neg_w, ident = heapq.heappop(heap)
+        blk, enc = blocks.pop(ident)
+        if enc is None:
+            unresolved -= 1
+        else:
+            pending_width -= enc.width
+        if blk.count > 1:
+            cut = blk.count // 2
+            length = constants(blk.gen).length
+            push(_RefBlock(blk.gen, blk.left, cut))
+            push(_RefBlock(blk.gen, blk.left + cut * length, blk.count - cut))
+        else:
+            expand(blk)
+        expansions += 1
+    total = acc
+    for _blk, enc in blocks.values():
+        if enc is None:
+            return (-math.inf, math.inf, math.inf, expansions, False)
+        total = total + enc
+    return (total.lo, total.hi, total.width, expansions,
+            total.width <= tail_budget * (1 + 1e-9) + 1e-300)
+
+
+def _as_tuple(hv):
+    return (hv.value.lo, hv.value.hi, hv.width, hv.expansions, hv.converged)
+
+
+def _equivalence_points(m, gen, seed):
+    rng = random.Random(f"equiv|{m.k}|{gen}|{seed}")
+    pts = [x for _cell, x in probe_points(m, gen, 2, 1, seed)]
+    # a point of the support cell off the probe grid, and one anywhere
+    support = m.support_cells(gen)[0].cell
+    pts.append(support.left + support.length * Q(rng.randrange(1, 97), 97))
+    pts.append(Q(rng.randrange(1, 10 ** 6), 10 ** 6))
+    return pts
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 12])
+@pytest.mark.parametrize("placement", ["right", "left", "alternating"])
+def test_integer_walk_matches_fraction_reference(k, placement):
+    m = model(k=k, placement=placement)
+    for gen in (1, 2):
+        scale = k * float(m.w_value(gen))
+        for x in _equivalence_points(m, gen, seed=gen):
+            for rel in (0.05, 0.01, 0.002):
+                budget = rel * scale
+                assert _as_tuple(hilbert_weight(m, x, tail_budget=budget)) == \
+                    reference_hilbert_weight(m, x, tail_budget=budget), (x, rel)
+
+
+@pytest.mark.parametrize("placement", ["right", "alternating"])
+def test_integer_walk_matches_reference_off_the_unit_interval(placement):
+    m = model(k=3, placement=placement)
+    for x in (Q(2), Q(11), Q(-5, 7)):
+        for budget in (0.4, 1e-3, 1e-6):
+            assert _as_tuple(hilbert_weight(m, x, tail_budget=budget)) == \
+                reference_hilbert_weight(m, x, tail_budget=budget), (x, budget)
+
+
+def test_integer_walk_matches_reference_when_capped():
+    m = model(k=4, placement="alternating")
+    x = probe_points(m, 2, 1, 1, 0)[0][1]
+    for cap in (0, 1, 5, 40):
+        got = hilbert_weight(m, x, tail_budget=1e-9, max_expansions=cap)
+        assert _as_tuple(got) == reference_hilbert_weight(m, x, 1e-9, cap)
+
+
+@pytest.mark.parametrize("placement", ["right", "left"])
+def test_integer_walk_rejects_support_cell_endpoints(placement):
+    m = model(k=3, placement=placement)
+    for gen in (1, 2):
+        support = m.support_cells(gen)[0].cell
+        for x in (support.left, support.right):
+            with pytest.raises(BoundaryError):
+                hilbert_weight(m, x, tail_budget=1e-9)
+            with pytest.raises(BoundaryError):
+                reference_hilbert_weight(m, x, tail_budget=1e-9)
+
+
+def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
+    """The three-pass version: inner fine panels evaluated a second time."""
+    def panel_sum(panels):
+        xs, ws = hilbert._GAUSS[nodes]
+        total = 0.0
+        worst = 0.0
+        for pa, pb in panels:
+            half = (pb - pa) / 2
+            mid = (pa + pb) / 2
+            for xi, wi in zip(xs, ws):
+                hv = hilbert.hilbert_weight(m, mid + half * Q(xi), tail_budget=budget)
+                worst = max(worst, hv.width / scale)
+                total += wi * float(half) * abs(hv.value.mid) ** p
+        return total, worst
+
+    fine_panels = hilbert._edge_panels(cell.left, cell.right, levels + 1)
+    fine, worst = panel_sum(fine_panels)
+    h = (cell.right - cell.left) / 2
+    inner_coarse, w2 = panel_sum([(cell.left, cell.left + h * Q(1, 3 ** levels)),
+                                  (cell.right - h * Q(1, 3 ** levels), cell.right)])
+    inner_fine, w3 = panel_sum(fine_panels[:2] + fine_panels[-2:])
+    return fine, fine - inner_fine + inner_coarse, max(worst, w2, w3)
+
+
+@pytest.mark.parametrize("k,levels,nodes", [(3, 0, 2), (4, 1, 3), (6, 2, 3)])
+def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
+    m = model(k=k, placement="alternating")
+    cell = m.support_cells(1)[0].cell
+    scale = k * float(m.w_value(1))
+    args = (m, cell, 2, levels, nodes, 2e-3 * scale, scale)
+    expected = _reference_cell_integral(*args)
+    calls = []
+    inner = hilbert.hilbert_weight
+
+    def counting(*a, **kw):
+        calls.append(a[1])
+        return inner(*a, **kw)
+
+    monkeypatch.setattr(hilbert, "hilbert_weight", counting)
+    assert hilbert._cell_integral(*args) == expected
+    assert len(calls) == 2 * nodes * (levels + 2) + 2 * nodes
