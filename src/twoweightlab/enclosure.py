@@ -3,7 +3,11 @@
 All certified quantities in this package travel either as an `Enclosure`
 (a closed interval with `Fraction` endpoints; exact values have lo == hi)
 or, on the floating-point side, as a `FloatInterval` whose arithmetic is
-padded outward by one ulp per operation.
+padded outward by one ulp per operation.  That outward rounding lives in a
+few float-pair primitives (`add_bounds`, `mul_bounds`, `ratio_bounds`,
+`log_bounds`, `log_ratio_bounds`) that take and return plain (lo, hi)
+floats; `FloatInterval` and the interval helpers below are thin wrappers
+over them, and hot loops such as the Hilbert walk call them directly.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import nextafter
 
 Q = Fraction
 
@@ -216,14 +221,47 @@ def pow_enclosure(e: Enclosure, exponent: Fraction, bits: int = 80) -> Enclosure
 
 
 # ---------------------------------------------------------------------------
-# Float intervals with outward rounding.
+# Float bounds with outward rounding: (lo, hi) primitives, then the
+# `FloatInterval` object built on them.
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -INF)
+def add_bounds(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """[alo, ahi] + [blo, bhi], one ulp outward."""
+    return nextafter(alo + blo, -INF), nextafter(ahi + bhi, INF)
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, INF)
+def mul_bounds(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """[alo, ahi] * [blo, bhi], one ulp outward."""
+    cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return nextafter(min(cands), -INF), nextafter(max(cands), INF)
+
+
+def ratio_bounds(a: int, b: int) -> tuple[float, float]:
+    """a/b for integers a and b != 0, one ulp either side of the quotient.
+
+    Big-int true division is correctly rounded and stays finite wherever the
+    quotient is, even when `float(a)` would overflow.
+    """
+    v = a / b
+    return nextafter(v, -INF), nextafter(v, INF)
+
+
+def log_bounds(lo: float, hi: float) -> tuple[float, float]:
+    """Bounds on ln over the positive floats [lo, hi].
+
+    Platform libm is assumed accurate to <= 2 ulp for log; each end is
+    padded outward by 4 ulp.
+    """
+    down = nextafter(nextafter(nextafter(nextafter(math.log(lo), -INF), -INF), -INF), -INF)
+    up = nextafter(nextafter(nextafter(nextafter(math.log(hi), INF), INF), INF), INF)
+    return down, up
+
+
+def log_ratio_bounds(a: int, b: int) -> tuple[float, float]:
+    """ln(a/b) for positive integers a and b, without rational normalization."""
+    if a == b:
+        return 0.0, 0.0
+    v = a / b
+    return log_bounds(nextafter(v, -INF), nextafter(v, INF))
 
 
 @dataclass(frozen=True)
@@ -250,8 +288,8 @@ class FloatInterval:
         if fr == x:
             return FloatInterval(f, f)
         if fr < x:
-            return FloatInterval(f, _up(f))
-        return FloatInterval(_down(f), f)
+            return FloatInterval(f, nextafter(f, INF))
+        return FloatInterval(nextafter(f, -INF), f)
 
     @property
     def width(self) -> float:
@@ -263,7 +301,7 @@ class FloatInterval:
 
     def __add__(self, other):
         other = _fcoerce(other)
-        return FloatInterval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return FloatInterval(*add_bounds(self.lo, self.hi, other.lo, other.hi))
 
     __radd__ = __add__
 
@@ -275,14 +313,9 @@ class FloatInterval:
 
     def __mul__(self, other):
         other = _fcoerce(other)
-        cands = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return FloatInterval(_down(min(cands)), _up(max(cands)))
+        return FloatInterval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
-
-    def scale_fraction(self, c: Fraction) -> "FloatInterval":
-        return self * FloatInterval.from_fraction(c)
 
     def abs(self) -> "FloatInterval":
         if self.lo >= 0:
@@ -308,15 +341,6 @@ def _fcoerce(x) -> FloatInterval:
 
 FZERO = FloatInterval(0.0, 0.0)
 
-# Platform libm is assumed accurate to <= 2 ulp for log; pad by 4.
-_LOG_PAD = 4
-
-
-def _pad(x: float, n: int, direction: float) -> float:
-    for _ in range(n):
-        x = math.nextafter(x, direction)
-    return x
-
 
 def log_interval(x: Fraction) -> FloatInterval:
     """Directed-rounding enclosure of ln(x) for a positive rational x."""
@@ -324,9 +348,7 @@ def log_interval(x: Fraction) -> FloatInterval:
     if x <= 0:
         raise ValueError("log of nonpositive value")
     fx = FloatInterval.from_fraction(x)
-    lo = _pad(math.log(fx.lo), _LOG_PAD, -INF)
-    hi = _pad(math.log(fx.hi), _LOG_PAD, INF)
-    return FloatInterval(lo, hi)
+    return FloatInterval(*log_bounds(fx.lo, fx.hi))
 
 
 def ratio_interval(num: Fraction, den: Fraction) -> FloatInterval:
@@ -335,8 +357,7 @@ def ratio_interval(num: Fraction, den: Fraction) -> FloatInterval:
     b = num.denominator * den.numerator
     if b == 0:
         raise ZeroDivisionError("ratio_interval by zero")
-    v = a / b  # big-int true division is correctly rounded
-    return FloatInterval(_down(v), _up(v))
+    return FloatInterval(*ratio_bounds(a, b))
 
 
 def log_abs_ratio_interval(num: Fraction, den: Fraction) -> FloatInterval:
@@ -345,13 +366,7 @@ def log_abs_ratio_interval(num: Fraction, den: Fraction) -> FloatInterval:
     b = abs(num.denominator * den.numerator)
     if a == 0 or b == 0:
         raise ValueError("log of zero ratio")
-    if a == b:
-        return FloatInterval(0.0, 0.0)
-    v = a / b
-    lo = _pad(math.log(_down(v)), _LOG_PAD, -INF)
-    hi = _pad(math.log(_up(v)), _LOG_PAD, INF)
-    return FloatInterval(lo, hi)
+    return FloatInterval(*log_ratio_bounds(a, b))
 
 
 LN3 = log_interval(Q(3))
-LN_3_HALVES = log_interval(Q(3, 2))

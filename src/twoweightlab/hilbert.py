@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .enclosure import (FloatInterval, Q, log_abs_ratio_interval,
-                        ratio_interval)
+from .enclosure import (FloatInterval, Q, add_bounds, log_abs_ratio_interval,
+                        log_ratio_bounds, mul_bounds, ratio_bounds)
 from .triadic import TriadicCell
 from .weights import WeightModel
 
@@ -35,14 +35,16 @@ def hilbert_indicator(a, b, x) -> float:
     a, b, x = Fraction(a), Fraction(b), Fraction(x)
     if not a < b:
         raise ValueError("need a < b")
-    return _indicator_iv(a, b, x).mid
-
-
-def _indicator_iv(a, b, x) -> FloatInterval:
-    """Log-kernel enclosure for [a, b] at x; any exact numbers on one scale."""
     if x == a or x == b:
         raise BoundaryError("evaluation point is a kernel endpoint")
-    return log_abs_ratio_interval(x - a, x - b)
+    return log_abs_ratio_interval(x - a, x - b).mid
+
+
+def _indicator_bounds(a: int, b: int, x: int) -> tuple[float, float]:
+    """Log-kernel bounds for [a, b] at x, all three integers on one scale."""
+    if x == a or x == b:
+        raise BoundaryError("evaluation point is a kernel endpoint")
+    return log_ratio_bounds(abs(x - a), abs(x - b))
 
 
 @dataclass
@@ -63,11 +65,12 @@ class _GenConstants:
     Every block end, core third and support sliver of generation `gen` is a
     multiple of 3^-((gen+1)k), so coordinates are stored multiplied by
     den = xd * 3^((gen+1)k).  In these units a cell, its third and the
-    sliver have the same lengths at every generation.
+    sliver have the same lengths at every generation.  Float constants are
+    (lo, hi) bounds.
     """
 
     __slots__ = ("den", "x", "length", "third", "slen", "sliver", "hull",
-                 "mass_num", "mass_f", "density", "w_next")
+                 "mass_num", "mass_den", "mass_f", "density", "w_next")
 
     def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
         scale = 3 ** ((gen + 1) * model.k)
@@ -77,10 +80,14 @@ class _GenConstants:
         self.third = xd * 3 ** (model.k - 1)
         self.length = 3 * self.third
         mass = model.carrier_w_mass(gen)
-        self.mass_num = mass * self.den  # mass / (x - c) == mass_num / (X - C)
+        # mass / (x - c) == mass_num / (mass_den * (X - C)), all integers
+        scaled = mass * self.den
+        self.mass_num, self.mass_den = scaled.numerator, scaled.denominator
         self.mass_f = float(mass)
-        self.density = FloatInterval.from_fraction(mass / _cell_length(model, gen))
-        self.w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
+        density = FloatInterval.from_fraction(mass / _cell_length(model, gen))
+        self.density = (density.lo, density.hi)
+        w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
+        self.w_next = (w_next.lo, w_next.hi)
         # offsets from a cell's left end: the support sliver beside the core,
         # and the hull of core plus sliver where all of the cell's mass lives
         if model.side_for(gen + 1) == "right":
@@ -95,8 +102,22 @@ def _cell_length(model: WeightModel, gen: int) -> Fraction:
     return Q(1, 3 ** (gen * model.k))
 
 
-def _enclose_block(gc: _GenConstants, left: int, count: int) -> FloatInterval | None:
-    """Interval containing the block's kernel integral; None forces expansion.
+def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int]]:
+    """The run as (left, count) pieces to push: split around the cell whose
+    closure holds x when x lies strictly inside the run."""
+    x, length = gc.x, gc.length
+    if count == 1 or not left < x < left + count * length:
+        return [(left, count)]
+    t = min(count - 1, (x - left) // length)
+    pieces = [(left, t)] if t > 0 else []
+    pieces.append((left + t * length, 1))
+    if t + 1 < count:
+        pieces.append((left + (t + 1) * length, count - t - 1))
+    return pieces
+
+
+def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float] | None:
+    """Bounds (lo, hi) on the block's kernel integral; None forces expansion.
 
     For a single cell the kernel range `mass * [min 1/(x-t), max 1/(x-t)]` is
     sound however the mass sits inside (tightened to the middle-third hull
@@ -109,15 +130,17 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> FloatInterval | 
     if left <= x <= hi:
         return None
     if count == 1:
-        iv_a = ratio_interval(gc.mass_num, x - (left + gc.hull[0]))
-        iv_b = ratio_interval(gc.mass_num, x - (left + gc.hull[1]))
-        return FloatInterval(min(iv_a.lo, iv_b.lo), max(iv_a.hi, iv_b.hi))
-    base = _indicator_iv(left, hi, x) * gc.density
+        a_lo, a_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[0])))
+        b_lo, b_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[1])))
+        return min(a_lo, b_lo), max(a_hi, b_hi)
+    # x lies outside [left, hi], so neither end is a kernel endpoint
+    i_lo, i_hi = log_ratio_bounds(abs(x - left), abs(x - hi))
+    base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
     # upper bound on the kernel range suffices; floats with a pad are sound
     # because the exact differences below are positive and well separated
     dl, dh = (x - left) / gc.den, (x - hi) / gc.den
     slack = gc.mass_f * abs(1.0 / dl - 1.0 / dh) * (1 + 1e-9) + 1e-300
-    return FloatInterval(base.lo - slack, base.hi + slack)
+    return base_lo - slack, base_hi + slack
 
 
 def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
@@ -125,79 +148,68 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
     """Adaptive enclosure of Hw(x); reports the achieved width if the budget
     cannot be met within the expansion cap."""
     x = Fraction(x)
+    xn, xd = x.numerator, x.denominator
     up, children = 3 ** model.k, 3 ** (model.k - 1)
-    acc = FloatInterval(0.0, 0.0)
-    # pending blocks: (-width, id, gen, left, count, enclosure or None)
+    acc_lo = acc_hi = 0.0
+    # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
     heap: list[tuple] = []
-    counter = 0
+    pushed = 0
     pending_width = 0.0
     unresolved = 0
-    gcs: list[_GenConstants] = []
-
-    def constants(gen: int) -> _GenConstants:
-        while len(gcs) <= gen:
-            gcs.append(_GenConstants(model, len(gcs), x.numerator, x.denominator))
-        return gcs[gen]
-
-    def push(gen: int, left: int, count: int):
-        nonlocal counter, pending_width, unresolved
-        gc = constants(gen)
-        if count > 1 and left < gc.x < left + count * gc.length:
-            # split the run around the cell whose closure holds x
-            t = min(count - 1, (gc.x - left) // gc.length)
-            if t > 0:
-                push(gen, left, t)
-            push(gen, left + t * gc.length, 1)
-            if t + 1 < count:
-                push(gen, left + (t + 1) * gc.length, count - t - 1)
-            return
-        enc = _enclose_block(gc, left, count)
-        if enc is None:
-            unresolved += 1
-            width = _INF
-        else:
-            width = enc.width
-            pending_width += width
-        heapq.heappush(heap, (-width, counter, gen, left, count, enc))
-        counter += 1
-
-    def expand(gen: int, left: int):
-        nonlocal acc
-        gc = constants(gen)
-        sl = left + gc.sliver
-        acc = acc + _indicator_iv(sl, sl + gc.slen, gc.x) * gc.w_next
-        # the core's tiles are the next generation's carriers
-        push(gen + 1, (left + gc.third) * up, children)
-
-    push(0, 0, 1)
+    gcs = [_GenConstants(model, 0, xn, xd)]
+    # each step pushes `runs` of generation `gen`, then pops and expands the
+    # widest block; all state is local to this loop, so nothing refers back
+    # to it and the pending blocks are freed as soon as the call returns
+    gen, runs = 0, ((0, 1),)
     expansions = 0
-    while expansions < max_expansions:
-        if not unresolved and acc.width + pending_width <= tail_budget:
+    while True:
+        gc = gcs[gen]
+        for run_left, run_count in runs:
+            for left, count in _split_at_x(gc, run_left, run_count):
+                enc = _enclose_block(gc, left, count)
+                if enc is None:
+                    unresolved += 1
+                    width = _INF
+                else:
+                    width = enc[1] - enc[0]
+                    pending_width += width
+                heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
+                pushed += 1
+        if expansions >= max_expansions or not heap:
             break
-        if not heap:
+        if not unresolved and (acc_hi - acc_lo) + pending_width <= tail_budget:
             break
-        _neg_w, _ident, gen, left, count, enc = heapq.heappop(heap)
+        neg_width, _ident, gen, left, count, enc = heapq.heappop(heap)
         if enc is None:
             unresolved -= 1
         else:
-            pending_width -= enc.width
+            pending_width += neg_width
+        gc = gcs[gen]
         if count > 1:
             # halve the run; the x-side half concentrates the kernel range,
             # so widths decay geometrically under repeated splitting
             cut = count // 2
-            push(gen, left, cut)
-            push(gen, left + cut * constants(gen).length, count - cut)
+            runs = ((left, cut), (left + cut * gc.length, count - cut))
         else:
-            expand(gen, left)
+            sl = left + gc.sliver
+            i_lo, i_hi = _indicator_bounds(sl, sl + gc.slen, gc.x)
+            t_lo, t_hi = mul_bounds(i_lo, i_hi, *gc.w_next)
+            acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, t_lo, t_hi)
+            # the core's tiles are the next generation's carriers
+            gen += 1
+            if gen == len(gcs):
+                gcs.append(_GenConstants(model, gen, xn, xd))
+            runs = (((left + gc.third) * up, children),)
         expansions += 1
-    total = acc
+    total_lo, total_hi = acc_lo, acc_hi
     # sum in push order, so the float total does not depend on heap layout
     for *_block, enc in sorted(heap, key=itemgetter(1)):
         if enc is None:
             return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
-        total = total + enc
-    return HilbertValue(total, total.width, expansions,
-                        total.width <= tail_budget * (1 + 1e-9) + 1e-300)
+        total_lo, total_hi = add_bounds(total_lo, total_hi, *enc)
+    width = total_hi - total_lo
+    return HilbertValue(FloatInterval(total_lo, total_hi), width, expansions,
+                        width <= tail_budget * (1 + 1e-9) + 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -137,26 +137,6 @@ def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
     return QuasiConcaveFn(f"fundamental[{young.name}]", ev, slow_ratio=False)
 
 
-def gauge_catalog(identifier: str, **params) -> QuasiConcaveFn:
-    """Named quasiconcave gauges for config files: phi0 | psi | fundamentalOf."""
-    if identifier == "phi0":
-        return phi0()
-    if identifier == "psi":
-        return psi(Fraction(params["r"]))
-    if identifier == "fundamentalOf":
-        return fundamental_of(young_catalog(params["young"], **params))
-    raise KeyError(f"unknown gauge {identifier!r}")
-
-
-def young_catalog(identifier: str, **params) -> "YoungFn":
-    """Named Young functions for config files: Phi_r | LlogL."""
-    if identifier == "Phi_r":
-        return phi_r_young(Fraction(params["r"]))
-    if identifier == "LlogL":
-        return llogl_young()
-    raise KeyError(f"unknown Young function {identifier!r}")
-
-
 # ---------------------------------------------------------------------------
 # Young functions and Luxemburg norms.
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure, qstr
+from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure
 from .triadic import IntervalQ, TriadicCell, UNIT
 from .weights import CompositeWeight, WeightModel, _carrier_mass, _check_which, _value
 
@@ -185,22 +185,3 @@ def _composite_mass(comp: CompositeWeight, query: MeasureQuery) -> Enclosure:
         total = total + mass(copy.model, MeasureQuery(query.which, local, query.max_depth))
     return total
 
-
-def measure_report(model, queries: list[MeasureQuery],
-                   references: list[Fraction | None] | None = None) -> list[dict]:
-    """One row per query: interval, which, lo, hi, reference and match flag."""
-    rows = []
-    refs = references or [None] * len(queries)
-    for query, ref in zip(queries, refs):
-        enc = mass(model, query)
-        row = {
-            "interval_left": qstr(query.interval.left),
-            "interval_right": qstr(query.interval.right),
-            "which": query.which,
-            "lo": qstr(enc.lo),
-            "hi": qstr(enc.hi),
-            "reference": qstr(ref) if ref is not None else "",
-            "match": str(enc.contains(ref)) if ref is not None else "",
-        }
-        rows.append(row)
-    return rows

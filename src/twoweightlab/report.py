@@ -9,28 +9,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .enclosure import Enclosure, qstr
-
-
-@dataclass
-class BoundReport:
-    quantity: str
-    value: object
-    reference: object = None
-    ratio: float | None = None
-    trend: float | None = None
-    verdict: str = "report-only"
-    details: dict = field(default_factory=dict)
-
-    def row(self) -> dict:
-        return {"quantity": self.quantity, "value": fmt(self.value),
-                "reference": fmt(self.reference), "ratio": fmt(self.ratio),
-                "trend": fmt(self.trend), "verdict": self.verdict,
-                **{k: fmt(v) for k, v in sorted(self.details.items())}}
 
 
 def fmt(value) -> str:

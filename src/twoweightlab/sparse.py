@@ -65,20 +65,6 @@ def family_from_cells(cells, kind: str, sparseness) -> SparseFamily:
     return SparseFamily(tuple(c.interval() for c in cells), kind, Fraction(sparseness))
 
 
-def family_from_serialized(payload: dict) -> SparseFamily:
-    """Inverse of SparseFamily.serialize (witness included when present)."""
-    members = tuple(IntervalQ(Fraction(a), Fraction(b))
-                    for a, b in payload["members"])
-    witness = None
-    if "witness" in payload:
-        witness = tuple(
-            (IntervalQ(Fraction(e["member"][0]), Fraction(e["member"][1])),
-             tuple(IntervalQ(Fraction(a), Fraction(b)) for a, b in e["sets"]))
-            for e in payload["witness"])
-    return SparseFamily(members, payload["kind"], Fraction(payload["sparseness"]),
-                        witness)
-
-
 def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
     """Affine copy of a triadic-grid family inside a target triadic cell.
 

@@ -1,5 +1,6 @@
 """Log-kernel transform and maximal function: identities and enclosures."""
 
+import gc
 import heapq
 import math
 import random
@@ -102,6 +103,21 @@ def test_pointwise_report_depth_guard():
     m = model(k=4, depth=1)
     with pytest.raises(ValueError):
         hilbert_pointwise_report(m, 2)
+
+
+def test_walk_leaves_no_reference_cycle():
+    """A walk's pending blocks are freed by reference counting when it
+    returns; none wait for the cyclic collector."""
+    m = model(k=6)
+    x = probe_points(m, 2, 1, 1, 0)[0][1]
+    gc.collect()
+    gc.disable()
+    try:
+        hv = hilbert_weight(m, x, tail_budget=1e-3 * 6 * float(m.w_value(2)))
+        assert hv.expansions > 100
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_maximal_basic_bounds():
@@ -273,7 +289,7 @@ def _equivalence_points(m, gen, seed):
     return pts
 
 
-@pytest.mark.parametrize("k", [2, 3, 6, 12])
+@pytest.mark.parametrize("k", [2, 3, 6, 8, 10, 12])
 @pytest.mark.parametrize("placement", ["right", "left", "alternating"])
 def test_integer_walk_matches_fraction_reference(k, placement):
     m = model(k=k, placement=placement)
