@@ -175,7 +175,7 @@ def cmd_sparse_test(args) -> int:
     unit = IntervalQ(Fraction(0), Fraction(1))
     for s in range(args.families):
         if args.kind == "random":
-            fam = gen_random_martingale(args.grid_depth, eps, args.seed + s)
+            fam = gen_random_martingale(args.grid_depth, eps, (args.seed or 0) + s)
         else:
             fam = gen_adversarial(model, args.kind, TriadicCell(""), eps)
         if not fam.members:
@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", default="csv", choices=("csv", "json"))
 
     sp = sub.add_parser("construct", help="build and serialize one weight pair")
@@ -298,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "boundaryChain"))
     sp.add_argument("--families", type=int, default=20)
     sp.add_argument("--grid-depth", type=int, default=6)
+    sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_sparse_test)
 
@@ -306,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="pointwise",
                     choices=("pointwise", "norm", "maximal"))
     sp.add_argument("--cells", type=int, default=8)
+    sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_hilbert)
 
@@ -328,6 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scenario", help="run an acceptance scenario")
     sp.add_argument("--name", default=None, help=f"one of {sorted(SCENARIOS)}")
     sp.add_argument("--config", default=None, help="JSON config path")
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes for the criteria")
     common(sp)
     sp.set_defaults(func=cmd_scenario)
 

@@ -20,7 +20,8 @@ from operator import itemgetter
 
 from .enclosure import (FloatInterval, Q, add_bounds, log_abs_ratio_interval,
                         log_ratio_bounds, mul_bounds, ratio_bounds)
-from .triadic import TriadicCell
+from .measures import MeasureQuery, mass
+from .triadic import IntervalQ, TriadicCell
 from .weights import WeightModel
 
 _INF = float("inf")
@@ -77,29 +78,25 @@ class _GenConstants:
         self.den = xd * scale
         self.x = xn * scale
         self.slen = xd
-        self.third = xd * 3 ** (model.k - 1)
+        u = model.u
+        self.third = xd * u
         self.length = 3 * self.third
-        mass = model.carrier_w_mass(gen)
+        cell_mass = model.carrier_w_mass(gen)
         # mass / (x - c) == mass_num / (mass_den * (X - C)), all integers
-        scaled = mass * self.den
+        scaled = cell_mass * self.den
         self.mass_num, self.mass_den = scaled.numerator, scaled.denominator
-        self.mass_f = float(mass)
-        density = FloatInterval.from_fraction(mass / _cell_length(model, gen))
+        self.mass_f = float(cell_mass)
+        # a carrier's mass over its length is the generation's w value
+        density = FloatInterval.from_fraction(model.w_value(gen))
         self.density = (density.lo, density.hi)
         w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
         self.w_next = (w_next.lo, w_next.hi)
-        # offsets from a cell's left end: the support sliver beside the core,
-        # and the hull of core plus sliver where all of the cell's mass lives
-        if model.side_for(gen + 1) == "right":
-            self.sliver = 2 * self.third
-            self.hull = (self.third, 2 * self.third + xd)
-        else:
-            self.sliver = self.third - xd
-            self.hull = (self.third - xd, 2 * self.third)
-
-
-def _cell_length(model: WeightModel, gen: int) -> Fraction:
-    return Q(1, 3 ** (gen * model.k))
+        # offsets from a cell's left end, where the core spans [u, 2u) slivers:
+        # the support sliver, and the hull of core plus sliver where all of
+        # the cell's mass lives
+        off = model.support_offset(gen + 1)
+        self.sliver = off * xd
+        self.hull = (min(u, off) * xd, max(2 * u, off + 1) * xd)
 
 
 def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int]]:
@@ -419,14 +416,12 @@ def _descend_to_support(model: WeightModel, x: Fraction):
     carrier_left = Q(0)
     gen = 0
     while True:
-        length = _cell_length(model, gen)
+        length = Q(1, 3 ** (gen * model.k))
         third = length / 3
         core_l, core_r = carrier_left + third, carrier_left + 2 * third
         slen = length / 3 ** model.k
-        if model.side_for(gen + 1) == "right":
-            sl, sr = core_r, core_r + slen
-        else:
-            sl, sr = core_l - slen, core_l
+        sl = carrier_left + model.support_offset(gen + 1) * slen
+        sr = sl + slen
         chain.append({"gen": gen, "left": carrier_left, "length": length,
                       "core": (core_l, core_r), "support": (sl, sr)})
         if sl <= x < sr:
@@ -450,7 +445,6 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
     realized windows.  Both use the measures module, so frontier cells below
     the refinement depth enter adversarially as [0, full mass].
     """
-    from .measures import MeasureQuery, mass
     x = Fraction(x)
     home_gen, (hl, hr), chain = _descend_to_support(model, x)
     points = {Q(0), Q(1), hl, hr}
@@ -480,7 +474,6 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
     for a, b in zip(cuts, cuts[1:]):
         if a >= b:
             continue
-        from .triadic import IntervalQ
         m = mass(model, MeasureQuery("w", IntervalQ(a, b), depth))
         slabs.append({"a": a, "b": b, "mass": m})
     idx_x = next(i for i, s in enumerate(slabs) if s["a"] <= x < s["b"])

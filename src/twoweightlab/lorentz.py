@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .enclosure import FZERO, Enclosure, FloatInterval, LN3, Q, log_interval
+from .measures import carrier_generation
 from .triadic import TriadicCell
 from .weights import WeightModel
 
@@ -337,7 +338,6 @@ class DistributionSteps:
 def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w",
                  band_levels: int = 24) -> DistributionSteps:
     """Exact distribution of w or sigma over a carrier cell (normalized measure)."""
-    from .measures import carrier_generation
     gen = carrier_generation(model, carrier)
     k = model.k
     rho = model.rho
@@ -588,7 +588,6 @@ def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entro
 
     forward: ||w||_{norm} * <sigma>; dual: ||sigma||_{norm} * <w>.
     """
-    from .measures import carrier_generation
     if direction not in ("forward", "dual"):
         raise ValueError("direction must be forward|dual")
     if norm == "entropyPhi0":

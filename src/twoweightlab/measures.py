@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure
-from .triadic import IntervalQ, TriadicCell, UNIT
+from .triadic import IntervalQ, TriadicCell, UNIT, cell_from_index
 from .weights import CompositeWeight, WeightModel, _carrier_mass, _check_which, _value
 
 DEFAULT_MAX_DEPTH = 60
@@ -103,24 +103,15 @@ def smallest_carrier(model: WeightModel, interval: IntervalQ):
     while True:
         core = carrier.middle_child()
         if core.interval().contains(interval):
-            tau = Q(1, 3 ** ((gen + 1) * k))
-            off = interval.left - core.left
-            t = math.floor(off / tau)
-            tile_left = core.left + t * tau
-            if interval.right <= tile_left + tau:
-                carrier = TriadicCell(core.address + _tile_suffix(t, k - 1))
+            # the core's tiles are the next generation's carriers
+            depth = (gen + 1) * k
+            tile = cell_from_index(depth, math.floor(interval.left * 3 ** depth))
+            if interval.right <= tile.right:
+                carrier = tile
                 gen += 1
                 continue
         placed, _ = model.place_core(core, gen + 1)
         return carrier, gen, core, placed
-
-
-def _tile_suffix(t: int, width: int) -> str:
-    digits = []
-    for _ in range(width):
-        t, d = divmod(t, 3)
-        digits.append("012"[d])
-    return "".join(reversed(digits))
 
 
 def _mass_rec(model: WeightModel, which: str, a: Fraction, b: Fraction,
@@ -133,13 +124,14 @@ def _mass_rec(model: WeightModel, which: str, a: Fraction, b: Fraction,
         return Enclosure.exact(0)
     if a == cl and b == cr:
         return _carrier_mass(model, which, gen)
-    third = length / 3
-    core_l, core_r = cl + third, cl + 2 * third
-    slen = length / 3 ** k
-    if model.side_for(gen + 1) == "right":
-        sl, sr = core_r, core_r + slen
-    else:
-        sl, sr = core_l - slen, core_l
+    third = Q(1, 3 ** (gen * k + 1))
+    core_l = cl + third
+    core_r = core_l + third
+    # support cells of the next generation are 1/den long
+    den = 3 ** ((gen + 1) * k)
+    slen = Q(1, den)
+    sl = cl + Q(model.support_offset(gen + 1), den)
+    sr = sl + slen
     total = Enclosure.exact(0)
     ov_l, ov_r = max(a, sl), min(b, sr)
     if ov_l < ov_r:

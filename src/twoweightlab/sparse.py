@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure, qstr
 from .measures import MeasureQuery, average, carrier_generation, mass
-from .triadic import IntervalQ, TriadicCell
+from .triadic import IntervalQ, TriadicCell, base3_digits, cell_from_index
 from .weights import WeightModel
 
 
@@ -79,13 +79,7 @@ def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
             depth += 1
         if length != 1:
             raise FamilyError("transplant needs triadic members")
-        idx = int(m.left * 3 ** depth)
-        digits = []
-        n = idx
-        for _ in range(depth):
-            n, d = divmod(n, 3)
-            digits.append("012"[d])
-        sub = TriadicCell(cell.address + "".join(reversed(digits)))
+        sub = TriadicCell(cell.address + base3_digits(int(m.left * 3 ** depth), depth))
         members.append(sub.interval())
     return SparseFamily(tuple(members), family.kind, family.sparseness)
 
@@ -194,14 +188,7 @@ def gen_random_martingale(grid_depth: int, eps, seed: int,
             return
         picks = rng.sample(range(3 ** j), take)
         for t in sorted(picks):
-            sub = cell
-            digits = []
-            n = t
-            for _ in range(j):
-                n, d = divmod(n, 3)
-                digits.append(str(d))
-            sub = TriadicCell(cell.address + "".join(reversed(digits)))
-            walk(sub)
+            walk(TriadicCell(cell.address + base3_digits(t, j)))
 
     if grid_depth >= 0 and rng.random() < 0.95:
         walk(TriadicCell(""))
@@ -297,15 +284,7 @@ def _sample_tiles(model: WeightModel, core: TriadicCell, count: int) -> list[Tri
     width = model.k - 1
     total = 3 ** width
     picks = sorted({0, total // 3, (2 * total) // 3, total - 1})[:count]
-    out = []
-    for t in picks:
-        digits = []
-        n = t
-        for _ in range(width):
-            n, d = divmod(n, 3)
-            digits.append(str(d))
-        out.append(TriadicCell(core.address + "".join(reversed(digits))))
-    return out
+    return [TriadicCell(core.address + base3_digits(t, width)) for t in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +454,6 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
     levels_fm.reverse()
 
     def a_of(d, i):
-        from .triadic import cell_from_index
         return Fraction(coeffs.get(cell_from_index(d, i).address, 0))
 
     packing = [[Q(0)] * len(level) for level in levels_mu]
@@ -487,7 +465,6 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
             below = sum(packing[d + 1][3 * i:3 * i + 3], Q(0)) if d < depth else Q(0)
             packing[d][i] = own + below
             if packing[d][i] > A * levels_mu[d][i]:
-                from .triadic import cell_from_index
                 return {"ok": False, "stage": "precondition",
                         "cell": cell_from_index(d, i).address,
                         "lhs": packing[d][i], "rhs": A * levels_mu[d][i]}

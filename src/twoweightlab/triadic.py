@@ -117,18 +117,20 @@ def cell_from_address(address: str) -> TriadicCell:
     return TriadicCell(address)
 
 
+def base3_digits(n: int, width: int) -> str:
+    """The `width` base-3 digits of 0 <= n < 3^width, most significant first."""
+    digits = []
+    for _ in range(width):
+        n, d = divmod(n, 3)
+        digits.append("012"[d])
+    return "".join(reversed(digits))
+
+
 def cell_from_index(depth: int, index: int) -> TriadicCell:
     """Cell at a given depth by position; inverse of TriadicCell.index."""
     if depth < 0 or not 0 <= index < 3 ** depth:
         raise AddressError(f"index {index} out of range at depth {depth}")
-    if depth == 0:
-        return TriadicCell("")
-    digits = []
-    n = index
-    for _ in range(depth):
-        n, d = divmod(n, 3)
-        digits.append("012"[d])
-    return TriadicCell("".join(reversed(digits)))
+    return TriadicCell(base3_digits(index, depth))
 
 
 def middle_child(cell: TriadicCell) -> TriadicCell:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, pow_enclosure, qstr
-from .triadic import IntervalQ, TriadicCell, cell_from_index
+from .triadic import IntervalQ, TriadicCell, base3_digits, cell_from_index
 
 PLACEMENTS = ("right", "left", "alternating")
 
@@ -92,7 +92,6 @@ class WeightModel:
         self.scale = pow_enclosure(Enclosure.exact(Q(k)), -params.r)
         self.depth = params.depth
         self.family_cap = family_cap
-        self.flips: list[tuple[int, str]] = []
         self._materialize()
 
     # -- counts and closed forms ------------------------------------------
@@ -121,10 +120,6 @@ class WeightModel:
     def carrier_sigma_mass(self, gen: int) -> Enclosure:
         return self.c * Q(1, 3 ** self.k) * self.b.pow_int(gen) * Q(1, 3 ** (gen * self.k))
 
-    def support_w_mass(self, gen: int) -> Fraction:
-        # equals the carrier mass of the same generation
-        return Q(1, (self.u + 1) ** gen)
-
     def support_sigma_mass(self, gen: int) -> Enclosure:
         return self.b.pow_int(gen) * Q(1, 3 ** (gen * self.k))
 
@@ -140,37 +135,21 @@ class WeightModel:
         """Carrier cell number `branch` (lexicographic) of generation `gen`."""
         if not 0 <= branch < self.kcell_count(gen):
             raise ValueError(f"branch {branch} out of range at generation {gen}")
-        address = []
+        # one base-3^(k-1) digit per level, each below that level's core digit 1
         width = self.k - 1
-        base = 3 ** width
-        digits = []
-        n = branch
-        for _ in range(gen):
-            n, t = divmod(n, base)
-            digits.append(t)
-        for t in reversed(digits):
-            address.append("1" + _base3(t, width))
-        return TriadicCell("".join(address))
+        digits = base3_digits(branch, gen * width)
+        return TriadicCell("".join("1" + digits[i:i + width]
+                                   for i in range(0, gen * width, width)))
 
     def jcell(self, gen: int, branch: int) -> TriadicCell:
         return self.kcell(gen - 1, branch).middle_child()
 
     def place_core(self, core: TriadicCell, gen: int) -> tuple[TriadicCell, str]:
-        """Support cell adjacent to `core`, with the policy side (flips recorded)."""
-        side = self.side_for(gen)
-        depth = core.depth + self.k - 1
-        lo = core.index * 3 ** (self.k - 1)
-        hi = (core.index + 1) * 3 ** (self.k - 1)
-        parent = core.parent()
-        plo = parent.index * 3 ** self.k
-        phi = (parent.index + 1) * 3 ** self.k
-        for attempt, s in enumerate((side, _other(side))):
-            idx = hi if s == "right" else lo - 1
-            if plo <= idx < phi:
-                if attempt == 1:
-                    self.flips.append((gen, core.address))
-                return cell_from_index(depth, idx), s
-        raise RuntimeError("no admissible placement inside parent carrier")
+        """Support cell beside a generation-`gen` core, with its side."""
+        if not core.address.endswith("1"):
+            raise ValueError(f"{core} is not the middle child of a carrier")
+        index = core.parent().index * 3 ** self.k + self.support_offset(gen)
+        return cell_from_index(core.depth + self.k - 1, index), self.side_for(gen)
 
     def side_for(self, gen: int) -> str:
         pol = self.params.placement
@@ -178,9 +157,14 @@ class WeightModel:
             return "right" if gen % 2 == 1 else "left"
         return pol
 
-    def probe_cell(self, support: TriadicCell) -> TriadicCell:
-        """Middle child of a support cell; the pointwise Hilbert bound lives here."""
-        return support.middle_child()
+    def support_offset(self, gen: int) -> int:
+        """Left end of a generation-`gen` support cell, from the left end of
+        its carrier, in support-cell lengths.
+
+        The core spans [u, 2u) in these units (u = 3^(k-1)), so the support
+        cell starts at 2u on the right of it and at u - 1 on the left.
+        """
+        return 2 * self.u if self.side_for(gen) == "right" else self.u - 1
 
     # -- materialization ----------------------------------------------------
 
@@ -188,19 +172,12 @@ class WeightModel:
         cap = self.family_cap
         self.kcells: list[list[TriadicCell]] = []
         self.jcells: dict[int, list[TriadicCell]] = {}
-        self.sampled_generations: set[tuple[str, int]] = set()
         for gen in range(self.depth + 1):
-            total = self.kcell_count(gen)
-            branches = _even_sample(total, cap)
-            if len(branches) < total:
-                self.sampled_generations.add(("K", gen))
+            branches = _even_sample(self.kcell_count(gen), cap)
             self.kcells.append([self.kcell(gen, i) for i in branches])
         self.support: list[SupportCell] = []
         for gen in range(1, self.depth + 1):
-            total = self.jcell_count(gen)
-            branches = _even_sample(total, cap)
-            if len(branches) < total:
-                self.sampled_generations.add(("J", gen))
+            branches = _even_sample(self.jcell_count(gen), cap)
             cells = []
             for i in branches:
                 core = self.jcell(gen, i)
@@ -240,7 +217,6 @@ class WeightModel:
                 "sigma_mass_per_cell": [qstr(self.carrier_sigma_mass(self.depth).lo),
                                         qstr(self.carrier_sigma_mass(self.depth).hi)],
             },
-            "placement_flips": [{"gen": g, "core": addr} for g, addr in self.flips],
         }
 
 
@@ -294,11 +270,10 @@ def _carrier_mass(model, which, gen) -> Enclosure:
 
 
 def _support_mass(model, which, gen) -> Enclosure:
-    if which == "w":
-        return Enclosure.exact(model.support_w_mass(gen))
+    # a support cell carries the w-mass of one carrier of its generation
     if which == "sigma":
         return model.support_sigma_mass(gen)
-    return model.scale * model.support_w_mass(gen)
+    return _carrier_mass(model, which, gen)
 
 
 def _value(model, which, gen) -> Enclosure:
@@ -355,20 +330,8 @@ def direct_sum(models: list[WeightModel], k_range: tuple[int, int] | None = None
 
 # ---------------------------------------------------------------------------
 
-def _base3(n: int, width: int) -> str:
-    digits = []
-    for _ in range(width):
-        n, d = divmod(n, 3)
-        digits.append("012"[d])
-    return "".join(reversed(digits))
-
-
 def _even_sample(total: int, cap: int) -> list[int]:
     """Deterministic evenly spaced branch indices (all of them when small)."""
     if total <= cap:
         return list(range(total))
     return sorted({(i * total) // cap for i in range(cap)})
-
-
-def _other(side: str) -> str:
-    return "left" if side == "right" else "right"

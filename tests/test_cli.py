@@ -2,7 +2,12 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import twoweightlab
 from twoweightlab import cli
 from twoweightlab.cli import main, run_scenario
 
@@ -72,6 +77,34 @@ def test_sparse_test_command(tmp_path):
                "--seed", "5", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "sparse-test.csv").exists()
+
+
+def test_sparse_test_command_without_seed(tmp_path):
+    rc = main(["sparse-test", "--k", "2", "--families", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "sparse-test.csv").exists()
+
+
+def test_options_are_declared_only_where_they_are_read():
+    parser = cli.build_parser()
+    assert main(["construct", "--k", "2", "--threads", "2"]) == 2
+    assert main(["lorentz", "--k", "2", "--seed", "1"]) == 2
+    args = parser.parse_args(["scenario", "--name", "entropy", "--threads", "2",
+                              "--seed", "4"])
+    assert (args.threads, args.seed) == (2, 4)
+    for command in ("sparse-test", "hilbert"):
+        assert parser.parse_args([command, "--k", "2", "--seed", "3"]).seed == 3
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(twoweightlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "twoweightlab", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "scenario" in proc.stdout
 
 
 def test_lorentz_command(tmp_path):

@@ -4,8 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twoweightlab.hilbert import _descend_to_support
+from twoweightlab.measures import MeasureQuery, mass, smallest_carrier
 from twoweightlab.triadic import IntervalQ, TriadicCell
-from twoweightlab.weights import (ConstructionParams, build_construction,
+from twoweightlab.weights import (PLACEMENTS, ConstructionParams, build_construction,
                                   direct_sum, weight_on_cell)
 
 
@@ -37,7 +39,7 @@ def test_right_placement_k2():
     sc = m.support_cells(1)[0]
     assert sc.core.interval() == IntervalQ(Q(1, 3), Q(2, 3))
     assert sc.cell.interval() == IntervalQ(Q(2, 3), Q(7, 9))
-    assert sc.side == "right" and m.flips == []
+    assert sc.side == "right"
 
 
 def test_left_and_alternating_placements():
@@ -47,7 +49,6 @@ def test_left_and_alternating_placements():
     alt = build_construction(ConstructionParams(k=2, depth=2, placement="alternating"))
     assert alt.support_cells(1)[0].side == "right"
     assert all(s.side == "left" for s in alt.support_cells(2))
-    assert left.flips == [] and alt.flips == []
 
 
 def test_adjacency_and_length_invariant():
@@ -59,6 +60,34 @@ def test_adjacency_and_length_invariant():
                         or sc.cell.right == sc.core.left)
             assert touching
             assert sc.core.parent().contains(sc.cell)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_support_geometry_agrees_across_modules(k, placement):
+    # place_core, weight_on_cell, mass, the maximal-function descent and
+    # smallest_carrier each locate the support cell; they must agree
+    m = build_construction(ConstructionParams(k=k, placement=placement, depth=3))
+    for sc in m.support:
+        cell, core = sc.cell, sc.core
+        assert cell.left == core.right or cell.right == core.left
+        assert core.parent().contains(cell)
+        assert weight_on_cell(m, cell).kind == "const"
+        got = mass(m, MeasureQuery("w", cell.interval()))
+        assert got.lo == got.hi == m.w_value(sc.gen) * cell.length
+        gen, span, _chain = _descend_to_support(m, cell.left + cell.length / 2)
+        assert (gen, span) == (sc.gen, (cell.left, cell.right))
+        carrier, _, _, placed = smallest_carrier(m, cell.interval())
+        assert carrier == core.parent() and placed == cell
+
+
+def test_place_core_rejects_a_core_that_is_not_a_middle_child():
+    m = build_construction(ConstructionParams(k=2, depth=1))
+    with pytest.raises(ValueError):
+        m.place_core(TriadicCell("2"), 1)
+    with pytest.raises(ValueError):
+        m.place_core(TriadicCell("10"), 1)
+    assert m.place_core(TriadicCell("1"), 1)[0] == TriadicCell("20")
 
 
 def test_support_values():
@@ -90,7 +119,6 @@ def test_serialization_wire_format():
     assert payload["family_counts"]["K"]["1"] == 3
     entry = payload["support"][0]
     assert entry["cell"] == "20" and entry["w_value"] == "9/4"
-    assert payload["placement_flips"] == []
 
 
 def test_direct_sum_shifts_and_validation():
