@@ -114,12 +114,14 @@ def _params_from_args(args) -> ConstructionParams:
                               placement=args.placement, depth=args.depth)
 
 
+PLACEMENTS = ("right", "left", "alternating")
+
+
 def _add_model_args(sp):
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", default="2")
     sp.add_argument("--r", default="3/2")
-    sp.add_argument("--placement", default="right",
-                    choices=("right", "left", "alternating"))
+    sp.add_argument("--placement", default="right", choices=PLACEMENTS)
     sp.add_argument("--depth", type=int, default=2)
 
 
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", type=int, default=12)
     sp.add_argument("--p", default="2")
     sp.add_argument("--r", default="3/2")
-    sp.add_argument("--placement", default="right")
+    sp.add_argument("--placement", default="right", choices=PLACEMENTS)
     common(sp)
     sp.set_defaults(func=cmd_bumps)
 
@@ -343,7 +345,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

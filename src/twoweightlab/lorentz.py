@@ -13,15 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import nextafter
 from typing import Callable
 
-from .enclosure import FZERO, Enclosure, FloatInterval, LN3, Q, log_interval
+from .enclosure import FZERO, Enclosure, FloatInterval, LN3, Q, add_bounds, log_interval
 from .measures import carrier_generation
 from .triadic import TriadicCell
 from .weights import WeightModel
 
 _PAD = 8
 _INF = float("inf")
+_NINF = -_INF
 
 
 def _pad_out(lo: float, hi: float) -> FloatInterval:
@@ -396,12 +398,6 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn,
     return acc.to_enclosure()
 
 
-def _g_eval(g: Callable[[float], float], u: float) -> FloatInterval:
-    v = g(u)
-    pad = 1e-12 * abs(v) + 5e-324
-    return _pad_out(v - pad, v + pad)
-
-
 def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_terms: int) -> FloatInterval:
     # sum over l >= l0 of (rho-1) rho^l phi(C 3^-l); with G(u) = phi(e^-u) e^u and
     # u_l = log(1/C) + l log 3 this is (rho-1) C sum q^l G(u_l), q = rho/3 < 1.
@@ -413,27 +409,50 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_terms: int
     rho, coeff, l0 = tail.rho, tail.coeff, tail.l0
     q = rho / 3
     q_fi = FloatInterval.from_fraction(q)
+    q_lo, q_hi = q_fi.lo, q_fi.hi
     lead = FloatInterval.from_fraction((rho - 1) * coeff * q ** l0)
+    lead_lo, lead_hi = lead.lo, lead.hi
     u0 = (-log_interval(coeff)).mid + l0 * LN3.mid
     ln3 = LN3.mid
-    acc = FZERO
-    q_pow = FloatInterval(1.0, 1.0)
+    # The loop runs on (lo, hi) floats with the rounding of `add_bounds` and
+    # `mul_bounds` written out.  Every factor is positive (G >= phi(1) > 0 on
+    # the tail), so a product's least candidate is lo*lo and its greatest
+    # hi*hi.  Each G(u) is padded by 1e-12 relative, then 8 ulp outward.
+    acc_lo = acc_hi = 0.0
+    qp_lo = qp_hi = 1.0
     for count in range(max_terms):
         u = u0 + count * ln3
-        g_cur = _g_eval(g, u)
-        term = lead * q_pow * g_cur
+        v = g(u)
+        pad = 1e-12 * abs(v) + 5e-324
+        g_lo = v - pad
+        g_hi = v + pad
+        g_lo = nextafter(nextafter(nextafter(nextafter(g_lo, _NINF), _NINF), _NINF), _NINF)
+        g_lo = nextafter(nextafter(nextafter(nextafter(g_lo, _NINF), _NINF), _NINF), _NINF)
+        g_hi = nextafter(nextafter(nextafter(nextafter(g_hi, _INF), _INF), _INF), _INF)
+        g_hi = nextafter(nextafter(nextafter(nextafter(g_hi, _INF), _INF), _INF), _INF)
+        if not g_lo <= g_hi:
+            raise ValueError(f"{phi.name}: G({u!r}) = {v!r} is not a finite number")
+        t_lo = nextafter(lead_lo * qp_lo, _NINF)
+        t_hi = nextafter(lead_hi * qp_hi, _INF)
+        t_lo = nextafter(t_lo * g_lo, _NINF)
+        t_hi = nextafter(t_hi * g_hi, _INF)
         if count % 32 == 31:
             # term ratio is q*G(u+log3)/G(u): at least q by quasiconcavity and
             # decreasing toward q under slow_ratio, so it caps all later ratios
-            g_next = _g_eval(g, u + ln3)
-            kappa = q_fi.hi * g_next.hi / g_cur.lo
+            v = g(u + ln3)
+            n_hi = v + (1e-12 * abs(v) + 5e-324)
+            n_hi = nextafter(nextafter(nextafter(nextafter(n_hi, _INF), _INF), _INF), _INF)
+            n_hi = nextafter(nextafter(nextafter(nextafter(n_hi, _INF), _INF), _INF), _INF)
+            kappa = q_hi * n_hi / g_lo
             if kappa < 1.0:
-                tail_lo = term.lo / (1.0 - q_fi.lo)
-                tail_hi = term.hi / (1.0 - kappa)
-                if tail_hi - tail_lo <= rel_tol * max(acc.lo + tail_lo, 1e-300):
-                    return acc + FloatInterval(tail_lo, tail_hi)
-        acc = acc + term
-        q_pow = q_pow * q_fi
+                tail_lo = t_lo / (1.0 - q_lo)
+                tail_hi = t_hi / (1.0 - kappa)
+                if tail_hi - tail_lo <= rel_tol * max(acc_lo + tail_lo, 1e-300):
+                    return FloatInterval(*add_bounds(acc_lo, acc_hi, tail_lo, tail_hi))
+        acc_lo = nextafter(acc_lo + t_lo, _NINF)
+        acc_hi = nextafter(acc_hi + t_hi, _INF)
+        qp_lo = nextafter(qp_lo * q_lo, _NINF)
+        qp_hi = nextafter(qp_hi * q_hi, _INF)
     raise ArithmeticError(f"Lorentz tail did not close within {max_terms} terms")
 
 

@@ -72,6 +72,28 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def _usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_bad_k_is_usage_error(capsys):
+    err = _usage_error(["construct", "--k", "1"], capsys)
+    assert err == "error: k must be an integer >= 2, got 1\n"
+
+
+def test_empty_interval_is_usage_error(capsys):
+    err = _usage_error(["averages", "--k", "2", "--interval", "1/2,1/3"], capsys)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_bumps_placement_is_usage_error(capsys):
+    err = _usage_error(["bumps", "--placement", "sideways"], capsys)
+    assert "invalid choice: 'sideways'" in err
+
+
 def test_sparse_test_command(tmp_path):
     rc = main(["sparse-test", "--k", "3", "--eps", "1/3", "--families", "3",
                "--seed", "5", "--out", str(tmp_path)])

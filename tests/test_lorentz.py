@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twoweightlab import lorentz
+from twoweightlab.enclosure import FZERO, LN3, FloatInterval, log_interval
 from twoweightlab.lorentz import (WTail, blowup_distribution, blowup_suite,
                                   bump_product, distribution, entropy_ratio,
                                   fundamental_compare, fundamental_of, llogl_young,
@@ -227,3 +229,163 @@ def test_distribution_requires_carrier_and_exact_dual():
     frac = build_construction(ConstructionParams(k=2, p=Q(5, 2), r=Q(7, 6), depth=1))
     with pytest.raises(ValueError):
         distribution(frac, TriadicCell(""), "sigma")
+
+
+# ---------------------------------------------------------------------------
+# The term-by-term w tail: the float-pair loop against the FloatInterval loop
+# it replaced, and both tails against a 40-digit direct sum.
+
+def _ref_g_eval(g, u):
+    v = g(u)
+    pad = 1e-12 * abs(v) + 5e-324
+    lo, hi = v - pad, v + pad
+    for _ in range(8):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return FloatInterval(lo, hi)
+
+
+def reference_wtail_norm(tail, phi, rel_tol, max_terms):
+    """The w tail summed on `FloatInterval` objects, three per term."""
+    g = phi.log_form_eval
+    rho, coeff, l0 = tail.rho, tail.coeff, tail.l0
+    q = rho / 3
+    q_fi = FloatInterval.from_fraction(q)
+    lead = FloatInterval.from_fraction((rho - 1) * coeff * q ** l0)
+    u0 = (-log_interval(coeff)).mid + l0 * LN3.mid
+    ln3 = LN3.mid
+    acc = FZERO
+    q_pow = FloatInterval(1.0, 1.0)
+    for count in range(max_terms):
+        u = u0 + count * ln3
+        g_cur = _ref_g_eval(g, u)
+        term = lead * q_pow * g_cur
+        if count % 32 == 31:
+            g_next = _ref_g_eval(g, u + ln3)
+            kappa = q_fi.hi * g_next.hi / g_cur.lo
+            if kappa < 1.0:
+                tail_lo = term.lo / (1.0 - q_fi.lo)
+                tail_hi = term.hi / (1.0 - kappa)
+                if tail_hi - tail_lo <= rel_tol * max(acc.lo + tail_lo, 1e-300):
+                    return acc + FloatInterval(tail_lo, tail_hi)
+        acc = acc + term
+        q_pow = q_pow * q_fi
+    raise ArithmeticError(f"Lorentz tail did not close within {max_terms} terms")
+
+
+def sqrt_log_gauge(cutoff=math.inf):
+    """s*sqrt(5 + log(1/s)), with G(u) = sqrt(5 + u); G is nan beyond `cutoff`."""
+    return QuasiConcaveFn(
+        "sqrtlog", lambda s: s * math.sqrt(5.0 - math.log(s)),
+        log_form_eval=lambda u: math.sqrt(5.0 + u) if u <= cutoff else math.nan)
+
+
+def _w_tail(k, gen):
+    m = model(k=k, depth=2)
+    return distribution(m, m.kcell(gen, 0), "w").tail
+
+
+def _same_tail(tail, gauge, rel_tol, max_terms=400_000):
+    got = lorentz._wtail_norm(tail, gauge, rel_tol, max_terms)
+    want = reference_wtail_norm(tail, gauge, rel_tol, max_terms)
+    return (repr(got.lo), repr(got.hi)) == (repr(want.lo), repr(want.hi))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_wtail_matches_floatinterval_reference(k):
+    gauge = psi(Q(3, 2))
+    for gen in range(3):
+        tail = _w_tail(k, gen)
+        for rel_tol in (1e-7, 1e-9):
+            assert _same_tail(tail, gauge, rel_tol), (k, gen, rel_tol)
+
+
+def test_wtail_matches_reference_for_a_user_gauge():
+    gauge = sqrt_log_gauge()
+    for k in (2, 4, 6):
+        for gen in range(3):
+            for rel_tol in (1e-7, 1e-9):
+                assert _same_tail(_w_tail(k, gen), gauge, rel_tol), (k, gen, rel_tol)
+
+
+def test_wtail_fails_where_the_reference_fails():
+    tail = _w_tail(9, 0)
+    for tail_sum in (lorentz._wtail_norm, reference_wtail_norm):
+        with pytest.raises(ArithmeticError):
+            tail_sum(tail, psi(Q(3, 2)), 1e-7, 1000)
+        # G turns nan at u > 40, inside the k=2 tail's first 50 terms
+        with pytest.raises(ValueError):
+            tail_sum(_w_tail(2, 0), sqrt_log_gauge(cutoff=40.0), 1e-9, 1000)
+
+
+def test_psi_tail_range():
+    """At rel_tol 1e-7 the psi w tail closes for k=10 within the 400,000-term
+    cap; at the default 1e-9 it closes for k=9 and runs out for k=10."""
+    gauge = psi(Q(3, 2))
+    m = model(k=10, depth=1)
+    dist = distribution(m, m.kcell(0, 0), "w")
+    enc = lorentz_norm(dist, gauge, rel_tol=1e-7)
+    # the tail's width is within rel_tol; the summed terms add their G pads
+    assert 0 < enc.width <= Q(2, 10 ** 7) * enc.lo
+    with pytest.raises(ArithmeticError):
+        lorentz_norm(dist, gauge)
+
+
+def _mp_w_norm(mpmath, dist, phi):
+    """The Lorentz norm of a w distribution, summed term by term.
+
+    `phi(s, log_s)` is the gauge at s, given log s too (the sum tracks log s
+    by subtracting log 3 per level).  Returns (S, R): the norm lies in
+    [S, S + R].  The tail terms
+    (rho-1) rho^l phi(C 3^-l) have ratios q G(u+log 3)/G(u) with
+    G(u) = phi(e^-u) e^u and q = rho/3; log G is concave for both gauges
+    tested, so the ratios do not increase and the remainder after term L is
+    at most term_L / (1 - ratio_L).
+    """
+    mpf = mpmath.mpf
+
+    def mpq(x):
+        return mpf(x.numerator) / x.denominator
+
+    (t0, t1, n), = dist.steps
+    tail = dist.tail
+    total = mpq(t1 - t0) * phi(mpq(n), mpmath.log(mpq(n)))
+    rho = mpq(tail.rho)
+    rho_l = rho ** tail.l0
+    s = mpq(tail.coeff) / 3 ** tail.l0
+    log_s, ln3 = mpmath.log(s), mpmath.log(3)
+    term = (rho - 1) * rho_l * phi(s, log_s)
+    while True:
+        rho_l *= rho
+        s /= 3
+        log_s -= ln3
+        nxt = (rho - 1) * rho_l * phi(s, log_s)
+        ratio = nxt / term
+        if ratio < 1 and term / (1 - ratio) < mpf(10) ** -32:
+            return total, term / (1 - ratio)
+        total += term
+        term = nxt
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_lorentz_norms_contain_a_40_digit_direct_sum(k):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    m = model(k=k, depth=2)
+    with mp.workdps(40):
+        def psi_mp(s, log_s):  # s (12 - log s) (log(12 - log s))^(3/2)
+            ll = mpmath.log(12 - log_s)
+            return s * (12 - log_s) * ll * mpmath.sqrt(ll)
+
+        oracles = (
+            (psi(Q(3, 2)), psi_mp),
+            (phi0(), lambda s, log_s: s * (1 - log_s)),
+        )
+        for gen in range(3):
+            dist = distribution(m, m.kcell(gen, 0), "w")
+            for gauge, phi in oracles:
+                total, remainder = _mp_w_norm(mpmath, dist, phi)
+                assert remainder < mpmath.mpf(10) ** -30
+                enc = lorentz_norm(dist, gauge)
+                lo, hi = mpmath.mpf(float(enc.lo)), mpmath.mpf(float(enc.hi))
+                assert lo <= total and total + remainder <= hi, (k, gen, gauge.name)
