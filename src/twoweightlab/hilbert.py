@@ -3,32 +3,24 @@
 The kernel convention is Hf(x) = p.v. integral of f(t)/(x-t) dt, without a
 1/pi; every reported inequality is scale-free so the convention only fixes
 units.  Piecewise-constant parts integrate in closed form through the log
-kernel.  The rest of the mass is enclosed adaptively: the evaluator walks
-the implicit carrier tree, keeps whole subtrees as interval contributions
-(mass times kernel range, or a Riemann pair over equal-mass tile runs), and
-always expands the widest pending block, so precision is budget-driven and
-never requires enumerating a generation.
+kernel.  The rest of the mass is enclosed adaptively by the walks over the
+carrier tree in `treewalk`: at single points for `hilbert_weight`, and over
+whole support cells for the norm-ratio quadrature.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
-from .enclosure import (FloatInterval, Q, add_bounds, log_abs_ratio_interval,
-                        log_ratio_bounds, mul_bounds, ratio_bounds)
+from .enclosure import FloatInterval, Q, log_abs_ratio_interval
 from .measures import MeasureQuery, mass
+from .treewalk import BoundaryError, CellField, walk
 from .triadic import IntervalQ, TriadicCell
 from .weights import WeightModel
 
 _INF = float("inf")
-
-
-class BoundaryError(ValueError):
-    """Evaluation point sits on a support-cell endpoint (log singularity)."""
 
 
 def hilbert_indicator(a, b, x) -> float:
@@ -39,13 +31,6 @@ def hilbert_indicator(a, b, x) -> float:
     if x == a or x == b:
         raise BoundaryError("evaluation point is a kernel endpoint")
     return log_abs_ratio_interval(x - a, x - b).mid
-
-
-def _indicator_bounds(a: int, b: int, x: int) -> tuple[float, float]:
-    """Log-kernel bounds for [a, b] at x, all three integers on one scale."""
-    if x == a or x == b:
-        raise BoundaryError("evaluation point is a kernel endpoint")
-    return log_ratio_bounds(abs(x - a), abs(x - b))
 
 
 @dataclass
@@ -60,152 +45,17 @@ class HilbertValue:
         return self.value.mid
 
 
-class _GenConstants:
-    """One generation of the walk for one point x = xn/xd, in integer units.
-
-    Every block end, core third and support sliver of generation `gen` is a
-    multiple of 3^-((gen+1)k), so coordinates are stored multiplied by
-    den = xd * 3^((gen+1)k).  In these units a cell, its third and the
-    sliver have the same lengths at every generation.  Float constants are
-    (lo, hi) bounds.
-    """
-
-    __slots__ = ("den", "x", "length", "third", "slen", "sliver", "hull",
-                 "mass_num", "mass_den", "mass_f", "density", "w_next")
-
-    def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
-        scale = 3 ** ((gen + 1) * model.k)
-        self.den = xd * scale
-        self.x = xn * scale
-        self.slen = xd
-        u = model.u
-        self.third = xd * u
-        self.length = 3 * self.third
-        cell_mass = model.carrier_w_mass(gen)
-        # mass / (x - c) == mass_num / (mass_den * (X - C)), all integers
-        scaled = cell_mass * self.den
-        self.mass_num, self.mass_den = scaled.numerator, scaled.denominator
-        self.mass_f = float(cell_mass)
-        # a carrier's mass over its length is the generation's w value
-        density = FloatInterval.from_fraction(model.w_value(gen))
-        self.density = (density.lo, density.hi)
-        w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
-        self.w_next = (w_next.lo, w_next.hi)
-        # offsets from a cell's left end, where the core spans [u, 2u) slivers:
-        # the support sliver, and the hull of core plus sliver where all of
-        # the cell's mass lives
-        off = model.support_offset(gen + 1)
-        self.sliver = off * xd
-        self.hull = (min(u, off) * xd, max(2 * u, off + 1) * xd)
-
-
-def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int]]:
-    """The run as (left, count) pieces to push: split around the cell whose
-    closure holds x when x lies strictly inside the run."""
-    x, length = gc.x, gc.length
-    if count == 1 or not left < x < left + count * length:
-        return [(left, count)]
-    t = min(count - 1, (x - left) // length)
-    pieces = [(left, t)] if t > 0 else []
-    pieces.append((left + t * length, 1))
-    if t + 1 < count:
-        pieces.append((left + (t + 1) * length, count - t - 1))
-    return pieces
-
-
-def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float] | None:
-    """Bounds (lo, hi) on the block's kernel integral; None forces expansion.
-
-    For a single cell the kernel range `mass * [min 1/(x-t), max 1/(x-t)]` is
-    sound however the mass sits inside (tightened to the middle-third hull
-    where all of it actually lives).  For a run of equal-mass cells the
-    lower/upper Riemann pair around the exact log integral is tighter: the
-    per-cell granularity costs at most mass * (kernel range over the run).
-    """
-    x = gc.x
-    hi = left + count * gc.length
-    if left <= x <= hi:
-        return None
-    if count == 1:
-        a_lo, a_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[0])))
-        b_lo, b_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[1])))
-        return min(a_lo, b_lo), max(a_hi, b_hi)
-    # x lies outside [left, hi], so neither end is a kernel endpoint
-    i_lo, i_hi = log_ratio_bounds(abs(x - left), abs(x - hi))
-    base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
-    # upper bound on the kernel range suffices; floats with a pad are sound
-    # because the exact differences below are positive and well separated
-    dl, dh = (x - left) / gc.den, (x - hi) / gc.den
-    slack = gc.mass_f * abs(1.0 / dl - 1.0 / dh) * (1 + 1e-9) + 1e-300
-    return base_lo - slack, base_hi + slack
-
-
 def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
                    max_expansions: int = 20000) -> HilbertValue:
     """Adaptive enclosure of Hw(x); reports the achieved width if the budget
     cannot be met within the expansion cap."""
     x = Fraction(x)
-    xn, xd = x.numerator, x.denominator
-    up, children = 3 ** model.k, 3 ** (model.k - 1)
-    acc_lo = acc_hi = 0.0
-    # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
-    heap: list[tuple] = []
-    pushed = 0
-    pending_width = 0.0
-    unresolved = 0
-    gcs = [_GenConstants(model, 0, xn, xd)]
-    # each step pushes `runs` of generation `gen`, then pops and expands the
-    # widest block; all state is local to this loop, so nothing refers back
-    # to it and the pending blocks are freed as soon as the call returns
-    gen, runs = 0, ((0, 1),)
-    expansions = 0
-    while True:
-        gc = gcs[gen]
-        for run_left, run_count in runs:
-            for left, count in _split_at_x(gc, run_left, run_count):
-                enc = _enclose_block(gc, left, count)
-                if enc is None:
-                    unresolved += 1
-                    width = _INF
-                else:
-                    width = enc[1] - enc[0]
-                    pending_width += width
-                heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
-                pushed += 1
-        if expansions >= max_expansions or not heap:
-            break
-        if not unresolved and (acc_hi - acc_lo) + pending_width <= tail_budget:
-            break
-        neg_width, _ident, gen, left, count, enc = heapq.heappop(heap)
-        if enc is None:
-            unresolved -= 1
-        else:
-            pending_width += neg_width
-        gc = gcs[gen]
-        if count > 1:
-            # halve the run; the x-side half concentrates the kernel range,
-            # so widths decay geometrically under repeated splitting
-            cut = count // 2
-            runs = ((left, cut), (left + cut * gc.length, count - cut))
-        else:
-            sl = left + gc.sliver
-            i_lo, i_hi = _indicator_bounds(sl, sl + gc.slen, gc.x)
-            t_lo, t_hi = mul_bounds(i_lo, i_hi, *gc.w_next)
-            acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, t_lo, t_hi)
-            # the core's tiles are the next generation's carriers
-            gen += 1
-            if gen == len(gcs):
-                gcs.append(_GenConstants(model, gen, xn, xd))
-            runs = (((left + gc.third) * up, children),)
-        expansions += 1
-    total_lo, total_hi = acc_lo, acc_hi
-    # sum in push order, so the float total does not depend on heap layout
-    for *_block, enc in sorted(heap, key=itemgetter(1)):
-        if enc is None:
-            return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
-        total_lo, total_hi = add_bounds(total_lo, total_hi, *enc)
-    width = total_hi - total_lo
-    return HilbertValue(FloatInterval(total_lo, total_hi), width, expansions,
+    bounds, expansions = walk(model, x.numerator, x.denominator, ((0, 0, 1),),
+                              tail_budget, max_expansions)
+    if bounds is None:
+        return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
+    width = bounds[1] - bounds[0]
+    return HilbertValue(FloatInterval(*bounds), width, expansions,
                         width <= tail_budget * (1 + 1e-9) + 1e-300)
 
 
@@ -215,6 +65,8 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
 def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int,
                  seed: int) -> list[tuple[TriadicCell, Fraction]]:
     """Deterministic sample of probe-cell points at one generation."""
+    if cells < 1:
+        raise ValueError(f"cells per generation must be >= 1, got {cells}")
     total = model.jcell_count(gen)
     rng = random.Random(f"probe|{model.k}|{gen}|{cells}|{samples_per_cell}|{seed}")
     if total <= cells:
@@ -291,10 +143,9 @@ def _edge_panels(a: Fraction, b: Fraction, levels: int) -> list[tuple[Fraction, 
     return left + right
 
 
-def _panel_sum(model: WeightModel, panels, p: float, nodes: int, budget: float,
+def _panel_sum(field: CellField, panels, p: float, nodes: int,
                scale: float) -> tuple[list[float], float]:
-    """Gauss terms of |Hw|^p over `panels`, point by point, and the worst
-    width/scale."""
+    """Gauss terms of |Hw|^p over `panels` and the worst width/scale."""
     xs, ws = _GAUSS[nodes]
     terms = []
     worst = 0.0
@@ -302,10 +153,9 @@ def _panel_sum(model: WeightModel, panels, p: float, nodes: int, budget: float,
         half = (pb - pa) / 2
         mid = (pa + pb) / 2
         for xi, wi in zip(xs, ws):
-            xq = mid + half * Q(xi)
-            hv = hilbert_weight(model, xq, tail_budget=budget)
-            worst = max(worst, hv.width / scale)
-            terms.append(wi * float(half) * abs(hv.value.mid) ** p)
+            lo, hi = field.enclose(mid + half * Q(xi))
+            worst = max(worst, (hi - lo) / scale)
+            terms.append(wi * float(half) * abs(0.5 * (lo + hi)) ** p)
     return terms, worst
 
 
@@ -319,26 +169,29 @@ def _running_sum(terms) -> float:
 
 def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
                    levels: int, nodes: int, budget: float,
-                   scale: float) -> tuple[float, float, float]:
+                   scale: float) -> tuple[float, float, float, int]:
     """Integral of |Hw|^p over a support cell at two edge refinements.
 
-    Returns (fine, coarse, worst width/scale): `fine` uses levels+1 geometric
-    edge panels, `coarse` merges the two innermost panels per side, so the
-    pair differs exactly by the extra refinement next to the log singularity.
+    Returns (fine, coarse, worst width/scale, expansions): `fine` uses
+    levels+1 geometric edge panels, `coarse` merges the two innermost panels
+    per side, so the pair differs exactly by the extra refinement next to the
+    log singularity.  Every point is enclosed within `budget` by one
+    `CellField` of the cell.
     """
+    field = CellField(model, cell, budget)
     fine_panels = _edge_panels(cell.left, cell.right, levels + 1)
-    terms, worst = _panel_sum(model, fine_panels, p, nodes, budget, scale)
+    terms, worst = _panel_sum(field, fine_panels, p, nodes, scale)
     h = (cell.right - cell.left) / 2
     coarse_inner = [(cell.left, cell.left + h * Q(1, 3 ** levels)),
                     (cell.right - h * Q(1, 3 ** levels), cell.right)]
-    coarse_terms, w2 = _panel_sum(model, coarse_inner, p, nodes, budget, scale)
+    coarse_terms, w2 = _panel_sum(field, coarse_inner, p, nodes, scale)
     # the two innermost fine panels at each edge merge into the coarse ones;
     # their terms are reused from the fine pass
     edge = 2 * nodes
     fine = _running_sum(terms)
     inner_fine = _running_sum(terms[:edge] + terms[-edge:])
     coarse = fine - inner_fine + _running_sum(coarse_terms)
-    return fine, coarse, max(worst, w2)
+    return fine, coarse, max(worst, w2), field.expansions
 
 
 def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
@@ -353,9 +206,12 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
     """
     if not model.b.is_exact:
         raise ValueError("norm ratio requires integer p (exact dual weight)")
+    if cells_per_gen < 1:
+        raise ValueError(f"cells per generation must be >= 1, got {cells_per_gen}")
     gen_cap = min(gen_cap, model.depth)
     rng = random.Random(f"norm|{model.k}|{cells_per_gen}|{seed}")
     worst_rel = 0.0
+    expansions = 0
     ests_hi: list[float] = []
     ests_lo: list[float] = []
     for gen in range(1, gen_cap + 1):
@@ -370,9 +226,10 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
         for br in branches:
             core = model.jcell(gen, br)
             placed, _ = model.place_core(core, gen)
-            fine, coarse, w = _cell_integral(model, placed, p, edge_levels, nodes,
-                                             budget_rel * scale, scale)
+            fine, coarse, w, used = _cell_integral(model, placed, p, edge_levels, nodes,
+                                                   budget_rel * scale, scale)
             worst_rel = max(worst_rel, w)
+            expansions += used
             acc_fine += fine
             acc_coarse += coarse
         factor = sig_val * (total_cells / len(branches))
@@ -403,6 +260,7 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
         "decay_exact": q,
         "tail_factor": tail_factor,
         "worst_point_rel_width": worst_rel,
+        "expansions": expansions,
         "converged": indicator < 1e-3,
     }
 

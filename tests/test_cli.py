@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twoweightlab
 from twoweightlab import cli
 from twoweightlab.cli import main, run_scenario
@@ -82,6 +84,21 @@ def _usage_error(argv, capsys):
 def test_bad_k_is_usage_error(capsys):
     err = _usage_error(["construct", "--k", "1"], capsys)
     assert err == "error: k must be an integer >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "norm", "maximal"])
+def test_no_cells_is_usage_error(mode, capsys):
+    err = _usage_error(["hilbert", "--mode", mode, "--k", "3", "--cells", "0"], capsys)
+    assert err == "error: cells per generation must be >= 1, got 0\n"
+
+
+def test_unclosed_lorentz_tail_is_usage_error(monkeypatch, capsys):
+    def unclosed(*args, **kwargs):
+        raise ArithmeticError("Lorentz tail did not close within 400000 terms")
+
+    monkeypatch.setattr(cli, "lorentz_norm", unclosed)
+    err = _usage_error(["lorentz", "--norm", "lorentzPsi", "--k", "10"], capsys)
+    assert err == "error: Lorentz tail did not close within 400000 terms\n"
 
 
 def test_empty_interval_is_usage_error(capsys):

@@ -9,9 +9,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from twoweightlab import hilbert
+from twoweightlab import hilbert, treewalk
 from twoweightlab.enclosure import (FloatInterval, log_abs_ratio_interval,
-                                    ratio_interval)
+                                    ratio_bounds, ratio_interval)
 from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
                                   hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
@@ -332,8 +332,12 @@ def test_integer_walk_rejects_support_cell_endpoints(placement):
 
 
 def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
-    """The three-pass version: inner fine panels evaluated a second time."""
+    """The three-pass version with one `hilbert_weight` walk per point: inner
+    fine panels evaluated a second time.  Also returns the largest |mid|."""
+    peak = 0.0
+
     def panel_sum(panels):
+        nonlocal peak
         xs, ws = hilbert._GAUSS[nodes]
         total = 0.0
         worst = 0.0
@@ -343,6 +347,7 @@ def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
             for xi, wi in zip(xs, ws):
                 hv = hilbert.hilbert_weight(m, mid + half * Q(xi), tail_budget=budget)
                 worst = max(worst, hv.width / scale)
+                peak = max(peak, abs(hv.value.mid))
                 total += wi * float(half) * abs(hv.value.mid) ** p
         return total, worst
 
@@ -352,23 +357,109 @@ def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
     inner_coarse, w2 = panel_sum([(cell.left, cell.left + h * Q(1, 3 ** levels)),
                                   (cell.right - h * Q(1, 3 ** levels), cell.right)])
     inner_fine, w3 = panel_sum(fine_panels[:2] + fine_panels[-2:])
-    return fine, fine - inner_fine + inner_coarse, max(worst, w2, w3)
+    return fine, fine - inner_fine + inner_coarse, max(worst, w2, w3), peak
 
 
 @pytest.mark.parametrize("k,levels,nodes", [(3, 0, 2), (4, 1, 3), (6, 2, 3)])
 def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
+    """The cell model gives the per-point walks' integrals to within what
+    the budget lets each point move, and runs no `hilbert_weight` walk."""
     m = model(k=k, placement="alternating")
     cell = m.support_cells(1)[0].cell
     scale = k * float(m.w_value(1))
-    args = (m, cell, 2, levels, nodes, 2e-3 * scale, scale)
-    expected = _reference_cell_integral(*args)
-    calls = []
-    inner = hilbert.hilbert_weight
+    budget = 2e-3 * scale
+    args = (m, cell, 2, levels, nodes, budget, scale)
+    ref_fine, ref_coarse, ref_worst, peak = _reference_cell_integral(*args)
 
-    def counting(*a, **kw):
-        calls.append(a[1])
-        return inner(*a, **kw)
+    def no_walk(*a, **kw):
+        raise AssertionError("a point walk ran")
 
-    monkeypatch.setattr(hilbert, "hilbert_weight", counting)
-    assert hilbert._cell_integral(*args) == expected
-    assert len(calls) == 2 * nodes * (levels + 2) + 2 * nodes
+    monkeypatch.setattr(hilbert, "hilbert_weight", no_walk)
+    fine, coarse, worst, expansions = hilbert._cell_integral(*args)
+    # both enclosures hold Hw(x) and are at most `budget` wide, so their
+    # midpoints differ by at most `budget`; the panel weights sum to |S| in
+    # each of the two sums
+    p = 2
+    tol = float(cell.length) * ((peak + budget) ** p - peak ** p)
+    assert abs(fine - ref_fine) <= tol
+    assert abs(coarse - ref_coarse) <= tol
+    assert worst <= 1.00001 * budget / scale and ref_worst <= 1.00001 * budget / scale
+    assert expansions > 0
+
+
+@pytest.mark.parametrize("placement", ["right", "left", "alternating"])
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+def test_cell_field_encloses_hilbert_weight(k, placement):
+    """At every quadrature point of a support cell the cell model's
+    enclosure meets the point walk's and is no wider than the budget."""
+    m = model(k=k, placement=placement)
+    for gen in (1, 2):
+        cells = m.support_cells(gen)
+        cell = cells[len(cells) // 2].cell
+        budget = 2e-3 * k * float(m.w_value(gen))
+        field = treewalk.CellField(m, cell, budget)
+        for pa, pb in hilbert._edge_panels(cell.left, cell.right, 2):
+            half, mid = (pb - pa) / 2, (pa + pb) / 2
+            for xi in hilbert._GAUSS[2][0]:
+                x = mid + half * Q(xi)
+                lo, hi = field.enclose(x)
+                hv = hilbert_weight(m, x, tail_budget=budget)
+                assert lo <= hv.value.hi and hv.value.lo <= hi
+                assert hi - lo <= budget * (1 + 1e-9)
+
+
+def test_cell_field_rejects_a_cell_that_is_not_a_support_cell():
+    m = model(k=3)
+    support = m.support_cells(1)[0]
+    for cell in (support.core, support.cell.parent(), m.support_cells(2)[0].cell.parent()):
+        with pytest.raises(ValueError):
+            treewalk.CellField(m, cell, 1e-3)
+
+
+def _inside(value: Q, lo: float, hi: float) -> bool:
+    return Q(lo) <= value <= Q(hi)
+
+
+@pytest.mark.parametrize("d_near,d_far", [(2, 3), (2, 50), (7, 8), (40, 41)])
+def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
+    """Each series term encloses the exact rational term of a mass laid out
+    within its bounds, and the returned tail bounds the terms it leaves out.
+    R = 1, so e = 1/d; the tolerance makes the series stop early."""
+    e_near, e_far = Q(1, d_near), Q(1, d_far)
+    bounds = (ratio_bounds(1, d_near), ratio_bounds(1, d_far))
+    mass, mass_r = Q(3, 7), ratio_bounds(3, 7)
+    tol = 1e-9
+
+    # one carrier, with its mass at either end or split between them
+    lo, hi = [], []
+    tail = treewalk._cell_series(lo, hi, mass_r, *bounds, tol)
+    assert 0 <= tail <= tol and len(lo) >= 2
+    for split in (Q(0), Q(1, 3), Q(1)):
+        def term(j):
+            return mass * (split * e_near ** (j + 1) + (1 - split) * e_far ** (j + 1))
+        for j in range(len(lo)):
+            assert _inside(term(j), lo[j], hi[j])
+        assert sum(term(j) for j in range(len(lo), len(lo) + 200)) <= Q(tail)
+
+    # uniform density 2 over distances [d_near, d_far]: term j >= 1 is
+    # 2/j * (e_near^j - e_far^j), term 0 is 2 * ln(d_far/d_near)
+    lo, hi = [], []
+    tail = treewalk._density_series(lo, hi, (2.0, 2.0), 0.0, d_near, d_far, *bounds, tol)
+    assert 0 <= tail <= tol
+    assert lo[0] <= 2 * math.log(d_far / d_near) <= hi[0]
+
+    def uniform(j):
+        return Q(2, j) * (e_near ** j - e_far ** j)
+    for j in range(1, len(lo)):
+        assert _inside(uniform(j), lo[j], hi[j])
+    assert sum(uniform(j) for j in range(len(lo), len(lo) + 200)) <= Q(tail)
+
+    # the same mass in d_far - d_near equal cells of mass 2, each gathered at
+    # one end of its cell: off the uniform terms by at most the slack
+    lo, hi = [], []
+    treewalk._density_series(lo, hi, (2.0, 2.0), 2.0, d_near, d_far, *bounds, tol)
+    for end in (0, 1):
+        def cells(j):
+            return sum(2 * Q(1, d) ** (j + 1) for d in range(d_near + end, d_far + end))
+        for j in range(len(lo)):
+            assert _inside(cells(j), lo[j], hi[j])
