@@ -23,7 +23,7 @@ from .measures import MeasureQuery, average, mass
 from .report import write_csv, write_json
 from .sparse import gen_adversarial, gen_random_martingale, testing_report
 from .triadic import IntervalQ, TriadicCell
-from .weights import ConstructionParams, build_construction
+from .weights import PLACEMENTS, ConstructionParams, build_construction
 
 SCENARIOS = {
     "averages-exact": ("C1", "C2"),
@@ -112,9 +112,6 @@ def _load_config(args) -> dict:
 def _params_from_args(args) -> ConstructionParams:
     return ConstructionParams(k=args.k, p=parse_q(args.p), r=parse_q(args.r),
                               placement=args.placement, depth=args.depth)
-
-
-PLACEMENTS = ("right", "left", "alternating")
 
 
 def _add_model_args(sp):

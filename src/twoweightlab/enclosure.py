@@ -123,12 +123,6 @@ class Enclosure:
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def certainly_le(self, bound) -> bool:
-        return self.hi <= Fraction(bound)
-
-    def certainly_ge(self, bound) -> bool:
-        return self.lo >= Fraction(bound)
-
     def __str__(self):
         if self.is_exact:
             return qstr(self.lo)

@@ -268,33 +268,6 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
 # ---------------------------------------------------------------------------
 # Hardy--Littlewood maximal function on the support.
 
-def _descend_to_support(model: WeightModel, x: Fraction):
-    """Home support cell of x plus the carrier chain above it."""
-    chain = []
-    carrier_left = Q(0)
-    gen = 0
-    while True:
-        length = Q(1, 3 ** (gen * model.k))
-        third = length / 3
-        core_l, core_r = carrier_left + third, carrier_left + 2 * third
-        slen = length / 3 ** model.k
-        sl = carrier_left + model.support_offset(gen + 1) * slen
-        sr = sl + slen
-        chain.append({"gen": gen, "left": carrier_left, "length": length,
-                      "core": (core_l, core_r), "support": (sl, sr)})
-        if sl <= x < sr:
-            return gen + 1, (sl, sr), chain
-        if core_l <= x < core_r:
-            tau = slen
-            t = int((x - core_l) / tau)
-            carrier_left = core_l + t * tau
-            gen += 1
-            if gen > 400:
-                raise ValueError("descent did not reach a support cell")
-            continue
-        raise ValueError(f"x={x} lies outside the support of w")
-
-
 def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
     """Enclosure of Mw(x) for x in a support cell.
 
@@ -304,12 +277,20 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
     the refinement depth enter adversarially as [0, full mass].
     """
     x = Fraction(x)
-    home_gen, (hl, hr), chain = _descend_to_support(model, x)
-    points = {Q(0), Q(1), hl, hr}
-    for level in chain:
-        points.update({level["left"], level["left"] + level["length"],
-                       level["core"][0], level["core"][1],
-                       level["support"][0], level["support"][1]})
+    chain = model.carriers_holding(x, x)
+    home_gen = len(chain)
+    k = model.k
+    # every carrier of the chain contributes its ends, its core's and those
+    # of the support cell beside its core
+    points = {Q(0), Q(1)}
+    for gen, index in enumerate(chain):
+        den = 3 ** (gen * k)
+        core_l, core_r = Q(3 * index + 1, 3 * den), Q(3 * index + 2, 3 * den)
+        hl = Q(index * 3 ** k + model.support_offset(gen + 1), den * 3 ** k)
+        hr = hl + Q(1, den * 3 ** k)
+        points.update({Q(index, den), Q(index + 1, den), core_l, core_r, hl, hr})
+    if not hl <= x < hr:
+        raise ValueError(f"x={x} lies outside the support of w")
     lam = hr - hl
     # geometric breakpoints around x keep every window's end slab short
     # relative to its distance, so full-slab numerators stay proportionate
@@ -321,7 +302,6 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
         d *= 2
     # split off the core tiles flanking the home support cell; their middle
     # thirds (where any deeper mass lives) become their own slabs
-    core_l, core_r = chain[-1]["core"]
     for t_left in (hl - lam, hr):
         if core_l <= t_left and t_left + lam <= core_r:
             points.update({t_left, t_left + lam,

@@ -60,14 +60,9 @@ def ap_product(model: WeightModel, interval: IntervalQ, direction: str = "forwar
 
 def carrier_generation(model: WeightModel, cell: TriadicCell) -> int:
     """Generation of a carrier cell; raises if the cell is not a carrier."""
-    k = model.k
-    if cell.depth % k != 0:
-        raise ValueError(f"{cell} is not a carrier cell (depth not a multiple of {k})")
-    gen = cell.depth // k
-    for level in range(gen):
-        block = cell.address[level * k:(level + 1) * k]
-        if block[0] != "1":
-            raise ValueError(f"{cell} is not a carrier cell (level {level + 1} off-core)")
+    gen = len(model.carriers_holding(cell.left, cell.right)) - 1
+    if cell.depth != gen * model.k:
+        raise ValueError(f"{cell} is not a carrier cell")
     return gen
 
 
@@ -97,21 +92,12 @@ def packing_partial(model: WeightModel, gen: int, upto_gen: int, which: str = "w
 
 def smallest_carrier(model: WeightModel, interval: IntervalQ):
     """Smallest carrier cell containing the interval, with its core and support."""
-    carrier = TriadicCell("")
-    gen = 0
-    k = model.k
-    while True:
-        core = carrier.middle_child()
-        if core.interval().contains(interval):
-            # the core's tiles are the next generation's carriers
-            depth = (gen + 1) * k
-            tile = cell_from_index(depth, math.floor(interval.left * 3 ** depth))
-            if interval.right <= tile.right:
-                carrier = tile
-                gen += 1
-                continue
-        placed, _ = model.place_core(core, gen + 1)
-        return carrier, gen, core, placed
+    chain = model.carriers_holding(interval.left, interval.right)
+    gen = len(chain) - 1
+    carrier = cell_from_index(gen * model.k, chain[-1])
+    core = carrier.middle_child()
+    placed, _ = model.place_core(core, gen + 1)
+    return carrier, gen, core, placed
 
 
 def _mass_rec(model: WeightModel, which: str, a: Fraction, b: Fraction,

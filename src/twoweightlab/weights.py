@@ -21,6 +21,8 @@ PLACEMENTS = ("right", "left", "alternating")
 
 FAMILY_CAP = 2048
 
+MAX_GENERATIONS = 400  # deepest carrier a descent may reach
+
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -166,6 +168,28 @@ class WeightModel:
         """
         return 2 * self.u if self.side_for(gen) == "right" else self.u - 1
 
+    def carriers_holding(self, a, b) -> list[int]:
+        """The carriers that hold [a, b) in [0,1), root first; a == b asks for a point.
+
+        Entry g is the index of the generation-g carrier among the cells of
+        depth g*k.  The next carrier is the tile of the core that holds a,
+        index (3*parent + 1)*3^(k-1) + t, as long as that tile also holds b.
+        """
+        a, b = Fraction(a), Fraction(b)
+        step = 3 ** self.k
+        scale = 1
+        chain = [0]
+        while True:
+            scale *= step
+            tile = a.numerator * scale // a.denominator
+            if (tile // self.u != 3 * chain[-1] + 1
+                    or b.numerator * scale > (tile + 1) * b.denominator):
+                return chain
+            if len(chain) > MAX_GENERATIONS:
+                raise ValueError(f"the carrier chain at {a} runs past generation "
+                                 f"{MAX_GENERATIONS} without ending")
+            chain.append(tile)
+
     # -- materialization ----------------------------------------------------
 
     def _materialize(self):
@@ -231,34 +255,21 @@ def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> C
     vanishing set; otherwise a marker with the cell's exact mass.
     """
     _check_which(which)
-    carrier = TriadicCell("")
-    gen = 0
-    k = model.k
-    while True:
-        if cell == carrier:
-            return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
-        core = carrier.middle_child()
-        placed, _side = model.place_core(core, gen + 1)
-        if placed.contains(cell):
-            val = _value(model, which, gen + 1)
-            return CellWeight("const", val, val * cell.length)
-        if cell.contains(placed):
-            return CellWeight("unresolved", None, _support_mass(model, which, gen + 1))
-        if core.contains(cell):
-            tile_depth = (gen + 1) * k
-            if cell.depth < tile_depth:
-                count = 3 ** (tile_depth - cell.depth)
-                mass = _carrier_mass(model, which, gen + 1) * count
-                return CellWeight("unresolved", None, mass)
-            if cell.depth == tile_depth:
-                carrier = cell
-                gen += 1
-                continue
-            # descend into the unique tile containing the cell
-            carrier = TriadicCell(cell.address[:tile_depth])
-            gen += 1
-            continue
-        return CellWeight("zero", Enclosure.exact(0), Enclosure.exact(0))
+    gen = len(model.carriers_holding(cell.left, cell.right)) - 1
+    if cell.depth == gen * model.k:
+        return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
+    core = TriadicCell(cell.address[:gen * model.k]).middle_child()
+    placed, _side = model.place_core(core, gen + 1)
+    if placed.contains(cell):
+        val = _value(model, which, gen + 1)
+        return CellWeight("const", val, val * cell.length)
+    if cell.contains(placed):
+        return CellWeight("unresolved", None, _support_mass(model, which, gen + 1))
+    if core.contains(cell):
+        # no tile of the core holds the cell, so it is a union of them
+        count = 3 ** ((gen + 1) * model.k - cell.depth)
+        return CellWeight("unresolved", None, _carrier_mass(model, which, gen + 1) * count)
+    return CellWeight("zero", Enclosure.exact(0), Enclosure.exact(0))
 
 
 def _carrier_mass(model, which, gen) -> Enclosure:

@@ -133,8 +133,18 @@ def test_maximal_basic_bounds():
 
 def test_maximal_rejects_outside_support():
     m = model(k=3)
-    with pytest.raises(ValueError, match="support"):
-        maximal_at(m, Q(1, 10))
+    for x in (Q(1, 10), Q(1, 9)):  # both in the vanishing set
+        with pytest.raises(ValueError, match="support"):
+            maximal_at(m, x)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_maximal_gives_up_on_a_point_no_support_cell_holds(k):
+    # 1/2 = 0.111..._3 lies in every core of its chain, so the descent
+    # must stop at its generation guard instead of running forever
+    with pytest.raises(ValueError) as err:
+        maximal_at(model(k=k), Q(1, 2))
+    assert "outside the support" not in str(err.value)
 
 
 def test_maximal_report_within_13():

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from twoweightlab.hilbert import _descend_to_support
+from twoweightlab.hilbert import maximal_at
 from twoweightlab.measures import MeasureQuery, mass, smallest_carrier
-from twoweightlab.triadic import IntervalQ, TriadicCell
+from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
 from twoweightlab.weights import (PLACEMENTS, ConstructionParams, build_construction,
                                   direct_sum, weight_on_cell)
 
@@ -65,7 +65,7 @@ def test_adjacency_and_length_invariant():
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_support_geometry_agrees_across_modules(k, placement):
-    # place_core, weight_on_cell, mass, the maximal-function descent and
+    # place_core, weight_on_cell, mass, the carrier chain, maximal_at and
     # smallest_carrier each locate the support cell; they must agree
     m = build_construction(ConstructionParams(k=k, placement=placement, depth=3))
     for sc in m.support:
@@ -75,10 +75,18 @@ def test_support_geometry_agrees_across_modules(k, placement):
         assert weight_on_cell(m, cell).kind == "const"
         got = mass(m, MeasureQuery("w", cell.interval()))
         assert got.lo == got.hi == m.w_value(sc.gen) * cell.length
-        gen, span, _chain = _descend_to_support(m, cell.left + cell.length / 2)
-        assert (gen, span) == (sc.gen, (cell.left, cell.right))
+        x = cell.left + cell.length / 2
+        chain = m.carriers_holding(x, x)
+        assert (len(chain), chain[-1]) == (sc.gen, core.parent().index)
         carrier, _, _, placed = smallest_carrier(m, cell.interval())
         assert carrier == core.parent() and placed == cell
+    # maximal_at costs tens of milliseconds a point, so it sees the first and
+    # last support cell of each generation
+    for gen in range(1, 4):
+        cells = m.support_cells(gen)
+        for sc in (cells[0], cells[-1]):
+            x = sc.cell.left + sc.cell.length / 2
+            assert maximal_at(m, x)["gen"] == gen
 
 
 def test_place_core_rejects_a_core_that_is_not_a_middle_child():
@@ -110,6 +118,23 @@ def test_weight_on_cell_constant_zero_unresolved():
     assert root.kind == "unresolved" and root.mass.lo == 1
     sig = weight_on_cell(m, sc.cell, "sigma")
     assert sig.kind == "const" and sig.value.lo == Q(4, 9)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_weight_on_cell_matches_mass_on_every_cell(k, placement):
+    # oracle: the interval mass of every triadic cell down to depth 2k+1,
+    # which reaches the generation-2 carriers and the cells just below them
+    m = build_construction(ConstructionParams(k=k, placement=placement, depth=2))
+    for depth in range(2 * k + 2):
+        for index in range(3 ** depth):
+            cell = cell_from_index(depth, index)
+            for which in ("w", "sigma", "wTilde"):
+                got = weight_on_cell(m, cell, which)
+                want = mass(m, MeasureQuery(which, cell.interval(), 400))
+                assert got.mass == want, (cell, which)
+                if got.kind == "const":
+                    assert got.value * cell.length == want, (cell, which)
 
 
 def test_serialization_wire_format():
