@@ -67,6 +67,8 @@ def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int
     """Deterministic sample of probe-cell points at one generation."""
     if cells < 1:
         raise ValueError(f"cells per generation must be >= 1, got {cells}")
+    if samples_per_cell < 1:
+        raise ValueError(f"samples per cell must be >= 1, got {samples_per_cell}")
     total = model.jcell_count(gen)
     rng = random.Random(f"probe|{model.k}|{gen}|{cells}|{samples_per_cell}|{seed}")
     if total <= cells:
@@ -89,6 +91,8 @@ def hilbert_pointwise_report(model: WeightModel, generations: int,
                              cells_per_gen: int = 12,
                              rel_width: float = 0.01) -> dict:
     """Ratios |Hw(x)|/w(x) over probe samples at generations <= `generations`."""
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     if generations > model.depth:
         raise ValueError("generations exceed the materialized depth")
     rows = []
@@ -108,14 +112,13 @@ def hilbert_pointwise_report(model: WeightModel, generations: int,
                 "converged": hv.converged,
             })
     ratios = sorted(r["ratio"] for r in rows)
-    med = ratios[len(ratios) // 2] if ratios else _INF
     return {
         "k": model.k,
         "rows": rows,
-        "min_ratio": ratios[0] if ratios else _INF,
-        "median_ratio": med,
-        "max_ratio": ratios[-1] if ratios else _INF,
-        "max_rel_width": max((r["rel_width"] for r in rows), default=_INF),
+        "min_ratio": ratios[0],
+        "median_ratio": ratios[len(ratios) // 2],
+        "max_ratio": ratios[-1],
+        "max_rel_width": max(r["rel_width"] for r in rows),
     }
 
 
@@ -126,10 +129,6 @@ _GAUSS = {
     2: ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
     3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
         (5 / 9, 8 / 9, 5 / 9)),
-    4: ((-0.8611363115940526, -0.3399810435848563, 0.3399810435848563,
-         0.8611363115940526),
-        (0.34785484513745385, 0.6521451548625461, 0.6521451548625461,
-         0.34785484513745385)),
 }
 
 
@@ -208,6 +207,10 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
         raise ValueError("norm ratio requires integer p (exact dual weight)")
     if cells_per_gen < 1:
         raise ValueError(f"cells per generation must be >= 1, got {cells_per_gen}")
+    if gen_cap < 1:
+        raise ValueError(f"gen_cap must be >= 1, got {gen_cap}")
+    if nodes not in _GAUSS:
+        raise ValueError(f"nodes must be one of {sorted(_GAUSS)}, got {nodes}")
     gen_cap = min(gen_cap, model.depth)
     rng = random.Random(f"norm|{model.k}|{cells_per_gen}|{seed}")
     worst_rel = 0.0
@@ -348,6 +351,8 @@ def maximal_report(model: WeightModel, generations: int, cells_per_gen: int = 8,
                    samples_per_cell: int = 1, seed: int = 0,
                    extra_gens: int = 2) -> dict:
     """Worst Mw/w over probe samples; the classical bound is 13."""
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     rows = []
     for gen in range(1, generations + 1):
         for probe, x in probe_points(model, gen, cells_per_gen, samples_per_cell, seed):

@@ -8,7 +8,6 @@ which keeps every enclosure sound and shrinking under refinement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +37,7 @@ def mass(model, query: MeasureQuery) -> Enclosure:
     iv = query.interval
     if not UNIT.contains(iv):
         raise ValueError(f"interval {iv} outside the model domain [0,1)")
-    return _mass_rec(model, query.which, iv.left, iv.right, 0, Q(0), query.max_depth)
+    return _interval_mass(model, query.which, iv.left, iv.right, query.max_depth)
 
 
 def average(model, query: MeasureQuery) -> Enclosure:
@@ -100,53 +99,46 @@ def smallest_carrier(model: WeightModel, interval: IntervalQ):
     return carrier, gen, core, placed
 
 
-def _mass_rec(model: WeightModel, which: str, a: Fraction, b: Fraction,
-              gen: int, carrier_left: Fraction, max_depth: int) -> Enclosure:
-    k = model.k
-    length = Q(1, 3 ** (gen * k))
-    cl, cr = carrier_left, carrier_left + length
-    a, b = max(a, cl), min(b, cr)
-    if a >= b:
-        return Enclosure.exact(0)
-    if a == cl and b == cr:
-        return _carrier_mass(model, which, gen)
-    third = Q(1, 3 ** (gen * k + 1))
-    core_l = cl + third
-    core_r = core_l + third
-    # support cells of the next generation are 1/den long
-    den = 3 ** ((gen + 1) * k)
-    slen = Q(1, den)
-    sl = cl + Q(model.support_offset(gen + 1), den)
-    sr = sl + slen
-    total = Enclosure.exact(0)
-    ov_l, ov_r = max(a, sl), min(b, sr)
-    if ov_l < ov_r:
-        total = total + _value(model, which, gen + 1) * (ov_r - ov_l)
-    ja, jb = max(a, core_l), min(b, core_r)
-    if ja < jb:
-        tau = slen
-        lo_off, hi_off = ja - core_l, jb - core_l
-        i_lo = -math.floor(-lo_off / tau)
-        i_hi = math.floor(hi_off / tau)
-        if i_hi > i_lo:
-            total = total + _carrier_mass(model, which, gen + 1) * (i_hi - i_lo)
-        fragments = []
-        if i_hi < i_lo:
-            fragments.append((ja, jb, math.floor(lo_off / tau)))
-        else:
-            lo_aligned = core_l + i_lo * tau
-            if ja < lo_aligned:
-                fragments.append((ja, lo_aligned, i_lo - 1))
-            hi_aligned = core_l + i_hi * tau
-            if jb > hi_aligned:
-                fragments.append((hi_aligned, jb, i_hi))
-        for fa, fb, tile in fragments:
-            if (gen + 1) * k <= max_depth:
-                total = total + _mass_rec(model, which, fa, fb, gen + 1,
-                                          core_l + tile * tau, max_depth)
-            else:
-                total = total + Enclosure(Q(0), _carrier_mass(model, which, gen + 1).hi)
-    return total
+def _interval_mass(model: WeightModel, which: str, a: Fraction, b: Fraction,
+                   max_depth: int) -> Enclosure:
+    """Mass of [a, b) by one pass down the carrier chains of its two ends.
+
+    A piece is a carrier (gen, c) that an end of [a, b) falls inside.  Its
+    units are the tiles of length 3^-((gen+1)k): the carrier spans units
+    [c*3^k, (c+1)*3^k), its core the u units from c*3^k + u, and its support
+    cell is unit c*3^k + support_offset(gen+1).  Units wholly inside [a, b)
+    count in full.  A unit that an end cuts adds its exact overlap if it is
+    the support cell; if it is a core tile it becomes the next piece, or
+    [0, its mass] once the depth budget is spent.
+    """
+    k, u, step = model.k, model.u, 3 ** model.k
+    terms = []
+    pieces = [(0, 0)]
+    while pieces:
+        gen, carrier = pieces.pop()
+        child = gen + 1
+        scale = step ** child
+        core = carrier * step + u
+        support = carrier * step + model.support_offset(child)
+        qa, ra = divmod(a.numerator * scale, a.denominator)
+        qb, rb = divmod(b.numerator * scale, b.denominator)
+        lo, hi = qa + (ra > 0), qb  # the units wholly inside [a, b)
+        whole = min(hi, core + u) - max(lo, core)
+        if whole > 0:
+            terms.append(_carrier_mass(model, which, child) * whole)
+        cut = {q for q, r in ((qa, ra), (qb, rb)) if r}
+        if lo <= support < hi:
+            terms.append(_value(model, which, child) * Q(1, scale))
+        elif support in cut:
+            overlap = min(b, Q(support + 1, scale)) - max(a, Q(support, scale))
+            terms.append(_value(model, which, child) * overlap)
+        for tile in cut:
+            if core <= tile < core + u:
+                if child * k <= max_depth:
+                    pieces.append((child, tile))
+                else:
+                    terms.append(Enclosure(Q(0), _carrier_mass(model, which, child).hi))
+    return enclosure_sum(terms)
 
 
 def _composite_mass(comp: CompositeWeight, query: MeasureQuery) -> Enclosure:

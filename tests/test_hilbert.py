@@ -105,6 +105,27 @@ def test_pointwise_report_depth_guard():
         hilbert_pointwise_report(m, 2)
 
 
+@pytest.mark.parametrize("report", [hilbert_pointwise_report, maximal_report])
+def test_reports_reject_an_empty_probe_set(report):
+    m = model(k=4, depth=1)
+    for generations in (0, -1):
+        with pytest.raises(ValueError, match="generations must be >= 1"):
+            report(m, generations)
+    with pytest.raises(ValueError, match="samples per cell must be >= 1"):
+        report(m, 1, samples_per_cell=0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"gen_cap": 0}, "gen_cap must be >= 1"),
+    ({"gen_cap": -2}, "gen_cap must be >= 1"),
+    ({"nodes": 4}, r"nodes must be one of \[2, 3\]"),
+    ({"nodes": 5}, r"nodes must be one of \[2, 3\]"),
+])
+def test_norm_ratio_rejects_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        hilbert.hilbert_norm_ratio(model(k=3, depth=1), cells_per_gen=1, **kwargs)
+
+
 def test_walk_leaves_no_reference_cycle():
     """A walk's pending blocks are freed by reference counting when it
     returns; none wait for the cyclic collector."""

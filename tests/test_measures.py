@@ -1,15 +1,19 @@
 """Masses, averages, packing: frozen oracles and comparison properties."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoweightlab.enclosure import Enclosure
 from twoweightlab.measures import (MeasureQuery, ap_product, average, mass,
                                    packing_partial, packing_sum, smallest_carrier)
-from twoweightlab.triadic import IntervalQ, TriadicCell
-from twoweightlab.weights import ConstructionParams, build_construction
+from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.weights import (ConstructionParams, WeightModel, _carrier_mass, _value,
+                                  build_construction)
 
 UNIT = IntervalQ(Q(0), Q(1))
 
@@ -227,3 +231,138 @@ def test_endpoint_comparison_monotone():
         constants[k] = worst
     vals = list(constants.values())
     assert max(vals) / min(vals) <= 2
+
+
+def _reference_mass(model: WeightModel, which: str, a: Q, b: Q,
+                    gen: int, carrier_left: Q, max_depth: int) -> Enclosure:
+    """The recursion `mass` used before its flat loop, kept as an oracle."""
+    k = model.k
+    length = Q(1, 3 ** (gen * k))
+    cl, cr = carrier_left, carrier_left + length
+    a, b = max(a, cl), min(b, cr)
+    if a >= b:
+        return Enclosure.exact(0)
+    if a == cl and b == cr:
+        return _carrier_mass(model, which, gen)
+    third = Q(1, 3 ** (gen * k + 1))
+    core_l = cl + third
+    core_r = core_l + third
+    # support cells of the next generation are 1/den long
+    den = 3 ** ((gen + 1) * k)
+    slen = Q(1, den)
+    sl = cl + Q(model.support_offset(gen + 1), den)
+    sr = sl + slen
+    total = Enclosure.exact(0)
+    ov_l, ov_r = max(a, sl), min(b, sr)
+    if ov_l < ov_r:
+        total = total + _value(model, which, gen + 1) * (ov_r - ov_l)
+    ja, jb = max(a, core_l), min(b, core_r)
+    if ja < jb:
+        tau = slen
+        lo_off, hi_off = ja - core_l, jb - core_l
+        i_lo = -math.floor(-lo_off / tau)
+        i_hi = math.floor(hi_off / tau)
+        if i_hi > i_lo:
+            total = total + _carrier_mass(model, which, gen + 1) * (i_hi - i_lo)
+        fragments = []
+        if i_hi < i_lo:
+            fragments.append((ja, jb, math.floor(lo_off / tau)))
+        else:
+            lo_aligned = core_l + i_lo * tau
+            if ja < lo_aligned:
+                fragments.append((ja, lo_aligned, i_lo - 1))
+            hi_aligned = core_l + i_hi * tau
+            if jb > hi_aligned:
+                fragments.append((hi_aligned, jb, i_hi))
+        for fa, fb, tile in fragments:
+            if (gen + 1) * k <= max_depth:
+                total = total + _reference_mass(model, which, fa, fb, gen + 1,
+                                                core_l + tile * tau, max_depth)
+            else:
+                total = total + Enclosure(Q(0), _carrier_mass(model, which, gen + 1).hi)
+    return total
+
+
+def _chain_address(rng, k: int, depth: int) -> str:
+    """Random address that mostly follows a carrier chain (core digit 1 first)."""
+    out = ""
+    while len(out) < depth:
+        lead = "1" if rng.random() < 0.8 else rng.choice("012")
+        out += lead + "".join(rng.choice("012") for _ in range(k - 1))
+    return out[:depth]
+
+
+def _identity_intervals(rng, m, count: int) -> list[IntervalQ]:
+    k, u = m.k, m.u
+    s = m.support_offset(1)
+    unit = 3 ** (k + 1)
+    out = [UNIT, IntervalQ(Q(1, 3), Q(2, 3)),
+           IntervalQ(Q(1, 2) - Q(1, 10 ** 9), Q(1, 2) + Q(1, 10 ** 9)),
+           # from the left end of a unit to inside it: the support cell, a core tile
+           IntervalQ(Q(s, 3 ** k), Q(3 * s + 1, unit)),
+           IntervalQ(Q(u, 3 ** k), Q(3 * u + 1, unit)),
+           # both ends inside the support cell
+           IntervalQ(Q(3 * s + 1, unit), Q(3 * s + 2, unit))]
+    while len(out) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            depth = rng.randint(1, 4 * k)
+            out.append(cell_from_index(depth, int(_chain_address(rng, k, depth), 3)).interval())
+        elif kind == 1:
+            x, y = sorted(rng.sample(range(10 ** 6 + 1), 2))
+            out.append(IntervalQ(Q(x, 10 ** 6), Q(y, 10 ** 6)))
+        else:
+            depth = rng.randint(0, 4) * k
+            cell = cell_from_index(depth, int(_chain_address(rng, k, depth) or "0", 3))
+            start = cell.left + cell.length * Q(rng.randint(1, 999), 1000)
+            out.append(IntervalQ(start, cell.right))
+    return out
+
+
+def test_mass_matches_reference_recursion():
+    """The flat loop gives the recursion's (lo, hi) exactly, inexact enclosures included."""
+    rng = random.Random(2019)
+    queries = 0
+    for k in range(2, 7):
+        for placement in ("right", "left", "alternating"):
+            for p in (2, 3, Q(5, 2)):
+                m = model(k=k, p=p, depth=1, placement=placement)
+                for iv in _identity_intervals(rng, m, 21):
+                    for which in ("w", "sigma", "wTilde"):
+                        for depth in (0, k, 2 * k + 1, 60, 400):
+                            got = mass(m, MeasureQuery(which, iv, depth))
+                            want = _reference_mass(m, which, iv.left, iv.right,
+                                                   0, Q(0), depth)
+                            assert (got.lo, got.hi) == (want.lo, want.hi), \
+                                (k, placement, p, which, depth, iv)
+                            queries += 1
+    assert queries == 14175
+
+
+_PROPERTY_MODELS = {(k, p): model(k=k, p=p, depth=1)
+                    for k in (2, 3, 4) for p in (2, Q(5, 2))}
+
+_points = st.one_of(
+    st.builds(lambda n, e: Q(n % 3 ** e, 3 ** e), st.integers(0, 3 ** 12), st.integers(1, 12)),
+    st.builds(lambda n, e: Q(n % 10 ** e, 10 ** e), st.integers(0, 10 ** 6), st.integers(1, 6)))
+
+
+@given(st.sampled_from(list(_PROPERTY_MODELS)), st.sampled_from(("w", "sigma", "wTilde")),
+       st.lists(_points, min_size=3, max_size=3, unique=True),
+       st.sampled_from(("0", "k", "3k", "60")))
+@settings(max_examples=150, deadline=None)
+def test_mass_is_additive_and_refines(key, which, ends, max_depth):
+    """mass[a,c) lies in mass[a,b) + mass[b,c) (equal when all are exact), and
+    the enclosure at max_depth d contains the one at d + 1."""
+    m = _PROPERTY_MODELS[key]
+    a, b, c = sorted(ends)
+    depth = {"0": 0, "k": m.k, "3k": 3 * m.k, "60": 60}[max_depth]
+    whole = mass(m, MeasureQuery(which, IntervalQ(a, c), depth))
+    parts = (mass(m, MeasureQuery(which, IntervalQ(a, b), depth))
+             + mass(m, MeasureQuery(which, IntervalQ(b, c), depth)))
+    assert parts.encloses(whole)
+    if whole.is_exact and parts.is_exact:
+        assert whole.lo == parts.lo
+    for iv in (IntervalQ(a, b), IntervalQ(b, c), IntervalQ(a, c)):
+        coarse = mass(m, MeasureQuery(which, iv, depth))
+        assert coarse.encloses(mass(m, MeasureQuery(which, iv, depth + 1)))
