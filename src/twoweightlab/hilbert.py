@@ -50,7 +50,7 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
     """Adaptive enclosure of Hw(x); reports the achieved width if the budget
     cannot be met within the expansion cap."""
     x = Fraction(x)
-    bounds, expansions = walk(model, x.numerator, x.denominator, ((0, 0, 1),),
+    bounds, expansions = walk(model, x.numerator, x.denominator, 0, 0,
                               tail_budget, max_expansions)
     if bounds is None:
         return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
@@ -211,6 +211,10 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
         raise ValueError(f"gen_cap must be >= 1, got {gen_cap}")
     if nodes not in _GAUSS:
         raise ValueError(f"nodes must be one of {sorted(_GAUSS)}, got {nodes}")
+    if edge_levels < 0:
+        raise ValueError(f"edge_levels must be >= 0, got {edge_levels}")
+    if not budget_rel > 0:
+        raise ValueError(f"budget_rel must be > 0, got {budget_rel}")
     gen_cap = min(gen_cap, model.depth)
     rng = random.Random(f"norm|{model.k}|{cells_per_gen}|{seed}")
     worst_rel = 0.0

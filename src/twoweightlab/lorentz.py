@@ -227,12 +227,14 @@ def llogl_young() -> YoungFn:
     return YoungFn("LlogL", lambda t: t * math.log(t) if t > 1.0 else 0.0)
 
 
-def luxemburg_norm(atoms: list[tuple], young: YoungFn, tol: float = 1e-12,
-                   max_iter: int = 128) -> float:
+def luxemburg_norm(atoms: list[tuple], young: YoungFn, tol: float = 1e-12) -> float:
     """Luxemburg norm of a nonnegative step function on a probability space.
 
     `atoms` lists (value, measure) pairs; measures must be nonnegative with
-    total <= 1 (the remainder is where the function vanishes).
+    total <= 1 (the remainder is where the function vanishes).  The bracket
+    and the bisection run until they close, however far the largest value
+    lies from the norm; ArithmeticError if a float cannot be doubled, halved
+    or split any further before they do.
     """
     pairs = [(float(v), float(m)) for v, m in atoms if float(m) > 0 and float(v) > 0]
     if not pairs:
@@ -245,28 +247,29 @@ def luxemburg_norm(atoms: list[tuple], young: YoungFn, tol: float = 1e-12,
         return sum(m * young(v / lam) for v, m in pairs)
 
     hi = max(v for v, _ in pairs)
-    for _ in range(max_iter):
-        if g(hi) <= 1.0:
-            break
+    while g(hi) > 1.0:
         hi *= 2
-    else:
-        raise ArithmeticError("Luxemburg bracketing failed (upper)")
+        if hi == _INF:
+            raise ArithmeticError("Luxemburg bracketing failed (upper)")
     lo = hi
-    for _ in range(max_iter):
+    while True:
         cand = lo / 2
-        if cand <= 0 or g(cand) > 1.0:
+        if cand <= 0:
+            raise ArithmeticError("Luxemburg bracketing failed (lower)")
+        if g(cand) > 1.0:
             break
         lo = cand
     lo = lo / 2
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ArithmeticError(f"Luxemburg bisection cannot reach tol={tol}")
         if g(mid) <= 1.0:
             hi = mid
         else:
             lo = mid
         if hi - lo <= tol * hi:
-            break
-    return hi
+            return hi
 
 
 # ---------------------------------------------------------------------------

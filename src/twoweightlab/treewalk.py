@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import nextafter
 from operator import itemgetter
 
-from .enclosure import (FloatInterval, Q, add_bounds, log_ratio_bounds, mul_bounds,
+from .enclosure import (FloatInterval, add_bounds, log_ratio_bounds, mul_bounds,
                         ratio_bounds)
 from .triadic import TriadicCell
 from .weights import WeightModel
@@ -116,17 +116,15 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
     return base_lo - slack, base_hi + slack
 
 
-def walk(model: WeightModel, xn: int, xd: int, start, tail_budget: float,
-          max_expansions: int) -> tuple[tuple[float, float] | None, int]:
-    """Adaptive bounds (lo, hi) on the field at x = xn/xd of the carrier runs
-    in `start`, and the number of expansions; None if a block holding x is
-    left pending.
+def walk(model: WeightModel, xn: int, xd: int, gen: int, start: int, tail_budget: float,
+         max_expansions: int) -> tuple[tuple[float, float] | None, int]:
+    """Adaptive bounds (lo, hi) on the field at x = xn/xd of one
+    generation-`gen` carrier, and the number of expansions; None if a block
+    holding x is left pending.
 
-    `start` lists (gen, left, count): `count` generation-`gen` carriers from
-    `left`, which is in units of a generation-(gen+1) support cell.
+    `start` is the carrier's left end in units of a generation-(gen+1)
+    support cell.
     """
-    if not start:
-        return (0.0, 0.0), 0
     up, children = 3 ** model.k, 3 ** (model.k - 1)
     acc_lo = acc_hi = 0.0
     # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
@@ -134,16 +132,13 @@ def walk(model: WeightModel, xn: int, xd: int, start, tail_budget: float,
     pushed = 0
     pending_width = 0.0
     unresolved = 0
-    # constants of each generation from the first one in `start` on
-    gens = [gen for gen, _left, _count in start]
-    gcs: list[_GenConstants | None] = [None] * min(gens)
-    gcs += [_GenConstants(model, gen, xn, xd) for gen in range(min(gens), max(gens) + 1)]
-    # each step pushes `runs` of generation `gen` (the first steps push
-    # `start`), then pops and expands the widest block; all state is local to
+    # constants of each generation from the start carrier's on
+    gcs: list[_GenConstants | None] = [None] * gen + [_GenConstants(model, gen, xn, xd)]
+    # each step pushes `runs` of generation `gen` (the first pushes the start
+    # carrier), then pops and expands the widest block; all state is local to
     # this loop, so nothing refers back to it and the pending blocks are
     # freed as soon as the call returns
-    steps = [(gen, ((left * xd, count),)) for gen, left, count in reversed(start)]
-    gen, runs = steps.pop()
+    runs = ((start * xd, 1),)
     expansions = 0
     while True:
         gc = gcs[gen]
@@ -158,9 +153,6 @@ def walk(model: WeightModel, xn: int, xd: int, start, tail_budget: float,
                     pending_width += width
                 heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
                 pushed += 1
-        if steps:
-            gen, runs = steps.pop()
-            continue
         if expansions >= max_expansions or not heap:
             break
         if not unresolved and (acc_hi - acc_lo) + pending_width <= tail_budget:
@@ -201,21 +193,6 @@ _FAR_SHARE = 0.5      # of a point's budget, for the far field over the whole ce
 _TAIL_SHARE = 1 / 16  # of the far share, for the cut power series
 _MAX_DEGREE = 60
 _MAX_EXPANSIONS = 20000  # for the far walk and for each near walk, as in hilbert_weight
-
-
-def _split_around(gc: _GenConstants, left: int, count: int, lo: int,
-                  hi: int) -> list[tuple[int, int]]:
-    """The run as (left, count) pieces, each cell meeting (lo, hi) on its own."""
-    length = gc.length
-    first = max(0, (lo - left) // length)
-    last = min(count, -((left - hi) // length))
-    if first >= last:
-        return [(left, count)]
-    pieces = [(left, first)] if first else []
-    pieces += [(left + i * length, 1) for i in range(first, last)]
-    if last < count:
-        pieces.append((left + last * length, count - last))
-    return pieces
 
 
 def _geometric_tail(e_hi: float, top: float) -> float:
@@ -294,18 +271,19 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
 class CellField:
     """Enclosures of Hw on a support cell S = [a, b), one point at a time.
 
-    One walk over the carrier tree, with S in place of the point x, sorts the
-    mass outside S.  A block at distance >= |S|/2 from S is far: with c the
-    centre of S and R = |S|/2, every t in it has e = R/|c - t| <= 1/2, so at
-    x = c + R*u in S its field is the power series
+    S is the support cell of the last carrier in its chain, and it sits at
+    least two of its own lengths (u - 1 >= 2) from both ends of every carrier
+    that holds it.  So all mass outside S is at distance >= |S|/2 from S, and
+    far, except for the one core tile next to S, the near carrier.  With c the
+    centre of S and R = |S|/2, every t in far mass has e = R/|c - t| <= 1/2,
+    so at x = c + R*u in S its field is the power series
         sum over j of u^j * (-1)^j/R * integral of (R/(c - t))^(j+1) dmu(t).
-    The walk expands the far block whose field is least certain over S until
-    the far width fits `_FAR_SHARE` of the budget, then sums certified
-    coefficients over the frontier, each series cut once its geometric tail
-    is below an equal share of `_TAIL_SHARE`.  Blocks closer than |S|/2 form
-    the near list, which `enclose` walks at each point as `hilbert_weight`
-    would.  S's own indicator, and that of any near support cell, is
-    evaluated exactly at each point.
+    A walk with S in place of the point x expands the far block whose field
+    is least certain over S until the far width fits `_FAR_SHARE` of the
+    budget, then sums certified coefficients over the frontier, each series
+    cut once its geometric tail is below an equal share of `_TAIL_SHARE`.
+    `enclose` walks the near carrier at each point as `hilbert_weight` would,
+    and evaluates S's own indicator exactly.
     """
 
     def __init__(self, model: WeightModel, cell: TriadicCell, budget: float):
@@ -315,10 +293,14 @@ class CellField:
         # den = xd * 3^((gen+1)k), the centre of S and R = den // xd are integers
         self.xn, self.xd = 2 * cell.index + 1, 2 * 3 ** cell.depth
         self._gcs: dict[int, _GenConstants] = {}
-        # S's own indicator and those of near support cells: (a, b, w bounds)
-        self.exact: list[tuple[Fraction, Fraction, tuple[float, float]]] = []
-        near, far, slivers = self._descend()
-        self.near = tuple(near)
+        self.chain = model.carriers_holding(cell.left, cell.right)
+        gen = len(self.chain) - 1
+        if (cell.depth, cell.index) != ((gen + 1) * model.k, self.chain[-1] * 3 ** model.k
+                                        + model.support_offset(gen + 1)):
+            raise ValueError("not a support cell of the model")
+        # w on S, which is a support cell of generation gen + 1
+        self.w = self._consts(gen).w_next
+        self.near, far, slivers = self._descend()
         far_budget = _FAR_SHARE * budget
         frontier, self.expansions = self._expand_far(far, slivers, far_budget)
         self.coeffs, self.tail = self._sum_series(frontier, slivers, far_budget)
@@ -328,16 +310,6 @@ class CellField:
         if gc is None:
             gc = self._gcs[gen] = _GenConstants(self.model, gen, self.xn, self.xd)
         return gc
-
-    def _place(self, gc: _GenConstants, lo: int, hi: int) -> int | None:
-        """-1 or 1 if mass in [lo, hi] is far to the left or right of S, 0 if
-        [lo, hi] overlaps S, None if it is near."""
-        r = gc.den // self.xd
-        if hi <= gc.x - 2 * r:
-            return -1
-        if lo >= gc.x + 2 * r:
-            return 1
-        return 0 if lo < gc.x + r and hi > gc.x - r else None
 
     @staticmethod
     def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
@@ -353,41 +325,30 @@ class CellField:
         return 1, lo - gc.x, hi - gc.x
 
     def _descend(self):
-        """Expand the carriers that hold S, from the root down to S's own.
+        """Split the mass of S's carrier chain, root first.
 
-        Returns the near blocks as (gen, left in support-cell units, count),
-        the far blocks as (gen, left, count) and the far support cells as
-        (gen, left), on each generation's scale.
+        Returns the near carrier as (gen, left in support-cell units), the
+        far runs as (gen, left, count) and the far support cells as (gen,
+        left), on each generation's scale.  Each chain carrier's core tiles
+        are cut at the next chain carrier, and the last one's at the near
+        carrier; the support cells are those of every chain carrier but the
+        last, whose support cell is S.
         """
-        up, children = 3 ** self.model.k, 3 ** (self.model.k - 1)
-        near, far, slivers = [], [], []
-        gen, left = 0, 0
-        while True:
-            gc = self._consts(gen)
-            sl = left + gc.sliver
-            side = self._place(gc, sl, sl + gc.slen)
-            r = gc.den // self.xd
-            if side == 0 and (sl, sl + gc.slen) != (gc.x - r, gc.x + r):
-                raise ValueError("not a support cell of the model")
-            if side is None or side == 0:
-                self.exact.append((Q(sl, gc.den), Q(sl + gc.slen, gc.den), gc.w_next))
-            else:
-                slivers.append((gen, sl))
-            run_left, gen, left = (left + gc.third) * up, gen + 1, None
-            gc = self._consts(gen)
-            r2 = 2 * (gc.den // self.xd)
-            for piece in _split_around(gc, run_left, children, gc.x - r2, gc.x + r2):
-                piece_side = self._place(gc, *self._mass_span(gc, *piece))
-                if piece_side is None:
-                    near.append((gen, piece[0] // self.xd, piece[1]))
-                elif piece_side == 0:
-                    left = piece[0]
-                else:
-                    far.append((gen, *piece))
-            if side == 0:
-                return near, far, slivers
-            if left is None:
-                raise ValueError("not a support cell of the model")
+        model, xd = self.model, self.xd
+        up, u = 3 ** model.k, model.u
+        last = len(self.chain) - 1
+        # the core tile next to S
+        near = self.chain[-1] * up + min(max(model.support_offset(last + 1), u), 2 * u - 1)
+        far, slivers = [], []
+        for gen, (carrier, cut) in enumerate(zip(self.chain, self.chain[1:] + [near])):
+            if gen < last:
+                slivers.append((gen, (carrier * up + model.support_offset(gen + 1)) * xd))
+            first, end = carrier * up + u, carrier * up + 2 * u
+            if cut > first:
+                far.append((gen + 1, first * up * xd, cut - first))
+            if end > cut + 1:
+                far.append((gen + 1, (cut + 1) * up * xd, end - cut - 1))
+        return (last + 1, near * up), far, slivers
 
     def _expand_far(self, far, slivers, far_budget: float):
         """Expand the far block that is least certain over S until the sum
@@ -478,19 +439,16 @@ class CellField:
         """Bounds (lo, hi) on Hw(x) for x inside S, within the budget unless
         the near walk reaches its expansion cap."""
         xn, xd = x.numerator, x.denominator
-        u_lo, u_hi = ratio_bounds(self.xd * xn - self.xn * xd, xd)
+        # u = d/xd; over xd * self.xd, x - a and x - b are d + xd and d - xd
+        d = self.xd * xn - self.xn * xd
+        u_lo, u_hi = ratio_bounds(d, xd)
         lo, hi = self.coeffs[-1]
         for c_lo, c_hi in reversed(self.coeffs[:-1]):
             lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
         lo, hi = add_bounds(lo, hi, -self.tail, self.tail)
-        for a, b, w in self.exact:
-            if x == a or x == b:
-                raise BoundaryError("evaluation point is a kernel endpoint")
-            dl, dr = x - a, x - b
-            i_lo, i_hi = log_ratio_bounds(abs(dl.numerator * dr.denominator),
-                                          abs(dl.denominator * dr.numerator))
-            lo, hi = add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *w))
-        near, expansions = walk(self.model, xn, xd, self.near, self.budget - (hi - lo),
+        i_lo, i_hi = _indicator_bounds(-xd, xd, d)
+        lo, hi = add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *self.w))
+        near, expansions = walk(self.model, xn, xd, *self.near, self.budget - (hi - lo),
                                 _MAX_EXPANSIONS)
         self.expansions += expansions
         if near is None:

@@ -99,12 +99,15 @@ class WeightModel:
     # -- counts and closed forms ------------------------------------------
 
     def kcell_count(self, gen: int) -> int:
+        if gen < 0:
+            raise ValueError("carrier generations start at 0")
         return 3 ** (gen * (self.k - 1))
 
     def jcell_count(self, gen: int) -> int:
+        """Cores of generation `gen`, one per generation-(gen-1) carrier."""
         if gen < 1:
             raise ValueError("core generations start at 1")
-        return 3 ** ((gen - 1) * (self.k - 1))
+        return self.kcell_count(gen - 1)
 
     def w_value(self, gen: int) -> Fraction:
         """Constant value of w on generation-`gen` support cells."""
@@ -144,6 +147,9 @@ class WeightModel:
                                    for i in range(0, gen * width, width)))
 
     def jcell(self, gen: int, branch: int) -> TriadicCell:
+        """Core number `branch` of generation `gen`: its carrier's middle third."""
+        if gen < 1:
+            raise ValueError("core generations start at 1")
         return self.kcell(gen - 1, branch).middle_child()
 
     def place_core(self, core: TriadicCell, gen: int) -> tuple[TriadicCell, str]:

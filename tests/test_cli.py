@@ -51,6 +51,19 @@ def test_scenario_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_scenario_process_pool_matches_one_process(tmp_path):
+    """Two worker processes write the same files, byte for byte, as one."""
+    cfg = {"scenario": "averages-exact"}
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    run_scenario(cfg, pooled, threads=2)
+    run_scenario(cfg, serial, threads=1)
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in pooled.iterdir())
+    assert {"C1.csv", "C2.csv", "summary.json"} <= set(names)
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
 def test_scenario_empty_criteria_list_is_success(tmp_path):
     summary = run_scenario({"scenario": "all", "criteria_list": []}, tmp_path)
     assert summary["passed"] and summary["criteria"] == []

@@ -120,6 +120,9 @@ def test_reports_reject_an_empty_probe_set(report):
     ({"gen_cap": -2}, "gen_cap must be >= 1"),
     ({"nodes": 4}, r"nodes must be one of \[2, 3\]"),
     ({"nodes": 5}, r"nodes must be one of \[2, 3\]"),
+    ({"edge_levels": -1}, "edge_levels must be >= 0"),
+    ({"budget_rel": 0.0}, "budget_rel must be > 0"),
+    ({"budget_rel": -1e-3}, "budget_rel must be > 0"),
 ])
 def test_norm_ratio_rejects_bad_input(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -437,6 +440,94 @@ def test_cell_field_encloses_hilbert_weight(k, placement):
                 hv = hilbert_weight(m, x, tail_budget=budget)
                 assert lo <= hv.value.hi and hv.value.lo <= hi
                 assert hi - lo <= budget * (1 + 1e-9)
+
+
+# Reference copy of the descent that `CellField` ran before it read S's
+# carrier chain from `WeightModel.carriers_holding`: it sorts every block of
+# the chain into near, far or overlap.  The library must split the mass the
+# same way, block for block and in the same order.
+
+def _reference_split_around(gc, left, count, lo, hi):
+    """The run as (left, count) pieces, each cell meeting (lo, hi) on its own."""
+    length = gc.length
+    first = max(0, (lo - left) // length)
+    last = min(count, -((left - hi) // length))
+    if first >= last:
+        return [(left, count)]
+    pieces = [(left, first)] if first else []
+    pieces += [(left + i * length, 1) for i in range(first, last)]
+    if last < count:
+        pieces.append((left + last * length, count - last))
+    return pieces
+
+
+def _reference_place(field, gc, lo, hi):
+    """-1 or 1 if mass in [lo, hi] is far to the left or right of S, 0 if
+    [lo, hi] overlaps S, None if it is near."""
+    r = gc.den // field.xd
+    if hi <= gc.x - 2 * r:
+        return -1
+    if lo >= gc.x + 2 * r:
+        return 1
+    return 0 if lo < gc.x + r and hi > gc.x - r else None
+
+
+def _reference_descend(field):
+    """Expand the carriers that hold S, from the root down to S's own.
+
+    Returns the near blocks as (gen, left in support-cell units, count),
+    the far blocks as (gen, left, count), the far support cells as
+    (gen, left), on each generation's scale, and the exactly evaluated
+    support cells as (a, b, w bounds).
+    """
+    up, children = 3 ** field.model.k, 3 ** (field.model.k - 1)
+    near, far, slivers, exact = [], [], [], []
+    gen, left = 0, 0
+    while True:
+        gc = field._consts(gen)
+        sl = left + gc.sliver
+        side = _reference_place(field, gc, sl, sl + gc.slen)
+        r = gc.den // field.xd
+        if side == 0 and (sl, sl + gc.slen) != (gc.x - r, gc.x + r):
+            raise ValueError("not a support cell of the model")
+        if side is None or side == 0:
+            exact.append((Q(sl, gc.den), Q(sl + gc.slen, gc.den), gc.w_next))
+        else:
+            slivers.append((gen, sl))
+        run_left, gen, left = (left + gc.third) * up, gen + 1, None
+        gc = field._consts(gen)
+        r2 = 2 * (gc.den // field.xd)
+        for piece in _reference_split_around(gc, run_left, children, gc.x - r2, gc.x + r2):
+            piece_side = _reference_place(field, gc, *field._mass_span(gc, *piece))
+            if piece_side is None:
+                near.append((gen, piece[0] // field.xd, piece[1]))
+            elif piece_side == 0:
+                left = piece[0]
+            else:
+                far.append((gen, *piece))
+        if side == 0:
+            return near, far, slivers, exact
+        if left is None:
+            raise ValueError("not a support cell of the model")
+
+
+@pytest.mark.parametrize("placement", ["right", "left", "alternating"])
+@pytest.mark.parametrize("k", range(2, 15))
+def test_cell_field_descent_matches_reference(k, placement):
+    """The near carrier, far runs, far support cells and S's own indicator
+    are those of the reference descent, on the first, middle and last
+    support cell of each generation."""
+    m = model(k=k, depth=1, placement=placement)
+    for gen in range(1, 4 if k < 10 else 3):
+        count = m.jcell_count(gen)
+        for branch in sorted({0, count // 2, count - 1}):
+            cell, _side = m.place_core(m.jcell(gen, branch), gen)
+            field = treewalk.CellField(m, cell, 2e-3 * k * float(m.w_value(gen)))
+            near, far, slivers, exact = _reference_descend(field)
+            assert near == [(*field.near, 1)]
+            assert field._descend() == (field.near, far, slivers)
+            assert exact == [(Q(field.xn - 1, field.xd), Q(field.xn + 1, field.xd), field.w)]
+            assert (exact[0][0], exact[0][1]) == (cell.left, cell.right)
 
 
 def test_cell_field_rejects_a_cell_that_is_not_a_support_cell():

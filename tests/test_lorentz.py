@@ -1,17 +1,19 @@
 """Distributions, Lorentz/Luxemburg norms, bump products, series bounds."""
 
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from twoweightlab import lorentz
-from twoweightlab.enclosure import FZERO, LN3, FloatInterval, log_interval
+from twoweightlab.enclosure import FZERO, LN3, Enclosure, FloatInterval, log_interval
 from twoweightlab.lorentz import (WTail, blowup_distribution, blowup_suite,
                                   bump_product, distribution, entropy_ratio,
                                   fundamental_compare, fundamental_of, llogl_young,
                                   lorentz_norm, luxemburg_norm, phi0, phi_r_young,
-                                  psi, QuasiConcaveFn, rearrangement_lorentz,
+                                  psi, QuasiConcaveFn, rearrangement_atoms,
+                                  rearrangement_lorentz,
                                   series_ratio, step_function_distribution)
 from twoweightlab.triadic import TriadicCell
 from twoweightlab.weights import ConstructionParams, build_construction
@@ -114,6 +116,49 @@ def test_luxemburg_grid_oracle():
         if lam > 0 and integral(lam) <= 1.0:
             best = min(best, lam)
     assert abs(val - best) < 2 * (hi - lo) / steps + 1e-12
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_luxemburg_norm_of_carrier_atoms_is_the_infimum(k):
+    """On the atoms of a carrier's w or sigma, whose largest values exceed
+    the norm by ~1e71 at k=2, the bracket and the bisection close: the norm
+    meets the defining infimum, and the orliczPhi bump product is that norm
+    times the other weight's average."""
+    m = model(k=k, depth=1)
+    young = phi_r_young(m.params.r)
+    rng = random.Random(f"luxemburg|{k}")
+    for gen in (0, 1):
+        cell = m.kcell(gen, rng.randrange(m.kcell_count(gen)))
+        for which, direction in (("w", "forward"), ("sigma", "dual")):
+            atoms = rearrangement_atoms(distribution(m, cell, which))
+            lux = luxemburg_norm(atoms, young)
+            pairs = [(float(v), float(mm)) for v, mm in atoms
+                     if float(mm) > 0 and float(v) > 0]
+
+            def g(lam):
+                return sum(mm * young(v / lam) for v, mm in pairs)
+
+            assert g(lux) <= 1.0 < g(lux * (1 - 1e-9)), (gen, which)
+            avg = (m.avg_sigma_carrier(gen) if which == "w"
+                   else Enclosure.exact(m.avg_w_carrier(gen)))
+            product = bump_product(m, cell, "orliczPhi", direction)
+            assert 0 < product.lo and math.isfinite(float(product.hi))
+            assert product.contains(Q(lux) * avg.lo) and product.contains(Q(lux) * avg.hi)
+
+
+def test_orlicz_bump_product_on_the_root_carrier():
+    """||w||_Phi = 4.8856 on the k=2 root carrier, so the product is 0.2832,
+    below the entropy bump's 0.321."""
+    m = model(k=2, depth=1)
+    product = bump_product(m, m.kcell(0, 0), "orliczPhi", "forward")
+    assert abs(float(product.mid) - 0.28322) < 1e-5
+    assert product.hi < bump_product(m, m.kcell(0, 0), "entropyPhi0", "forward").lo
+
+
+def test_luxemburg_norm_raises_when_the_bisection_cannot_close():
+    young = phi_r_young(Q(3, 2))
+    with pytest.raises(ArithmeticError, match="cannot reach tol"):
+        luxemburg_norm([(2.0, 0.3), (7.0, 0.1)], young, tol=0.0)
 
 
 def test_bump_product_on_support_cell_is_one():

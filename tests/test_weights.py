@@ -162,3 +162,18 @@ def test_implicit_family_indexing_matches_lists():
     for gen in range(3):
         for idx, cell in enumerate(m.kcells[gen]):
             assert m.kcell(gen, idx) == cell
+
+
+def test_generations_out_of_range_are_rejected():
+    m = build_construction(ConstructionParams(k=3, depth=2))
+    with pytest.raises(ValueError, match="carrier generations start at 0"):
+        m.kcell_count(-1)
+    with pytest.raises(ValueError, match="carrier generations start at 0"):
+        m.kcell(-1, 0)
+    for gen in (0, -1):
+        with pytest.raises(ValueError, match="core generations start at 1"):
+            m.jcell_count(gen)
+        with pytest.raises(ValueError, match="core generations start at 1"):
+            m.jcell(gen, 0)
+    assert m.kcell(0, 0) == TriadicCell("") and m.jcell(1, 0) == TriadicCell("1")
+    assert [m.jcell_count(g) for g in (1, 2, 3)] == [m.kcell_count(g) for g in (0, 1, 2)]
