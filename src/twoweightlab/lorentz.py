@@ -55,7 +55,9 @@ class QuasiConcaveFn:
     G(u) = phi(exp(-u))*exp(u), needed for tails whose plateaus underflow
     floats.  `slow_ratio` asserts that s -> phi(s/3)/phi(s) is decreasing as
     s decreases (true for all shipped functions; sampled at construction),
-    which the ratio-test tail needs.
+    which the ratio-test tail needs.  `convex_log_form` asserts that G is
+    convex for u >= 0 (sampled at construction), which lets the tail sum
+    blocks of terms between a chord and a secant line.
     """
 
     name: str
@@ -63,6 +65,7 @@ class QuasiConcaveFn:
     linear_log_form: tuple[Fraction, Fraction] | None = None
     log_form_eval: Callable[[float], float] | None = None
     slow_ratio: bool = True
+    convex_log_form: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -107,6 +110,16 @@ class QuasiConcaveFn:
                 got = self.log_form_eval(math.log(1 / s))
                 if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                     raise ValueError(f"{self.name}: log_form_eval does not match evaluator")
+        if self.convex_log_form:
+            g = self.log_form_eval
+            if g is None:
+                raise ValueError(f"{self.name}: convex_log_form needs log_form_eval")
+            # midpoints of [u, 3u + 2] for u up to 1e9, past the ~5e6 that a
+            # k = 12 tail reaches at 1e-9
+            for u in [0.0] + [10 ** (-2 + i / 2) for i in range(23)]:
+                left, mid, right = g(u), g(2 * u + 1), g(3 * u + 2)
+                if mid > (left + right) / 2 + 1e-9 * max(1.0, abs(right)):
+                    raise ValueError(f"{self.name}: G fails midpoint convexity near u={u}")
 
 
 def phi0() -> QuasiConcaveFn:
@@ -127,7 +140,8 @@ def psi(r: Fraction) -> QuasiConcaveFn:
         v = 12.0 + u
         return v * math.log(v) ** rf
 
-    return QuasiConcaveFn(f"psi[r={r}]", ev, log_form_eval=gev)
+    # G'' = r L^(r-2) (L + r - 1) / v > 0 with L = log v >= log 12
+    return QuasiConcaveFn(f"psi[r={r}]", ev, log_form_eval=gev, convex_log_form=True)
 
 
 def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
@@ -385,7 +399,13 @@ def blowup_distribution(model: WeightModel) -> DistributionSteps:
 
 def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn,
                  rel_tol: float = 1e-9, max_terms: int = 400_000) -> Enclosure:
-    """Enclosure of the Lorentz norm: integral of phi(N(t)) dt over the steps."""
+    """Enclosure of the Lorentz norm: integral of phi(N(t)) dt over the steps.
+
+    A w tail without a closed form is summed in steps of one term or, for a
+    gauge with `convex_log_form`, of one block of terms; `max_terms` caps the
+    number of those steps, and ArithmeticError says when the tail did not
+    close within them.
+    """
     acc = FZERO
     for t0, t1, n in dist.steps:
         if n == 0:
@@ -401,7 +421,55 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn,
     return acc.to_enclosure()
 
 
-def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_terms: int) -> FloatInterval:
+def _g_hi(g: Callable[[float], float], u: float) -> float:
+    # G(u) padded up as in `_wtail_norm`; nan, which no comparison accepts,
+    # stays nan
+    v = g(u)
+    hi = v + (1e-12 * abs(v) + 5e-324)
+    hi = nextafter(nextafter(nextafter(nextafter(hi, _INF), _INF), _INF), _INF)
+    return nextafter(nextafter(nextafter(nextafter(hi, _INF), _INF), _INF), _INF)
+
+
+# (q^m, S0(m), S1(m)) with S0(m) = sum_{i<m} q^i and S1(m) = sum_{i<m} i q^i,
+# each a lo and a hi float: q_lo, q_hi, s0_lo, s0_hi, s1_lo, s1_hi
+_GeomRow = tuple[float, float, float, float, float, float]
+
+
+def _doubled(row: _GeomRow, m: int) -> _GeomRow:
+    """The row of 2m from the row of m, one ulp outward per operation.
+
+    S0(2m) = S0(m)(1 + q^m) and S1(2m) = S1(m)(1 + q^m) + m q^m S0(m): every
+    term is positive, so lo combines with lo and hi with hi.
+    """
+    qm_lo, qm_hi, s0_lo, s0_hi, s1_lo, s1_hi = row
+    f_lo = nextafter(1.0 + qm_lo, _NINF)
+    f_hi = nextafter(1.0 + qm_hi, _INF)
+    c_lo = nextafter(nextafter(m * qm_lo, _NINF) * s0_lo, _NINF)
+    c_hi = nextafter(nextafter(m * qm_hi, _INF) * s0_hi, _INF)
+    return (nextafter(qm_lo * qm_lo, _NINF), nextafter(qm_hi * qm_hi, _INF),
+            nextafter(s0_lo * f_lo, _NINF), nextafter(s0_hi * f_hi, _INF),
+            nextafter(nextafter(s1_lo * f_lo, _NINF) + c_lo, _NINF),
+            nextafter(nextafter(s1_hi * f_hi, _INF) + c_hi, _INF))
+
+
+def _block_bounds(prev_hi: float, first_lo: float, first_hi: float, last_hi: float,
+                  m: int, row: _GeomRow) -> tuple[float, float]:
+    """Enclose sum_{i<m} q^i G_i for G convex and nondecreasing in i, m >= 2.
+
+    G_i lies above the line through G_-1 and G_0, extended, and below the
+    chord from G_0 to G_(m-1); both slopes are clamped at 0, which G's
+    monotonicity allows.  `prev_hi`, `first_*` and `last_hi` bound G_-1,
+    G_0 and G_(m-1); `row` is the row of m from `_doubled`.
+    """
+    _, _, s0_lo, s0_hi, s1_lo, s1_hi = row
+    slope_lo = max(nextafter(first_lo - prev_hi, _NINF), 0.0)
+    slope_hi = max(nextafter(nextafter(last_hi - first_hi, _INF) / (m - 1), _INF), 0.0)
+    lo = nextafter(nextafter(first_lo * s0_lo, _NINF) + nextafter(slope_lo * s1_lo, _NINF), _NINF)
+    hi = nextafter(nextafter(first_hi * s0_hi, _INF) + nextafter(slope_hi * s1_hi, _INF), _INF)
+    return lo, hi
+
+
+def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int) -> FloatInterval:
     # sum over l >= l0 of (rho-1) rho^l phi(C 3^-l); with G(u) = phi(e^-u) e^u and
     # u_l = log(1/C) + l log 3 this is (rho-1) C sum q^l G(u_l), q = rho/3 < 1.
     if phi.linear_log_form is not None:
@@ -417,14 +485,24 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_terms: int
     lead_lo, lead_hi = lead.lo, lead.hi
     u0 = (-log_interval(coeff)).mid + l0 * LN3.mid
     ln3 = LN3.mid
-    # The loop runs on (lo, hi) floats with the rounding of `add_bounds` and
-    # `mul_bounds` written out.  Every factor is positive (G >= phi(1) > 0 on
-    # the tail), so a product's least candidate is lo*lo and its greatest
-    # hi*hi.  Each G(u) is padded by 1e-12 relative, then 8 ulp outward.
-    acc_lo = acc_hi = 0.0
+    # Each step adds the 2^e terms from term a on, on (lo, hi) floats with the
+    # rounding of `add_bounds` and `mul_bounds` written out; every factor is
+    # positive, so a product's least candidate is lo*lo and its greatest hi*hi.
+    # A single term (e = 0) is (lead q^a) G(u_a); a block is (lead q^a) times
+    # `_block_bounds`.  Without `convex_log_form` every step is one term.  With
+    # it, e is the largest exponent, at most one above the last step's, whose
+    # block keeps its relative width within rel_tol/2.  The first try to grow
+    # e waits for term 32, so a block always follows a single term, and a try
+    # that fails waits for a to grow by a/8 + 32.
+    rows = [(q_lo, q_hi, 1.0, 1.0, 0.0, 0.0)]
+    budget = 0.5 * rel_tol
+    grow_at = 32 if phi.convex_log_form else _INF
+    acc_lo = acc_hi = prev_hi = 0.0
     qp_lo = qp_hi = 1.0
-    for count in range(max_terms):
-        u = u0 + count * ln3
+    a = e = 0
+    for _ in range(max_steps):
+        # G(u_a), padded by 1e-12 relative, then 8 ulp outward
+        u = u0 + a * ln3
         v = g(u)
         pad = 1e-12 * abs(v) + 5e-324
         g_lo = v - pad
@@ -435,28 +513,48 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_terms: int
         g_hi = nextafter(nextafter(nextafter(nextafter(g_hi, _INF), _INF), _INF), _INF)
         if not g_lo <= g_hi:
             raise ValueError(f"{phi.name}: G({u!r}) = {v!r} is not a finite number")
-        t_lo = nextafter(lead_lo * qp_lo, _NINF)
-        t_hi = nextafter(lead_hi * qp_hi, _INF)
-        t_lo = nextafter(t_lo * g_lo, _NINF)
-        t_hi = nextafter(t_hi * g_hi, _INF)
-        if count % 32 == 31:
-            # term ratio is q*G(u+log3)/G(u): at least q by quasiconcavity and
+        if e or a >= grow_at:
+            grow = a >= grow_at
+            e += grow
+            while e:
+                if e == len(rows):
+                    rows.append(_doubled(rows[-1], 1 << (e - 1)))
+                last_hi = _g_hi(g, u0 + (a + (1 << e) - 1) * ln3)
+                b_lo, b_hi = _block_bounds(prev_hi, g_lo, g_hi, last_hi, 1 << e, rows[e])
+                if b_hi - b_lo <= budget * b_lo:
+                    break
+                if grow:
+                    grow = False
+                    grow_at = a + (a >> 3) + 32
+                e -= 1
+        p_lo = nextafter(lead_lo * qp_lo, _NINF)
+        p_hi = nextafter(lead_hi * qp_hi, _INF)
+        t_lo = nextafter(p_lo * g_lo, _NINF)
+        t_hi = nextafter(p_hi * g_hi, _INF)
+        n = a + (1 << e)
+        if n > a | 31:
+            # once per step that holds a term of index 31 mod 32: the term
+            # ratio is q*G(u+log3)/G(u), at least q by quasiconcavity and
             # decreasing toward q under slow_ratio, so it caps all later ratios
-            v = g(u + ln3)
-            n_hi = v + (1e-12 * abs(v) + 5e-324)
-            n_hi = nextafter(nextafter(nextafter(nextafter(n_hi, _INF), _INF), _INF), _INF)
-            n_hi = nextafter(nextafter(nextafter(nextafter(n_hi, _INF), _INF), _INF), _INF)
-            kappa = q_hi * n_hi / g_lo
+            kappa = q_hi * _g_hi(g, u + ln3) / g_lo
             if kappa < 1.0:
                 tail_lo = t_lo / (1.0 - q_lo)
                 tail_hi = t_hi / (1.0 - kappa)
                 if tail_hi - tail_lo <= rel_tol * max(acc_lo + tail_lo, 1e-300):
                     return FloatInterval(*add_bounds(acc_lo, acc_hi, tail_lo, tail_hi))
+        if e:
+            t_lo = nextafter(p_lo * b_lo, _NINF)
+            t_hi = nextafter(p_hi * b_hi, _INF)
+            prev_hi = last_hi
+        else:
+            prev_hi = g_hi
         acc_lo = nextafter(acc_lo + t_lo, _NINF)
         acc_hi = nextafter(acc_hi + t_hi, _INF)
-        qp_lo = nextafter(qp_lo * q_lo, _NINF)
-        qp_hi = nextafter(qp_hi * q_hi, _INF)
-    raise ArithmeticError(f"Lorentz tail did not close within {max_terms} terms")
+        q_m = rows[e]
+        qp_lo = nextafter(qp_lo * q_m[0], _NINF)
+        qp_hi = nextafter(qp_hi * q_m[1], _INF)
+        a = n
+    raise ArithmeticError(f"Lorentz tail did not close within {max_steps} steps")
 
 
 def _wtail_closed_form(tail: WTail, phi: QuasiConcaveFn) -> FloatInterval:

@@ -107,11 +107,11 @@ def test_no_cells_is_usage_error(mode, capsys):
 
 def test_unclosed_lorentz_tail_is_usage_error(monkeypatch, capsys):
     def unclosed(*args, **kwargs):
-        raise ArithmeticError("Lorentz tail did not close within 400000 terms")
+        raise ArithmeticError("Lorentz tail did not close within 400000 steps")
 
     monkeypatch.setattr(cli, "lorentz_norm", unclosed)
     err = _usage_error(["lorentz", "--norm", "lorentzPsi", "--k", "10"], capsys)
-    assert err == "error: Lorentz tail did not close within 400000 terms\n"
+    assert err == "error: Lorentz tail did not close within 400000 steps\n"
 
 
 def test_empty_interval_is_usage_error(capsys):
@@ -163,6 +163,14 @@ def test_lorentz_command(tmp_path):
     rc = main(["lorentz", "--k", "2", "--depth", "1", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "lorentz.csv").exists()
+
+
+def test_lorentz_psi_command_closes_at_k10(tmp_path):
+    # the smallest k whose psi w tail ran past the step cap at the default 1e-9
+    rc = main(["lorentz", "--norm", "lorentzPsi", "--k", "10", "--depth", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "lorentz.csv").read_text().count("\n") == 5  # header + 4 rows
 
 
 def test_bumps_command(tmp_path):

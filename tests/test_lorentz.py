@@ -267,6 +267,15 @@ def test_gauge_validation_rejects_bad_functions():
         QuasiConcaveFn("bad-convex", lambda s: s * s, slow_ratio=False)
 
 
+def test_convex_log_form_is_sampled():
+    # G(u) = sqrt(5 + u) is concave, so the flag that allows blocks is refused
+    with pytest.raises(ValueError, match="convexity"):
+        sqrt_log_gauge(convex_log_form=True)
+    with pytest.raises(ValueError, match="needs log_form_eval"):
+        QuasiConcaveFn("nolog", lambda s: s * (1.0 - math.log(s)), convex_log_form=True)
+    assert psi(Q(3, 2)).convex_log_form and not sqrt_log_gauge().convex_log_form
+
+
 def test_distribution_requires_carrier_and_exact_dual():
     m = model()
     with pytest.raises(ValueError):
@@ -277,8 +286,9 @@ def test_distribution_requires_carrier_and_exact_dual():
 
 
 # ---------------------------------------------------------------------------
-# The term-by-term w tail: the float-pair loop against the FloatInterval loop
-# it replaced, and both tails against a 40-digit direct sum.
+# The w tail: the float-pair loop against the term-by-term FloatInterval loop
+# it replaced (bit for bit where every step is one term), its blocks against
+# exact and 40-digit sums, and whole tails against a 40-digit direct sum.
 
 def _ref_g_eval(g, u):
     v = g(u)
@@ -318,11 +328,12 @@ def reference_wtail_norm(tail, phi, rel_tol, max_terms):
     raise ArithmeticError(f"Lorentz tail did not close within {max_terms} terms")
 
 
-def sqrt_log_gauge(cutoff=math.inf):
+def sqrt_log_gauge(cutoff=math.inf, convex_log_form=False):
     """s*sqrt(5 + log(1/s)), with G(u) = sqrt(5 + u); G is nan beyond `cutoff`."""
     return QuasiConcaveFn(
         "sqrtlog", lambda s: s * math.sqrt(5.0 - math.log(s)),
-        log_form_eval=lambda u: math.sqrt(5.0 + u) if u <= cutoff else math.nan)
+        log_form_eval=lambda u: math.sqrt(5.0 + u) if u <= cutoff else math.nan,
+        convex_log_form=convex_log_form)
 
 
 def _w_tail(k, gen):
@@ -338,11 +349,16 @@ def _same_tail(tail, gauge, rel_tol, max_terms=400_000):
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_wtail_matches_floatinterval_reference(k):
+    """psi sums blocks of terms, so its tail only has to meet the reference
+    and stay within 2 rel_tol of its own lower end."""
     gauge = psi(Q(3, 2))
     for gen in range(3):
         tail = _w_tail(k, gen)
         for rel_tol in (1e-7, 1e-9):
-            assert _same_tail(tail, gauge, rel_tol), (k, gen, rel_tol)
+            got = lorentz._wtail_norm(tail, gauge, rel_tol, 400_000)
+            want = reference_wtail_norm(tail, gauge, rel_tol, 400_000)
+            assert got.lo <= want.hi and want.lo <= got.hi, (k, gen, rel_tol)
+            assert got.hi - got.lo <= 2 * rel_tol * got.lo, (k, gen, rel_tol)
 
 
 def test_wtail_matches_reference_for_a_user_gauge():
@@ -354,6 +370,8 @@ def test_wtail_matches_reference_for_a_user_gauge():
 
 
 def test_wtail_fails_where_the_reference_fails():
+    # the cap counts steps: k = 9 closes at 1e-7 after ~7,000 steps (blocks
+    # or single terms) here and ~128,000 terms in the reference
     tail = _w_tail(9, 0)
     for tail_sum in (lorentz._wtail_norm, reference_wtail_norm):
         with pytest.raises(ArithmeticError):
@@ -364,16 +382,73 @@ def test_wtail_fails_where_the_reference_fails():
 
 
 def test_psi_tail_range():
-    """At rel_tol 1e-7 the psi w tail closes for k=10 within the 400,000-term
-    cap; at the default 1e-9 it closes for k=9 and runs out for k=10."""
+    """At the default rel_tol 1e-9 the psi w tail closes for k = 10, 11, 12;
+    k = 12 sums its ~4.3M terms in ~82,000 steps, under the 400,000 cap."""
     gauge = psi(Q(3, 2))
+    for k in (10, 11, 12):
+        m = model(k=k, depth=1)
+        enc = lorentz_norm(distribution(m, m.kcell(0, 0), "w"), gauge)
+        assert 0 < enc.width <= Q(2, 10 ** 9) * enc.lo, k
+
+
+def test_psi_bump_product_closes_at_k10():
     m = model(k=10, depth=1)
-    dist = distribution(m, m.kcell(0, 0), "w")
-    enc = lorentz_norm(dist, gauge, rel_tol=1e-7)
-    # the tail's width is within rel_tol; the summed terms add their G pads
-    assert 0 < enc.width <= Q(2, 10 ** 7) * enc.lo
-    with pytest.raises(ArithmeticError):
-        lorentz_norm(dist, gauge)
+    enc = bump_product(m, m.kcell(0, 0), "lorentzPsi", "forward")
+    assert 0 < enc.lo and enc.width <= Q(2, 10 ** 9) * enc.lo
+
+
+def _q_of(k):
+    # q = rho/3 of a w tail: rho = 3^k / (3^(k-1) + 1)
+    return Q(3 ** (k - 1), 3 ** (k - 1) + 1)
+
+
+def _rows(q, e_max):
+    q_fi = FloatInterval.from_fraction(q)
+    rows = [(q_fi.lo, q_fi.hi, 1.0, 1.0, 0.0, 0.0)]
+    for e in range(1, e_max + 1):
+        rows.append(lorentz._doubled(rows[-1], 1 << (e - 1)))
+    return rows
+
+
+def test_doubled_geometric_sums_contain_the_exact_sums():
+    """q^m, S0(m) = sum_{i<m} q^i and S1(m) = sum_{i<m} i q^i in closed form."""
+    for k in range(2, 13):
+        q = _q_of(k)
+        for e, row in enumerate(_rows(q, 12)):
+            m = 1 << e
+            qm = q ** m
+            exact = (qm, (1 - qm) / (1 - q), (q - m * qm + (m - 1) * qm * q) / (1 - q) ** 2)
+            for i, want in enumerate(exact):
+                lo, hi = row[2 * i], row[2 * i + 1]
+                assert Q(lo) <= want <= Q(hi), (k, m, i)
+                # q itself is one ulp wide, so q^m is about m ulp wide
+                assert hi - lo <= 4 * m * 2.0 ** -52 * hi + 1e-300, (k, m, i)
+
+
+def test_blocks_contain_a_40_digit_sum_of_their_terms():
+    """Seeded blocks of psi's w tails, from the same padded G values the
+    tail reads, against sum_{i<m} q^i G(u_(a+i)) at the same float u."""
+    mpmath = pytest.importorskip("mpmath")
+    g = psi(Q(3, 2)).log_form_eval
+    ln3 = LN3.mid
+    rng = random.Random(10)
+    with mpmath.mp.workdps(40):
+        for _ in range(40):
+            k, gen, e = rng.randint(2, 12), rng.randint(0, 2), rng.randint(1, 10)
+            a = rng.choice((1, 2, rng.randint(3, 200), rng.randint(200, 100_000)))
+            m = 1 << e
+            tail = WTail(gen + 1, 3 * _q_of(k), Q(3, 2 * 3 ** k) * 3 ** gen)
+            u0 = (-log_interval(tail.coeff)).mid + tail.l0 * ln3
+            us = [u0 + (a + i) * ln3 for i in range(-1, m)]
+            first = _ref_g_eval(g, us[1])
+            lo, hi = lorentz._block_bounds(_ref_g_eval(g, us[0]).hi, first.lo, first.hi,
+                                           _ref_g_eval(g, us[-1]).hi, m, _rows(tail.rho / 3, e)[e])
+            q = mpmath.mpf(tail.rho.numerator) / (3 * tail.rho.denominator)
+            total = mpmath.mpf(0)
+            for i, u in enumerate(us[1:]):
+                v = 12 + mpmath.mpf(u)
+                total += q ** i * v * mpmath.log(v) ** mpmath.mpf(1.5)
+            assert lo <= total <= hi, (k, gen, a, m)
 
 
 def _mp_w_norm(mpmath, dist, phi):
@@ -412,8 +487,9 @@ def _mp_w_norm(mpmath, dist, phi):
         term = nxt
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 8))
 def test_lorentz_norms_contain_a_40_digit_direct_sum(k):
+    # k = 7 checks generation 2 alone: its direct sum takes ~60,000 terms
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     m = model(k=k, depth=2)
@@ -426,7 +502,7 @@ def test_lorentz_norms_contain_a_40_digit_direct_sum(k):
             (psi(Q(3, 2)), psi_mp),
             (phi0(), lambda s, log_s: s * (1 - log_s)),
         )
-        for gen in range(3):
+        for gen in range(3) if k < 7 else (2,):
             dist = distribution(m, m.kcell(gen, 0), "w")
             for gauge, phi in oracles:
                 total, remainder = _mp_w_norm(mpmath, dist, phi)
