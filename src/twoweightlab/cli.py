@@ -109,9 +109,10 @@ def _load_config(args) -> dict:
     return config
 
 
-def _params_from_args(args) -> ConstructionParams:
+def _params_from_args(args, depth: int | None = None) -> ConstructionParams:
     return ConstructionParams(k=args.k, p=parse_q(args.p), r=parse_q(args.r),
-                              placement=args.placement, depth=args.depth)
+                              placement=args.placement,
+                              depth=args.depth if depth is None else depth)
 
 
 def _add_model_args(sp):
@@ -213,7 +214,11 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_lorentz(args) -> int:
-    model = build_construction(_params_from_args(args))
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
+    # the rows read only each generation's first K-cell, which does not
+    # depend on the materialized depth
+    model = build_construction(_params_from_args(args, depth=max(args.depth, 1)))
     gauge = phi0() if args.norm == "entropyPhi0" else psi(model.params.r)
     rows = []
     for gen in range(args.depth + 1):

@@ -50,8 +50,7 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
     """Adaptive enclosure of Hw(x); reports the achieved width if the budget
     cannot be met within the expansion cap."""
     x = Fraction(x)
-    bounds, expansions = walk(model, x.numerator, x.denominator, 0, 0,
-                              tail_budget, max_expansions)
+    bounds, expansions = walk(model, x.numerator, x.denominator, tail_budget, max_expansions)
     if bounds is None:
         return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
     width = bounds[1] - bounds[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import nextafter
 from typing import Callable
 
@@ -122,12 +123,15 @@ class QuasiConcaveFn:
                     raise ValueError(f"{self.name}: G fails midpoint convexity near u={u}")
 
 
+# gauges are built and validated once; nothing mutates them after that
+@lru_cache(maxsize=None)
 def phi0() -> QuasiConcaveFn:
     """s*(1 - log s): the fundamental function of L log L."""
     return QuasiConcaveFn("phi0", lambda s: s * (1.0 - math.log(s)),
                           linear_log_form=(Q(1), Q(1)))
 
 
+@lru_cache(maxsize=None, typed=True)
 def psi(r: Fraction) -> QuasiConcaveFn:
     """s*(12 - log s)*(log(12 - log s))^r, the triadic bump gauge."""
     rf = float(r)

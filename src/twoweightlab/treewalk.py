@@ -5,9 +5,10 @@ contributions (mass times kernel range, or a Riemann pair over equal-mass
 tile runs) and always expands the widest pending block, so precision is
 budget-driven and never requires enumerating a generation.  `CellField`
 encloses Hw on one support cell: one walk with the cell in place of the
-point builds a certified power series for the far mass, and each point then
-walks only the few blocks near the cell.  All coordinates are Python ints on
-a per-generation scale and all pending bounds are outward-rounded float pairs.
+point builds a certified power series for all mass outside the cell, and
+each point then evaluates that polynomial and the cell's own indicator.  All
+coordinates are Python ints on a per-generation scale and all pending bounds
+are outward-rounded float pairs.
 """
 
 from __future__ import annotations
@@ -116,15 +117,10 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
     return base_lo - slack, base_hi + slack
 
 
-def walk(model: WeightModel, xn: int, xd: int, gen: int, start: int, tail_budget: float,
+def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
          max_expansions: int) -> tuple[tuple[float, float] | None, int]:
-    """Adaptive bounds (lo, hi) on the field at x = xn/xd of one
-    generation-`gen` carrier, and the number of expansions; None if a block
-    holding x is left pending.
-
-    `start` is the carrier's left end in units of a generation-(gen+1)
-    support cell.
-    """
+    """Adaptive bounds (lo, hi) on Hw at x = xn/xd, and the number of
+    expansions; None if a block holding x is left pending."""
     up, children = 3 ** model.k, 3 ** (model.k - 1)
     acc_lo = acc_hi = 0.0
     # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
@@ -132,13 +128,13 @@ def walk(model: WeightModel, xn: int, xd: int, gen: int, start: int, tail_budget
     pushed = 0
     pending_width = 0.0
     unresolved = 0
-    # constants of each generation from the start carrier's on
-    gcs: list[_GenConstants | None] = [None] * gen + [_GenConstants(model, gen, xn, xd)]
-    # each step pushes `runs` of generation `gen` (the first pushes the start
+    gen = 0
+    gcs = [_GenConstants(model, gen, xn, xd)]  # indexed by generation
+    # each step pushes `runs` of generation `gen` (the first pushes the root
     # carrier), then pops and expands the widest block; all state is local to
     # this loop, so nothing refers back to it and the pending blocks are
     # freed as soon as the call returns
-    runs = ((start * xd, 1),)
+    runs = ((0, 1),)
     expansions = 0
     while True:
         gc = gcs[gen]
@@ -186,17 +182,19 @@ def walk(model: WeightModel, xn: int, xd: int, gen: int, start: int, tail_budget
         acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, *enc)
     return (acc_lo, acc_hi), expansions
 
-# ---------------------------------------------------------------------------
-# The field on one support cell: a far-field power series plus near walks.
 
-_FAR_SHARE = 0.5      # of a point's budget, for the far field over the whole cell
-_TAIL_SHARE = 1 / 16  # of the far share, for the cut power series
+# ---------------------------------------------------------------------------
+# The field on one support cell: one power series for all mass outside it.
+
+_TAIL_SHARE = 1 / 16  # of the walk's budget, for the cut power series
 _MAX_DEGREE = 60
-_MAX_EXPANSIONS = 20000  # for the far walk and for each near walk, as in hilbert_weight
+_MAX_EXPANSIONS = 20000  # as in hilbert_weight
 
 
 def _geometric_tail(e_hi: float, top: float) -> float:
     """Upper bound on top * (1 + e + e^2 + ...) for 0 <= e <= e_hi < 1."""
+    if not e_hi < 1.0:
+        raise ValueError(f"series ratio bound {e_hi} is not below 1")
     return nextafter(top / nextafter(1.0 - e_hi, -_INF), _INF)
 
 
@@ -273,22 +271,21 @@ class CellField:
 
     S is the support cell of the last carrier in its chain, and it sits at
     least two of its own lengths (u - 1 >= 2) from both ends of every carrier
-    that holds it.  So all mass outside S is at distance >= |S|/2 from S, and
-    far, except for the one core tile next to S, the near carrier.  With c the
-    centre of S and R = |S|/2, every t in far mass has e = R/|c - t| <= 1/2,
-    so at x = c + R*u in S its field is the power series
+    that holds it.  With c the centre of S and R = |S|/2, every t in mass
+    outside S has e = R/|c - t| <= 1/2, except in the core tile next to S,
+    whose mass lies in its middle third and sliver, at e <= 1/(5/3 - 2/3^k):
+    0.692 for k = 2 and 0.601 for k = 6.  So at x = c + R*u in S the field
+    of that mass is the power series
         sum over j of u^j * (-1)^j/R * integral of (R/(c - t))^(j+1) dmu(t).
-    A walk with S in place of the point x expands the far block whose field
-    is least certain over S until the far width fits `_FAR_SHARE` of the
-    budget, then sums certified coefficients over the frontier, each series
-    cut once its geometric tail is below an equal share of `_TAIL_SHARE`.
-    `enclose` walks the near carrier at each point as `hilbert_weight` would,
-    and evaluates S's own indicator exactly.
+    A walk with S in place of the point x expands the block whose field is
+    least certain over S until the width fits budget / (1 + `_TAIL_SHARE`),
+    then sums certified coefficients over the frontier, each series cut once
+    its geometric tail is below an equal share of the rest.  `enclose`
+    evaluates the polynomial and S's own indicator exactly.
     """
 
     def __init__(self, model: WeightModel, cell: TriadicCell, budget: float):
         self.model = model
-        self.budget = budget
         # c = xn/xd, so u = (x - c)/R = xd*x - xn; on generation gen's scale
         # den = xd * 3^((gen+1)k), the centre of S and R = den // xd are integers
         self.xn, self.xd = 2 * cell.index + 1, 2 * 3 ** cell.depth
@@ -300,10 +297,10 @@ class CellField:
             raise ValueError("not a support cell of the model")
         # w on S, which is a support cell of generation gen + 1
         self.w = self._consts(gen).w_next
-        self.near, far, slivers = self._descend()
-        far_budget = _FAR_SHARE * budget
-        frontier, self.expansions = self._expand_far(far, slivers, far_budget)
-        self.coeffs, self.tail = self._sum_series(frontier, slivers, far_budget)
+        runs, slivers = self._descend()
+        walk_budget = budget / (1 + _TAIL_SHARE)
+        frontier, self.expansions = self._expand(runs, slivers, walk_budget)
+        self.coeffs, self.tail = self._sum_series(frontier, slivers, walk_budget)
 
     def _consts(self, gen: int) -> _GenConstants:
         gc = self._gcs.get(gen)
@@ -327,33 +324,33 @@ class CellField:
     def _descend(self):
         """Split the mass of S's carrier chain, root first.
 
-        Returns the near carrier as (gen, left in support-cell units), the
-        far runs as (gen, left, count) and the far support cells as (gen,
+        Returns the runs as (gen, left, count) and the support cells as (gen,
         left), on each generation's scale.  Each chain carrier's core tiles
-        are cut at the next chain carrier, and the last one's at the near
-        carrier; the support cells are those of every chain carrier but the
-        last, whose support cell is S.
+        are cut at the next chain carrier, and the last one's at the core
+        tile next to S, which comes last as a run of its own; the support
+        cells are those of every chain carrier but the last, whose support
+        cell is S.
         """
         model, xd = self.model, self.xd
         up, u = 3 ** model.k, model.u
         last = len(self.chain) - 1
-        # the core tile next to S
         near = self.chain[-1] * up + min(max(model.support_offset(last + 1), u), 2 * u - 1)
-        far, slivers = [], []
+        runs, slivers = [], []
         for gen, (carrier, cut) in enumerate(zip(self.chain, self.chain[1:] + [near])):
             if gen < last:
                 slivers.append((gen, (carrier * up + model.support_offset(gen + 1)) * xd))
             first, end = carrier * up + u, carrier * up + 2 * u
             if cut > first:
-                far.append((gen + 1, first * up * xd, cut - first))
+                runs.append((gen + 1, first * up * xd, cut - first))
             if end > cut + 1:
-                far.append((gen + 1, (cut + 1) * up * xd, end - cut - 1))
-        return (last + 1, near * up), far, slivers
+                runs.append((gen + 1, (cut + 1) * up * xd, end - cut - 1))
+        runs.append((last + 1, near * up * xd, 1))
+        return runs, slivers
 
-    def _expand_far(self, far, slivers, far_budget: float):
-        """Expand the far block that is least certain over S until the sum
-        fits `far_budget`; returns the frontier, as heap entries
-        (-width, push index, gen, left, count), and the expansion count.
+    def _expand(self, runs, slivers, budget: float):
+        """Expand the block that is least certain over S until the sum fits
+        `budget`; returns the frontier, as heap entries (-width, push index,
+        gen, left, count), and the expansion count.
 
         A block's width is its kernel range at the end of S nearest to it,
         mass * (1/(d_near - R) - 1/(d_far - R)), which is the sum of its
@@ -364,7 +361,6 @@ class CellField:
         heap: list[tuple] = []
         pending = 0.0
         pushed = expansions = 0
-        runs = far
         while True:
             for gen, left, count in runs:
                 gc = self._consts(gen)
@@ -375,7 +371,7 @@ class CellField:
                 pending += width
                 heapq.heappush(heap, (-width, pushed, gen, left, count))
                 pushed += 1
-            if pending <= far_budget or not heap or expansions >= _MAX_EXPANSIONS:
+            if pending <= budget or not heap or expansions >= _MAX_EXPANSIONS:
                 return heap, expansions
             neg_width, _ident, gen, left, count = heapq.heappop(heap)
             pending += neg_width
@@ -388,10 +384,10 @@ class CellField:
                 runs = ((gen + 1, (left + gc.third) * up, children),)
             expansions += 1
 
-    def _sum_series(self, frontier, slivers, far_budget: float):
-        """Certified coefficients (lo, hi) of the far field's series in u and
+    def _sum_series(self, frontier, slivers, budget: float):
+        """Certified coefficients (lo, hi) of the field's series in u and
         a bound on what the cut series leave out, for |u| <= 1."""
-        tol = _TAIL_SHARE * far_budget / (2 * max(1, len(frontier) + len(slivers)))
+        tol = _TAIL_SHARE * budget / (2 * max(1, len(frontier) + len(slivers)))
         # magnitudes of the terms left and right of c: left of c, term j
         # enters with sign (-1)^j, right of c with sign -1
         sums = {-1: ([], []), 1: ([], [])}
@@ -437,7 +433,7 @@ class CellField:
 
     def enclose(self, x: Fraction) -> tuple[float, float]:
         """Bounds (lo, hi) on Hw(x) for x inside S, within the budget unless
-        the near walk reaches its expansion cap."""
+        the walk reached its expansion cap or a series its degree cap."""
         xn, xd = x.numerator, x.denominator
         # u = d/xd; over xd * self.xd, x - a and x - b are d + xd and d - xd
         d = self.xd * xn - self.xn * xd
@@ -447,10 +443,4 @@ class CellField:
             lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
         lo, hi = add_bounds(lo, hi, -self.tail, self.tail)
         i_lo, i_hi = _indicator_bounds(-xd, xd, d)
-        lo, hi = add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *self.w))
-        near, expansions = walk(self.model, xn, xd, *self.near, self.budget - (hi - lo),
-                                _MAX_EXPANSIONS)
-        self.expansions += expansions
-        if near is None:
-            return -_INF, _INF
-        return add_bounds(lo, hi, *near)
+        return add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *self.w))

@@ -80,11 +80,20 @@ def test_c09_hilbert_growth():
     assert all(row["max_rel_width"] <= 0.01 for row in res["rows"])
 
 
+# C10's per-k ratios as recorded in ROADMAP.md's baseline
+_C10_BASELINE = {6: 1.52377860158, 10: 1.81418872769, 12: 1.98708907725,
+                 14: 2.06745746123}
+
+
 def test_c10_norm_exponent():
     res = result("C10")
     assert res["passed"]
     assert 0.1 <= res["details"]["slope"] <= 0.5
     assert all(row["indicator"] < 1e-3 for row in res["rows"])
+    # each ratio lies within its own quadrature indicator of the baseline
+    rows = {row["k"]: row for row in res["rows"]}
+    for k, ratio in _C10_BASELINE.items():
+        assert abs(rows[k]["ratio"] - ratio) <= rows[k]["indicator"] * ratio, k
 
 
 def test_c11_maximal_bound():

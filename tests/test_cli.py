@@ -165,6 +165,18 @@ def test_lorentz_command(tmp_path):
     assert (tmp_path / "lorentz.csv").exists()
 
 
+def test_lorentz_command_at_depth_zero(tmp_path):
+    rc = main(["lorentz", "--k", "3", "--depth", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "lorentz.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0", "w"], ["0", "sigma"]]
+
+
+def test_lorentz_command_rejects_negative_depth(capsys):
+    err = _usage_error(["lorentz", "--k", "3", "--depth", "-1"], capsys)
+    assert err == "error: depth must be >= 0\n"
+
+
 def test_lorentz_psi_command_closes_at_k10(tmp_path):
     # the smallest k whose psi w tail ran past the step cap at the default 1e-9
     rc = main(["lorentz", "--norm", "lorentzPsi", "--k", "10", "--depth", "1",

@@ -397,7 +397,7 @@ def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
 @pytest.mark.parametrize("k,levels,nodes", [(3, 0, 2), (4, 1, 3), (6, 2, 3)])
 def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
     """The cell model gives the per-point walks' integrals to within what
-    the budget lets each point move, and runs no `hilbert_weight` walk."""
+    the budget lets each point move, and runs no point walk."""
     m = model(k=k, placement="alternating")
     cell = m.support_cells(1)[0].cell
     scale = k * float(m.w_value(1))
@@ -409,6 +409,7 @@ def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
         raise AssertionError("a point walk ran")
 
     monkeypatch.setattr(hilbert, "hilbert_weight", no_walk)
+    monkeypatch.setattr(treewalk, "walk", no_walk)
     fine, coarse, worst, expansions = hilbert._cell_integral(*args)
     # both enclosures hold Hw(x) and are at most `budget` wide, so their
     # midpoints differ by at most `budget`; the panel weights sum to |S| in
@@ -424,22 +425,25 @@ def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
 @pytest.mark.parametrize("placement", ["right", "left", "alternating"])
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
 def test_cell_field_encloses_hilbert_weight(k, placement):
-    """At every quadrature point of a support cell the cell model's
-    enclosure meets the point walk's and is no wider than the budget."""
+    """At every quadrature point of a support cell, and at u = +-(1 - 3^-12)
+    next to its ends, the cell model's enclosure meets the point walk's and
+    is no wider than the budget."""
     m = model(k=k, placement=placement)
     for gen in (1, 2):
         cells = m.support_cells(gen)
         cell = cells[len(cells) // 2].cell
         budget = 2e-3 * k * float(m.w_value(gen))
         field = treewalk.CellField(m, cell, budget)
+        half, mid = cell.length / 2, (cell.left + cell.right) / 2
+        points = [mid + half * u for u in (Q(1, 3 ** 12) - 1, 1 - Q(1, 3 ** 12))]
         for pa, pb in hilbert._edge_panels(cell.left, cell.right, 2):
             half, mid = (pb - pa) / 2, (pa + pb) / 2
-            for xi in hilbert._GAUSS[2][0]:
-                x = mid + half * Q(xi)
-                lo, hi = field.enclose(x)
-                hv = hilbert_weight(m, x, tail_budget=budget)
-                assert lo <= hv.value.hi and hv.value.lo <= hi
-                assert hi - lo <= budget * (1 + 1e-9)
+            points += [mid + half * Q(xi) for xi in hilbert._GAUSS[2][0]]
+        for x in points:
+            lo, hi = field.enclose(x)
+            hv = hilbert_weight(m, x, tail_budget=budget)
+            assert lo <= hv.value.hi and hv.value.lo <= hi
+            assert hi - lo <= budget * (1 + 1e-9)
 
 
 # Reference copy of the descent that `CellField` ran before it read S's
@@ -514,9 +518,9 @@ def _reference_descend(field):
 @pytest.mark.parametrize("placement", ["right", "left", "alternating"])
 @pytest.mark.parametrize("k", range(2, 15))
 def test_cell_field_descent_matches_reference(k, placement):
-    """The near carrier, far runs, far support cells and S's own indicator
-    are those of the reference descent, on the first, middle and last
-    support cell of each generation."""
+    """The runs, support cells and S's own indicator are those of the
+    reference descent, on the first, middle and last support cell of each
+    generation; its one near block is the last run."""
     m = model(k=k, depth=1, placement=placement)
     for gen in range(1, 4 if k < 10 else 3):
         count = m.jcell_count(gen)
@@ -524,8 +528,9 @@ def test_cell_field_descent_matches_reference(k, placement):
             cell, _side = m.place_core(m.jcell(gen, branch), gen)
             field = treewalk.CellField(m, cell, 2e-3 * k * float(m.w_value(gen)))
             near, far, slivers, exact = _reference_descend(field)
-            assert near == [(*field.near, 1)]
-            assert field._descend() == (field.near, far, slivers)
+            [(near_gen, near_left, near_count)] = near
+            assert near_count == 1
+            assert field._descend() == (far + [(near_gen, near_left * field.xd, 1)], slivers)
             assert exact == [(Q(field.xn - 1, field.xd), Q(field.xn + 1, field.xd), field.w)]
             assert (exact[0][0], exact[0][1]) == (cell.left, cell.right)
 
@@ -585,3 +590,14 @@ def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
             return sum(2 * Q(1, d) ** (j + 1) for d in range(d_near + end, d_far + end))
         for j in range(len(lo)):
             assert _inside(cells(j), lo[j], hi[j])
+
+
+@pytest.mark.parametrize("e_hi", [1.0, 1.5])
+def test_series_reject_a_ratio_bound_not_below_one(e_hi):
+    """A geometric tail at ratio >= 1 has no finite bound; the series raise
+    instead of returning a negative tail."""
+    e_near, e_far = (e_hi, e_hi), (0.25, 0.25)
+    with pytest.raises(ValueError, match="not below 1"):
+        treewalk._cell_series([], [], (0.5, 0.5), e_near, e_far, 1e-9)
+    with pytest.raises(ValueError, match="not below 1"):
+        treewalk._density_series([], [], (2.0, 2.0), 0.0, 1, 4, e_near, e_far, 1e-9)

@@ -276,6 +276,11 @@ def test_convex_log_form_is_sampled():
     assert psi(Q(3, 2)).convex_log_form and not sqrt_log_gauge().convex_log_form
 
 
+def test_gauges_are_built_once():
+    assert psi(Q(3, 2)) is psi(Q(3, 2)) and phi0() is phi0()
+    assert psi(Q(3, 2)) is not psi(Q(2))
+
+
 def test_distribution_requires_carrier_and_exact_dual():
     m = model()
     with pytest.raises(ValueError):
