@@ -195,7 +195,7 @@ def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
 def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
                        edge_levels: int = 8, cells_per_gen: int = 24,
                        gen_cap: int = 2, seed: int = 0,
-                       budget_rel: float = 2e-3) -> dict:
+                       budget_rel: float = 2e-4) -> dict:
     """Estimate of ||H wtilde||_{L^p(sigma)} / ||1||_{L^p(wtilde)}.
 
     Generations above `gen_cap` repeat the deepest computed one with the

@@ -206,21 +206,86 @@ def _add_at(acc_lo: list, acc_hi: list, j: int, lo: float, hi: float) -> None:
     acc_hi[j] = nextafter(acc_hi[j] + hi, _INF)
 
 
+def _bounds(x: Fraction) -> tuple[float, float]:
+    return ratio_bounds(x.numerator, x.denominator)
+
+
+class _CellConstants(_GenConstants):
+    """`_GenConstants` plus what `CellField`'s second-order brackets read.
+
+    On the generation's scale R = r and a carrier has length L, mass M and
+    variance var about its centroid (`WeightModel.carrier_moments`).  Offsets
+    that need not be integers are kept exactly, over the common denominator
+    q.  `offsets[side]` holds, measured from the end of a cell nearest to c
+    (so that distances from c grow with the offset): the centroid, the near
+    end of the cell of length L centred on it, and the two ends of the region
+    that this shifted cell and the mass hull span together.  The bounds are
+    on M/R, mv = (M/R) * var/(2R^2), mw = (M/R) * L^2/(24R^2), mv - mw and
+    R/L.
+    """
+
+    __slots__ = ("r", "q", "mass_r", "offsets", "mv", "mw", "mvw", "mu")
+
+    def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
+        super().__init__(model, gen, xn, xd)
+        self.r = r = self.den // xd
+        length = self.length
+        mass_r = Fraction(self.mass_num, self.mass_den * r)
+        self.mass_r = _bounds(mass_r)
+        centroid, variance = model.carrier_moments(gen)
+        cen = centroid * xd  # a tile is xd long
+        self.q = q = cen.denominator
+        lq = length * q
+        c = cen.numerator
+        shift = c - lq // 2  # xd is even, and so is L
+        r0, r1 = min(self.hull[0] * q, shift), max(self.hull[1] * q, shift + lq)
+        self.offsets = {1: (c, shift, r0, r1), -1: (lq - c, -shift, lq - r1, lq - r0)}
+        mv = mass_r * variance * xd * xd / (2 * r * r)
+        mw = mass_r * Fraction(length * length, 24 * r * r)
+        self.mv, self.mw, self.mvw = _bounds(mv), _bounds(mw), _bounds(mv - mw)
+        self.mu = ratio_bounds(r, length)
+
+
 def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
                  e_near: tuple[float, float], e_far: tuple[float, float],
-                 tol: float) -> float:
+                 tol: float, second=None) -> float:
     """Add (1/R) * integral of e^(j+1) dmu for one carrier to acc[j], j = 0..,
     and return the bound on the rest once it is below `tol`.
 
     The mass M lies where e runs from e_far to e_near, so term j lies in
-    (M/R) * [e_far^(j+1), e_near^(j+1)].
+    (M/R) * [e_far^(j+1), e_near^(j+1)].  With `second` = (mv, e_bar), where
+    e_bar = R/d at the mass's centroid, Taylor's theorem about the centroid
+    also puts it in
+        (M/R) * e_bar^(j+1) + mv * (j+1)(j+2) * [e_far^(j+3), e_near^(j+3)],
+    because the second derivative (j+1)(j+2)/R^2 * e^(j+3) of e^(j+1) falls
+    with the distance.  That bracket is centred on the estimate at e_bar,
+    with the half-width that covers both ends, and meets the first.
     """
     m_lo, m_hi = mass_r
     f_lo, n_hi = e_far[0], e_near[1]
     p_lo, p_hi = f_lo, n_hi
+    if second is not None:
+        (mv_lo, mv_hi), (b_lo, b_hi) = second
+        n2, f2 = nextafter(n_hi * n_hi, _INF), nextafter(f_lo * f_lo, -_INF)
+        b2_lo, b2_hi = nextafter(b_lo * b_lo, -_INF), nextafter(b_hi * b_hi, _INF)
+        e_lo, e_hi = b_lo, b_hi  # e_bar^(j+1)
     j = 0
     while True:
-        _add_at(acc_lo, acc_hi, j, nextafter(m_lo * p_lo, -_INF), nextafter(m_hi * p_hi, _INF))
+        lo, hi = nextafter(m_lo * p_lo, -_INF), nextafter(m_hi * p_hi, _INF)
+        if second is not None:
+            c = (j + 1) * (j + 2)
+            c_lo, c_hi = nextafter(mv_lo * c, -_INF), nextafter(mv_hi * c, _INF)
+            q_lo = nextafter(c_lo * nextafter(e_lo * b2_lo, -_INF), -_INF)
+            q_hi = nextafter(c_hi * nextafter(e_hi * b2_hi, _INF), _INF)
+            q_near = nextafter(c_hi * nextafter(p_hi * n2, _INF), _INF)
+            q_far = nextafter(c_lo * nextafter(p_lo * f2, -_INF), -_INF)
+            half = nextafter(max(q_near - q_lo, q_hi - q_far), _INF)
+            mid_lo = nextafter(nextafter(m_lo * e_lo, -_INF) + q_lo, -_INF)
+            mid_hi = nextafter(nextafter(m_hi * e_hi, _INF) + q_hi, _INF)
+            lo = max(lo, nextafter(mid_lo - half, -_INF))
+            hi = min(hi, nextafter(mid_hi + half, _INF))
+            e_lo, e_hi = nextafter(e_lo * b_lo, -_INF), nextafter(e_hi * b_hi, _INF)
+        _add_at(acc_lo, acc_hi, j, lo, hi)
         p_hi = nextafter(p_hi * n_hi, _INF)
         tail = _geometric_tail(n_hi, nextafter(m_hi * p_hi, _INF))
         if tail <= tol or j == _MAX_DEGREE:
@@ -232,7 +297,7 @@ def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
 def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
                     slack_r: float, d_near: int, d_far: int,
                     e_near: tuple[float, float], e_far: tuple[float, float],
-                    tol: float) -> float:
+                    tol: float, second=None) -> float:
     """As `_cell_series`, for mass spread at `density` between the distances
     d_near < d_far from c (e = R/d), widened by `slack_r` * (e_near^(j+1) -
     e_far^(j+1)) for a run of equal cells whose mass need not be uniform.
@@ -240,6 +305,22 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
     Term j is density/j * (e_near^j - e_far^j), and density * ln(d_far/d_near)
     for j = 0; a cell of mass m moves it by at most (m/R) * the range of
     e^(j+1) over the cell, which sums to the slack over the run.
+
+    With `second` = ((mv, mw, mvw, mu), (a, b), (e_a, e_b), (e_p0, e_pl,
+    e_q0, e_qe)) the run's n carriers of mass M, length L and variance var
+    also get a second-order bracket.  Shift each cell to be centred on its
+    carrier's centroid: the run then spans the distances a < b, and a
+    carrier differs from uniform mass on its shifted cell by
+    (M/2) * (var * g'' - L^2/12 * g'') at points of the cell's region, with
+    g = e^(j+1)/R.  g'' > 0 falls with the distance, so over the regions'
+    near ends p_0 < .. < p_(n-1) and far ends q_i, L apart,
+        sum g''(p_i) <= g''(p_0) + (|g'(p_0)| - |g'(p_(n-1))|) / L,
+        sum g''(q_i) >= (|g'(q_0)| - |g'(q_(n-1) + L)|) / L = D,
+    and the first bound, U, and D bracket I = (|g'(a)| - |g'(b)|) / L.  So
+    term j is the uniform term at a, b plus (M/2) * (var - L^2/12) * I, to
+    within (M/2) * max(var(U - I) + L^2/12 (I - D), var(I - D) + L^2/12 (U - I)),
+    and that bracket meets the first.  e_pl and e_qe are at p_(n-1) and
+    q_(n-1) + L.
     """
     d_lo, d_hi = density
     l_lo, l_hi = log_ratio_bounds(d_far, d_near)
@@ -247,12 +328,46 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
     (en_lo, en_hi), (ef_lo, ef_hi) = e_near, e_far
     # bounds on e_near^(j+1) and e_far^(j+1)
     n_lo, n_hi, f_lo, f_hi = en_lo, en_hi, ef_lo, ef_hi
+    if second is not None:
+        ((mv, mw, mvw, (mu_lo, mu_hi)), (a, b), ((ea_lo, ea_hi), (eb_lo, eb_hi)),
+         (ep0, epl, eq0, eqe)) = second
+        mv_hi, mw_hi = mv[1], mw[1]
+        l_lo, l_hi = log_ratio_bounds(b, a)
+        # the shifted run's uniform term j, and e^(j+1) at its ends
+        s_lo, s_hi = nextafter(d_lo * l_lo, -_INF), nextafter(d_hi * l_hi, _INF)
+        a_lo, a_hi, b_lo, b_hi = ea_lo, ea_hi, eb_lo, eb_hi
+        # e^(j+2) at p_0 (above), p_(n-1) and q_0 (below) and q_(n-1) + L (above)
+        p0_e, pl_e, q0_e, qe_e = ep0[1], epl[0], eq0[0], eqe[1]
+        p0 = nextafter(p0_e * p0_e, _INF)
+        pl = nextafter(pl_e * pl_e, -_INF)
+        q0 = nextafter(q0_e * q0_e, -_INF)
+        qe = nextafter(qe_e * qe_e, _INF)
     j = 0
     while True:
         diff_hi = nextafter(n_hi - f_lo, _INF)
         slack = nextafter(slack_r * diff_hi, _INF)
-        _add_at(acc_lo, acc_hi, j, nextafter(part_lo - slack, -_INF),
-                nextafter(part_hi + slack, _INF))
+        lo, hi = nextafter(part_lo - slack, -_INF), nextafter(part_hi + slack, _INF)
+        if second is not None:
+            # R^2 |g'|/L = (j+1) (R/L) e^(j+2) and R^2 g'' = (j+1)(j+2) e^(j+3)
+            jm_lo, jm_hi = nextafter((j + 1) * mu_lo, -_INF), nextafter((j + 1) * mu_hi, _INF)
+            a2_lo = nextafter(jm_lo * nextafter(a_lo * ea_lo, -_INF), -_INF)
+            a2_hi = nextafter(jm_hi * nextafter(a_hi * ea_hi, _INF), _INF)
+            b2_lo = nextafter(jm_lo * nextafter(b_lo * eb_lo, -_INF), -_INF)
+            b2_hi = nextafter(jm_hi * nextafter(b_hi * eb_hi, _INF), _INF)
+            i_lo, i_hi = nextafter(a2_lo - b2_hi, -_INF), nextafter(a2_hi - b2_lo, _INF)
+            u_hi = nextafter(nextafter((j + 1) * (j + 2) * p0, _INF) * p0_e, _INF)
+            u_hi = nextafter(u_hi + nextafter(jm_hi * p0, _INF), _INF)
+            u_hi = nextafter(u_hi - nextafter(jm_lo * pl, -_INF), _INF)
+            dq_lo = nextafter(nextafter(jm_lo * q0, -_INF) - nextafter(jm_hi * qe, _INF), -_INF)
+            ga, gb = nextafter(u_hi - i_lo, _INF), nextafter(i_hi - dq_lo, _INF)
+            half = max(nextafter(nextafter(mv_hi * ga, _INF) + nextafter(mw_hi * gb, _INF), _INF),
+                       nextafter(nextafter(mv_hi * gb, _INF) + nextafter(mw_hi * ga, _INF), _INF))
+            est_lo, est_hi = mul_bounds(*mvw, i_lo, i_hi)
+            lo = max(lo, nextafter(nextafter(s_lo + est_lo, -_INF) - half, -_INF))
+            hi = min(hi, nextafter(nextafter(s_hi + est_hi, _INF) + half, _INF))
+            p0, pl = nextafter(p0 * p0_e, _INF), nextafter(pl * pl_e, -_INF)
+            q0, qe = nextafter(q0 * q0_e, -_INF), nextafter(qe * qe_e, _INF)
+        _add_at(acc_lo, acc_hi, j, lo, hi)
         j += 1
         top = nextafter(nextafter(d_hi * n_hi, _INF) / j, _INF)
         top = nextafter(top + nextafter(slack_r * nextafter(n_hi * en_hi, _INF), _INF), _INF)
@@ -264,6 +379,12 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
         part_hi = nextafter(nextafter(d_hi * diff_hi, _INF) / j, _INF)
         n_lo, n_hi = nextafter(n_lo * en_lo, -_INF), nextafter(n_hi * en_hi, _INF)
         f_lo, f_hi = nextafter(f_lo * ef_lo, -_INF), nextafter(f_hi * ef_hi, _INF)
+        if second is not None:
+            s_diff = max(0.0, nextafter(a_lo - b_hi, -_INF))
+            s_lo = nextafter(nextafter(d_lo * s_diff, -_INF) / j, -_INF)
+            s_hi = nextafter(nextafter(d_hi * nextafter(a_hi - b_lo, _INF), _INF) / j, _INF)
+            a_lo, a_hi = nextafter(a_lo * ea_lo, -_INF), nextafter(a_hi * ea_hi, _INF)
+            b_lo, b_hi = nextafter(b_lo * eb_lo, -_INF), nextafter(b_hi * eb_hi, _INF)
 
 
 class CellField:
@@ -280,8 +401,11 @@ class CellField:
     A walk with S in place of the point x expands the block whose field is
     least certain over S until the width fits budget / (1 + `_TAIL_SHARE`),
     then sums certified coefficients over the frontier, each series cut once
-    its geometric tail is below an equal share of the rest.  `enclose`
-    evaluates the polynomial and S's own indicator exactly.
+    its geometric tail is below an equal share of the rest.  A block's
+    coefficients are bracketed to second order, from the exact mass,
+    centroid and variance of a carrier's mass, wherever that is tighter than
+    the first-order kernel range.  `enclose` evaluates the polynomial and
+    S's own indicator exactly.
     """
 
     def __init__(self, model: WeightModel, cell: TriadicCell, budget: float):
@@ -289,7 +413,7 @@ class CellField:
         # c = xn/xd, so u = (x - c)/R = xd*x - xn; on generation gen's scale
         # den = xd * 3^((gen+1)k), the centre of S and R = den // xd are integers
         self.xn, self.xd = 2 * cell.index + 1, 2 * 3 ** cell.depth
-        self._gcs: dict[int, _GenConstants] = {}
+        self._gcs: dict[int, _CellConstants] = {}
         self.chain = model.carriers_holding(cell.left, cell.right)
         gen = len(self.chain) - 1
         if (cell.depth, cell.index) != ((gen + 1) * model.k, self.chain[-1] * 3 ** model.k
@@ -302,14 +426,17 @@ class CellField:
         frontier, self.expansions = self._expand(runs, slivers, walk_budget)
         self.coeffs, self.tail = self._sum_series(frontier, slivers, walk_budget)
 
-    def _consts(self, gen: int) -> _GenConstants:
+    def _consts(self, gen: int) -> _CellConstants:
         gc = self._gcs.get(gen)
         if gc is None:
-            gc = self._gcs[gen] = _GenConstants(self.model, gen, self.xn, self.xd)
+            gc = self._gcs[gen] = _CellConstants(self.model, gen, self.xn, self.xd)
         return gc
 
     @staticmethod
     def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
+        """Where the block's mass lies; count 0 is a support cell."""
+        if count == 0:
+            return left, left + gc.slen
         if count == 1:
             return left + gc.hull[0], left + gc.hull[1]
         return left, left + count * gc.length
@@ -320,6 +447,85 @@ class CellField:
         if hi <= gc.x:
             return -1, gc.x - hi, gc.x - lo
         return 1, lo - gc.x, hi - gc.x
+
+    @staticmethod
+    def _near_first(gc: _CellConstants, side: int, left: int, count: int):
+        """(base, offsets): a point at offset o of `gc.offsets[side]` in the
+        block's cell i, counted from the one nearest to c, lies at distance
+        (base + o + i*L*q)/q from c."""
+        if side == 1:
+            return (left - gc.x) * gc.q, gc.offsets[1]
+        return (gc.x - left - count * gc.length) * gc.q, gc.offsets[-1]
+
+    def _run_points(self, gc: _CellConstants, side: int, left: int, count: int):
+        """Distances from c, times q, of the shifted run's ends a < b and of
+        p_0, p_(n-1), q_0 and q_(n-1) + L (see `_density_series`); None if
+        a region comes within R of c."""
+        base, (_cen, shift, r0, r1) = self._near_first(gc, side, left, count)
+        if base + r0 <= gc.r * gc.q:
+            return None
+        lq = gc.length * gc.q
+        a = base + shift
+        return (a, a + count * lq), (base + r0, base + r0 + (count - 1) * lq,
+                                     base + r1, base + r1 + count * lq)
+
+    def _width(self, gc: _CellConstants, left: int, count: int) -> float:
+        """Width over S of the block's bracket: its coefficients' widths
+        summed over j, for the first- or second-order bracket, whichever
+        is smaller.
+
+        With z = R/(d - R) = sum over j of e^(j+1), the first order gives
+        (M/R) * (z_near - z_far), and twice that for a run.  Summing over j,
+        (j+1)(j+2) e^(j+3) gives 2z^3 and (j+1) e^(j+2) gives z^2, and the
+        centred second-order bracket is at most twice as wide as the one it
+        centres: 4 mv (z_near^3 - z_far^3) for a carrier over its hull, and
+        2 (mv + mw) (2 z_p0^3 + (R/L) (z_p0^2 - z_pl^2 - z_q0^2 + z_qe^2))
+        for a run whose regions stay farther than R from c.
+        """
+        r = gc.r
+        side, d_near, d_far = self._distances(gc, *self._mass_span(gc, left, count))
+        first = ((1 if count == 1 else 2) * gc.mass_num * (d_far - d_near)
+                 / (gc.mass_den * (d_near - r) * (d_far - r)))
+        if count == 1:
+            z_near, z_far = r / (d_near - r), r / (d_far - r)
+            return min(first, 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3))
+        points = self._run_points(gc, side, left, count)
+        if points is None:
+            return first
+        rq = r * gc.q
+        z0, zl, zq, ze = (rq / (p - rq) for p in points[1])
+        second = 2 * (gc.mv[1] + gc.mw[1]) * (
+            2 * z0 ** 3 + gc.mu[1] * (z0 * z0 - zl * zl - zq * zq + ze * ze))
+        return min(first, second)
+
+    def _block_series(self, sums: dict, gen: int, left: int, count: int,
+                      tol: float) -> float:
+        """Add the block's coefficient magnitudes to `sums[side]` and return
+        the tail of its cut series; count 0 is an expanded carrier's support
+        cell, at its own density."""
+        gc = self._consts(gen)
+        r = gc.r
+        side, d_near, d_far = self._distances(gc, *self._mass_span(gc, left, count))
+        e_near, e_far = ratio_bounds(r, d_near), ratio_bounds(r, d_far)
+        acc_lo, acc_hi = sums[side]
+        if count == 0:
+            return _density_series(acc_lo, acc_hi, gc.w_next, 0.0, d_near, d_far,
+                                   e_near, e_far, tol)
+        rq = r * gc.q
+        if count == 1:
+            base, (cen, *_rest) = self._near_first(gc, side, left, 1)
+            return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, tol,
+                                (gc.mv, ratio_bounds(rq, base + cen)))
+        # a run at the carriers' mean density, off by one cell's mass, and
+        # shifted onto the centroids where its regions stay farther than R
+        points = self._run_points(gc, side, left, count)
+        if points is not None:
+            ends, lattice = points
+            points = ((gc.mv, gc.mw, gc.mvw, gc.mu), ends,
+                      tuple(ratio_bounds(rq, d) for d in ends),
+                      tuple(ratio_bounds(rq, d) for d in lattice))
+        return _density_series(acc_lo, acc_hi, gc.density, gc.mass_r[1], d_near, d_far,
+                               e_near, e_far, tol, points)
 
     def _descend(self):
         """Split the mass of S's carrier chain, root first.
@@ -352,10 +558,9 @@ class CellField:
         `budget`; returns the frontier, as heap entries (-width, push index,
         gen, left, count), and the expansion count.
 
-        A block's width is its kernel range at the end of S nearest to it,
-        mass * (1/(d_near - R) - 1/(d_far - R)), which is the sum of its
-        coefficients' widths; a run's is twice that of one cell's mass.
-        Expanded carriers leave their support cells in `slivers`.
+        A block's width is `_width`, which bounds the sum of its
+        coefficients' widths, so the frontier's widths bound the field's
+        over S.  Expanded carriers leave their support cells in `slivers`.
         """
         up, children = 3 ** self.model.k, 3 ** (self.model.k - 1)
         heap: list[tuple] = []
@@ -363,11 +568,7 @@ class CellField:
         pushed = expansions = 0
         while True:
             for gen, left, count in runs:
-                gc = self._consts(gen)
-                r = gc.den // self.xd
-                _side, d_near, d_far = self._distances(gc, *self._mass_span(gc, left, count))
-                width = ((1 if count == 1 else 2) * gc.mass_num * (d_far - d_near)
-                         / (gc.mass_den * (d_near - r) * (d_far - r)))
+                width = self._width(self._consts(gen), left, count)
                 pending += width
                 heapq.heappush(heap, (-width, pushed, gen, left, count))
                 pushed += 1
@@ -387,40 +588,15 @@ class CellField:
     def _sum_series(self, frontier, slivers, budget: float):
         """Certified coefficients (lo, hi) of the field's series in u and
         a bound on what the cut series leave out, for |u| <= 1."""
-        tol = _TAIL_SHARE * budget / (2 * max(1, len(frontier) + len(slivers)))
+        blocks = [(gen, left, count) for *_key, gen, left, count in frontier]
+        blocks += [(gen, sl, 0) for gen, sl in slivers]
+        tol = _TAIL_SHARE * budget / (2 * max(1, len(blocks)))
         # magnitudes of the terms left and right of c: left of c, term j
         # enters with sign (-1)^j, right of c with sign -1
         sums = {-1: ([], []), 1: ([], [])}
         tail = 0.0
-
-        def items():
-            """(constants, count, mass span) of each block, count 0 for a
-            support cell."""
-            for *_key, gen, left, count in frontier:
-                gc = self._consts(gen)
-                yield (gc, count, *self._mass_span(gc, left, count))
-            for gen, sl in slivers:
-                gc = self._consts(gen)
-                yield gc, 0, sl, sl + gc.slen
-
-        for gc, count, lo, hi in items():
-            r = gc.den // self.xd
-            side, d_near, d_far = self._distances(gc, lo, hi)
-            e_near, e_far = ratio_bounds(r, d_near), ratio_bounds(r, d_far)
-            acc_lo, acc_hi = sums[side]
-            if count == 0:
-                # an expanded carrier's support cell, at its own density
-                t = _density_series(acc_lo, acc_hi, gc.w_next, 0.0, d_near, d_far,
-                                    e_near, e_far, tol)
-            else:
-                mass_r = ratio_bounds(gc.mass_num, gc.mass_den * r)
-                if count == 1:
-                    t = _cell_series(acc_lo, acc_hi, mass_r, e_near, e_far, tol)
-                else:
-                    # a run at the carriers' mean density, off by one cell's mass
-                    t = _density_series(acc_lo, acc_hi, gc.density, mass_r[1],
-                                        d_near, d_far, e_near, e_far, tol)
-            tail = nextafter(tail + t, _INF)
+        for gen, left, count in blocks:
+            tail = nextafter(tail + self._block_series(sums, gen, left, count, tol), _INF)
         (l_lo, l_hi), (r_lo, r_hi) = sums[-1], sums[1]
         coeffs = []
         for j in range(max(len(l_lo), len(r_lo), 1)):

@@ -94,6 +94,7 @@ class WeightModel:
         self.scale = pow_enclosure(Enclosure.exact(Q(k)), -params.r)
         self.depth = params.depth
         self.family_cap = family_cap
+        self._moments: dict[int, tuple[Fraction, Fraction]] = {}
         self._materialize()
 
     # -- counts and closed forms ------------------------------------------
@@ -121,6 +122,47 @@ class WeightModel:
 
     def carrier_w_mass(self, gen: int) -> Fraction:
         return Q(1, (self.u + 1) ** gen)
+
+    def carrier_moments(self, gen: int) -> tuple[Fraction, Fraction]:
+        """Centroid and variance of a generation-`gen` carrier's w-mass, in
+        support-cell lengths from the carrier's left end.
+
+        The mass is u + 1 equal parts: the core tiles i = u..2u-1, each a
+        next-generation carrier scaled by 3^-k, and the support cell, which
+        carries it uniformly.  So the centroid A and second moment B satisfy
+            A_g = (s1 + A_(g+1)/3 + s + 1/2) / (u + 1)
+            B_g = (s2 + 2*s1*A_(g+1)/(3u) + B_(g+1)/(9u) + s^2 + s + 1/3) / (u + 1)
+        with s1, s2 the sums of i and i^2 over the core and s the support
+        offset of generation g + 1.  The map contracts and repeats with the
+        placement's period (1, or 2 for alternating), whose fixed point is
+        the limit measure's.
+        """
+        period = 2 if self.params.placement == "alternating" else 1
+        cached = self._moments.get(gen % period)
+        if cached is not None:
+            return cached
+        u = self.u
+        s1 = Fraction(u * (3 * u - 1), 2)
+        s2 = Fraction(u * (2 * u - 1) * (7 * u - 1), 6)
+
+        def over_period(a, b):
+            # the moments of generation gen from those of generation gen + period
+            for h in range(gen + period, gen, -1):
+                s = self.support_offset(h)
+                a, b = ((s1 + a / 3 + s + Fraction(1, 2)) / (u + 1),
+                        (s2 + 2 * s1 * a / (3 * u) + b / (9 * u) + s * s + s
+                         + Fraction(1, 3)) / (u + 1))
+            return a, b
+
+        # the map is affine, A' = a0 + (a1 - a0) A and B' = b0 + (b1 - b0) A
+        # + (b2 - b0) B, so its images of (0, 0), (1, 0) and (0, 1) fix it
+        a0, b0 = over_period(Fraction(0), Fraction(0))
+        a1, b1 = over_period(Fraction(1), Fraction(0))
+        _a, b2 = over_period(Fraction(0), Fraction(1))
+        centroid = a0 / (1 - (a1 - a0))
+        second = (b0 + (b1 - b0) * centroid) / (1 - (b2 - b0))
+        self._moments[gen % period] = cached = (centroid, second - centroid * centroid)
+        return cached
 
     def carrier_sigma_mass(self, gen: int) -> Enclosure:
         return self.c * Q(1, 3 ** self.k) * self.b.pow_int(gen) * Q(1, 3 ** (gen * self.k))

@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -425,25 +426,29 @@ def test_cell_integral_reuses_fine_panels(monkeypatch, k, levels, nodes):
 @pytest.mark.parametrize("placement", ["right", "left", "alternating"])
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
 def test_cell_field_encloses_hilbert_weight(k, placement):
-    """At every quadrature point of a support cell, and at u = +-(1 - 3^-12)
-    next to its ends, the cell model's enclosure meets the point walk's and
-    is no wider than the budget."""
+    """At every quadrature point of the first, middle and last support cell
+    of a generation, and at u = +-(1 - 3^-12) next to its ends, the cell
+    model's enclosure meets the point walk's and is no wider than the
+    budget."""
     m = model(k=k, placement=placement)
     for gen in (1, 2):
         cells = m.support_cells(gen)
-        cell = cells[len(cells) // 2].cell
         budget = 2e-3 * k * float(m.w_value(gen))
-        field = treewalk.CellField(m, cell, budget)
-        half, mid = cell.length / 2, (cell.left + cell.right) / 2
-        points = [mid + half * u for u in (Q(1, 3 ** 12) - 1, 1 - Q(1, 3 ** 12))]
-        for pa, pb in hilbert._edge_panels(cell.left, cell.right, 2):
-            half, mid = (pb - pa) / 2, (pa + pb) / 2
-            points += [mid + half * Q(xi) for xi in hilbert._GAUSS[2][0]]
-        for x in points:
-            lo, hi = field.enclose(x)
-            hv = hilbert_weight(m, x, tail_budget=budget)
-            assert lo <= hv.value.hi and hv.value.lo <= hi
-            assert hi - lo <= budget * (1 + 1e-9)
+        # the chain's ends are where a shifted run comes closest to S
+        ends = [m.place_core(m.jcell(gen, branch), gen)[0]
+                for branch in (0, m.jcell_count(gen) - 1)]
+        for cell in dict.fromkeys([cells[len(cells) // 2].cell, *ends]):
+            field = treewalk.CellField(m, cell, budget)
+            half, mid = cell.length / 2, (cell.left + cell.right) / 2
+            points = [mid + half * u for u in (Q(1, 3 ** 12) - 1, 1 - Q(1, 3 ** 12))]
+            for pa, pb in hilbert._edge_panels(cell.left, cell.right, 2):
+                half, mid = (pb - pa) / 2, (pa + pb) / 2
+                points += [mid + half * Q(xi) for xi in hilbert._GAUSS[2][0]]
+            for x in points:
+                lo, hi = field.enclose(x)
+                hv = hilbert_weight(m, x, tail_budget=budget)
+                assert lo <= hv.value.hi and hv.value.lo <= hi
+                assert hi - lo <= budget * (1 + 1e-9)
 
 
 # Reference copy of the descent that `CellField` ran before it read S's
@@ -547,6 +552,114 @@ def _inside(value: Q, lo: float, hi: float) -> bool:
     return Q(lo) <= value <= Q(hi)
 
 
+# Second-order brackets against discrete measures that have a carrier's
+# exact mass, centroid and variance inside its mass hull.
+
+def _three_atoms(h0, cen, h1, var):
+    """(position, share) at h0, cen and h1 with centroid cen and variance
+    var; the shares are >= 0 because var <= (cen - h0)(h1 - cen)."""
+    alpha, beta = cen - h0, h1 - cen
+    w0, w1 = var / (alpha * (alpha + beta)), var / (beta * (alpha + beta))
+    return [(h0, w0), (cen, 1 - w0 - w1), (h1, w1)]
+
+
+def _two_atoms(h0, cen, var):
+    x, y = cen - h0, var / (cen - h0)
+    return [(h0, y / (x + y)), (cen + y, x / (x + y))]
+
+
+def _carrier_atoms(m, gen, tile, kind):
+    """A discrete measure of unit mass with a generation-`gen` carrier's
+    centroid and variance, as (offset from its left end, share), where a
+    support cell is `tile` long; "parts" is the carrier's u + 1 parts one
+    generation down: its core tiles with their own moments and its support
+    cell, each with the first two moments of the part."""
+    u = m.u
+
+    def hull(g, unit):
+        s = m.support_offset(g + 1)
+        return min(u, s) * unit, max(2 * u, s + 1) * unit
+
+    centroid, variance = m.carrier_moments(gen)
+    (h0, h1), cen, var = hull(gen, tile), centroid * tile, variance * tile ** 2
+    if kind == "two":
+        return _two_atoms(h0, cen, var)
+    if kind == "three":
+        return _three_atoms(h0, cen, h1, var)
+    sub = tile / (3 * u)
+    c1, v1 = m.carrier_moments(gen + 1)
+    t0, t1 = hull(gen + 1, sub)
+    core = _three_atoms(t0, c1 * sub, t1, v1 * sub ** 2)
+    # Simpson's shares give the uniform support cell's variance tile^2/12
+    support = [(0, Q(1, 6)), (tile / 2, Q(2, 3)), (tile, Q(1, 6))]
+    s, part = m.support_offset(gen + 1) * tile, Q(1, u + 1)
+    return ([(i * tile + o, part * w) for i in range(u, 2 * u) for o, w in core]
+            + [(s + o, part * w) for o, w in support])
+
+
+def _exact_terms(atoms, mass_r, r, x, left, count, length, terms, bits=256):
+    """Bounds (lo, hi), 2^-bits-close, on term j = (M/R) * the sum over the
+    atoms of (R/d)^(j+1), for `count` translates of the carrier `length`
+    apart, j < `terms`.  Every quantity is positive, so fixed-point integers
+    rounded down and up keep the exact rational between the two."""
+    one = 1 << bits
+    lo, hi = [0] * terms, [0] * terms
+    for i in range(count):
+        for o, w in atoms:
+            e = Q(r) / abs(left + i * length + o - x)
+            lead = mass_r * w * e
+            e_lo, e_hi = e.numerator * one // e.denominator, -(-e.numerator * one // e.denominator)
+            p_lo = lead.numerator * one // lead.denominator
+            p_hi = -(-lead.numerator * one // lead.denominator)
+            for j in range(terms):
+                lo[j] += p_lo
+                hi[j] += p_hi
+                p_lo, p_hi = (p_lo * e_lo) >> bits, -((-p_hi * e_hi) >> bits)
+    return [(Q(a, one), Q(b, one)) for a, b in zip(lo, hi)]
+
+
+@pytest.mark.parametrize("placement", ["right", "left", "alternating"])
+@pytest.mark.parametrize("kind,count", [("two", 1), ("three", 1), ("parts", 1), ("three", 2),
+                                        ("parts", 7), ("two", 40), ("three", 40)])
+def test_moment_brackets_hold_exact_coefficients(placement, kind, count):
+    """Each coefficient of a carrier or a run of n translated carriers, on
+    either side of c, holds the exact coefficient of a discrete measure with
+    the carrier's mass, centroid and variance; the tail bounds the rest, the
+    widths sum to at most the walk's width, and that width is below the
+    first-order one wherever the second-order bracket applies."""
+    m = model(k=3, placement=placement)
+    field = treewalk.CellField(m, m.support_cells(2)[4].cell, 1e-3)
+    g = len(field.chain)  # carriers of generation g are as long as S
+    for gen in (g, g + 1):
+        gc = field._consts(gen)
+        r, length = gc.r, gc.length
+        atoms = _carrier_atoms(m, gen, Q(field.xd), kind)
+        mass_r = Q(gc.mass_num, gc.mass_den * r)
+        for side in (-1, 1):
+            # a run next to S would reach e = 1; one a tile away may have
+            # regions within R of c, where only the first order applies
+            for gap in (0 if count == 1 else field.xd, length, 5 * length):
+                left = gc.x + r + gap if side == 1 else gc.x - r - gap - count * length
+                sums = {-1: ([], []), 1: ([], [])}
+                tail = field._block_series(sums, gen, left, count, 1e-12 * float(mass_r))
+                lo, hi = sums[side]
+                assert not sums[-side][0]
+                terms = len(lo) + (120 if kind == "two" else 0)
+                exact = _exact_terms(atoms, mass_r, r, gc.x, left, count, length, terms)
+                for j in range(len(lo)):
+                    assert Q(lo[j]) <= exact[j][0] and exact[j][1] <= Q(hi[j]), (gen, side, gap, j)
+                if kind == "two":
+                    assert sum(t_hi for _t_lo, t_hi in exact[len(lo):]) <= Q(tail)
+                width = field._width(gc, left, count)
+                assert sum(h - l for l, h in zip(lo, hi)) <= width * (1 + 1e-9)
+                span = field._mass_span(gc, left, count)
+                _side, d_near, d_far = field._distances(gc, *span)
+                first = (1 if count == 1 else 2) * float(
+                    mass_r * (Q(r, d_near - r) - Q(r, d_far - r)))
+                if gap >= length:
+                    assert width < first / 2
+
+
 @pytest.mark.parametrize("d_near,d_far", [(2, 3), (2, 50), (7, 8), (40, 41)])
 def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
     """Each series term encloses the exact rational term of a mass laid out
@@ -601,3 +714,18 @@ def test_series_reject_a_ratio_bound_not_below_one(e_hi):
         treewalk._cell_series([], [], (0.5, 0.5), e_near, e_far, 1e-9)
     with pytest.raises(ValueError, match="not below 1"):
         treewalk._density_series([], [], (2.0, 2.0), 0.0, 1, 4, e_near, e_far, 1e-9)
+
+
+@pytest.mark.parametrize("k,levels", [(6, 3), (12, 1)])
+def test_norm_ratio_default_budget_drift_and_expansions(k, levels):
+    """At the default budget the ratio is within 1e-6 of the one at a
+    hundredth of it, and at the benchmark's budget a cell takes at most 150
+    expansions (first-order brackets alone take several hundred)."""
+    m = model(k=k, depth=2)
+    args = dict(p=2, nodes=3, edge_levels=levels, cells_per_gen=1, gen_cap=2, seed=1)
+    budget = inspect.signature(hilbert.hilbert_norm_ratio).parameters["budget_rel"].default
+    ratio = hilbert.hilbert_norm_ratio(m, **args)["ratio"]
+    finer = hilbert.hilbert_norm_ratio(m, budget_rel=budget / 100, **args)["ratio"]
+    assert abs(ratio - finer) <= 1e-6 * finer
+    # one cell per generation
+    assert hilbert.hilbert_norm_ratio(m, budget_rel=2e-3, **args)["expansions"] <= 150 * 2

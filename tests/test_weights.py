@@ -177,3 +177,55 @@ def test_generations_out_of_range_are_rejected():
             m.jcell(gen, 0)
     assert m.kcell(0, 0) == TriadicCell("") and m.jcell(1, 0) == TriadicCell("1")
     assert [m.jcell_count(g) for g in (1, 2, 3)] == [m.kcell_count(g) for g in (0, 1, 2)]
+
+
+def _brute_moments(m, gen, depth):
+    """Bounds on the first and second moments of a generation-`gen`
+    carrier's w-mass (unit total, in support-cell lengths from its left
+    end), from its parts carried `depth` generations down as explicit
+    cells; each carrier left at the bottom puts its mass somewhere in its
+    hull."""
+    u = m.u
+    first = second = Q(0)
+    carriers, weight = [Q(0)], Q(1)  # left ends; tile length `tile`, mass `weight` each
+    tile = Q(1)
+    for g in range(gen, gen + depth):
+        s = m.support_offset(g + 1)
+        weight /= u + 1
+        for left in carriers:
+            a = left + s * tile  # the support cell [a, a + tile), uniform
+            first += weight * (a + tile / 2)
+            second += weight * (a * a + a * tile + tile * tile / 3)
+        carriers = [left + i * tile for left in carriers for i in range(u, 2 * u)]
+        tile /= 3 * u
+    s = m.support_offset(gen + depth + 1)
+    h0, h1 = min(u, s) * tile, max(2 * u, s + 1) * tile
+    lo = (first + weight * sum(c + h0 for c in carriers),
+          second + weight * sum((c + h0) ** 2 for c in carriers))
+    hi = (first + weight * sum(c + h1 for c in carriers),
+          second + weight * sum((c + h1) ** 2 for c in carriers))
+    return lo, hi
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_carrier_moments_match_the_measure(k, placement):
+    """The closed-form centroid and variance are those of the carrier's
+    mass, enumerated down to several hundred cells, and obey the hull."""
+    m = build_construction(ConstructionParams(k=k, depth=1, placement=placement))
+    depth = {2: 6, 3: 3}.get(k, 2)
+    u = m.u
+    for gen in (0, 1):  # both parities of an alternating placement
+        centroid, variance = m.carrier_moments(gen)
+        (a_lo, b_lo), (a_hi, b_hi) = _brute_moments(m, gen, depth)
+        assert a_lo <= centroid <= a_hi
+        assert b_lo <= variance + centroid ** 2 <= b_hi
+        assert a_hi - a_lo <= Q(3 * u, (3 * u) ** depth)
+        s = m.support_offset(gen + 1)
+        h0, h1 = min(u, s), max(2 * u, s + 1)
+        assert h0 < centroid < h1
+        assert 0 < variance <= ((h1 - h0) / 2) ** 2
+        # the Bhatia-Davis bound for mass on [h0, h1] with this centroid
+        assert variance <= (centroid - h0) * (h1 - centroid)
+    if placement != "alternating":
+        assert m.carrier_moments(0) == m.carrier_moments(1)
