@@ -10,14 +10,17 @@ whole support cells for the norm-ratio quadrature.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .enclosure import FloatInterval, Q, log_abs_ratio_interval
-from .measures import MeasureQuery, mass
+from .measures import w_slabs
 from .treewalk import BoundaryError, CellField, walk
-from .triadic import IntervalQ, TriadicCell
+from .triadic import TriadicCell
 from .weights import WeightModel
 
 _INF = float("inf")
@@ -279,72 +282,68 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
 
     The upper bound maximizes full-slab masses over shrunken windows against
     breakpoint candidates; the lower bound averages exact slab masses over
-    realized windows.  Both use the measures module, so frontier cells below
-    the refinement depth enter adversarially as [0, full mass].
+    realized windows.  `measures.w_slabs` gives the slab masses, one descent
+    per cut, with frontier cells below the refinement depth as [0, full
+    mass].  Cuts, x and masses live on integer scales, and each bound is
+    one Fraction at the end.
     """
+    if extra_gens < 0:
+        raise ValueError(f"extra_gens must be >= 0, got {extra_gens}")
     x = Fraction(x)
     chain = model.carriers_holding(x, x)
     home_gen = len(chain)
     k = model.k
+    # one integer scale for x and every cut: a home support cell spans
+    # den / 3^(home_gen*k) units, a multiple of 48, so lam/16 and lam/3 are whole
+    den = math.lcm(x.denominator, 16 * 3 ** (home_gen * k + 1))
+    at_x = x.numerator * (den // x.denominator)
     # every carrier of the chain contributes its ends, its core's and those
     # of the support cell beside its core
-    points = {Q(0), Q(1)}
+    points = {0, den}
     for gen, index in enumerate(chain):
-        den = 3 ** (gen * k)
-        core_l, core_r = Q(3 * index + 1, 3 * den), Q(3 * index + 2, 3 * den)
-        hl = Q(index * 3 ** k + model.support_offset(gen + 1), den * 3 ** k)
-        hr = hl + Q(1, den * 3 ** k)
-        points.update({Q(index, den), Q(index + 1, den), core_l, core_r, hl, hr})
-    if not hl <= x < hr:
+        size = den // 3 ** (gen * k)
+        lam = size // 3 ** k
+        core_l, core_r = (3 * index + 1) * size // 3, (3 * index + 2) * size // 3
+        hl = (index * 3 ** k + model.support_offset(gen + 1)) * lam
+        points.update({index * size, (index + 1) * size, core_l, core_r, hl, hl + lam})
+    hr = hl + lam
+    if not hl <= at_x < hr:
         raise ValueError(f"x={x} lies outside the support of w")
-    lam = hr - hl
     # geometric breakpoints around x keep every window's end slab short
     # relative to its distance, so full-slab numerators stay proportionate
-    d = lam / 16
-    while d < 2:
-        for cand in (x - d, x + d):
-            if 0 < cand < 1:
-                points.add(cand)
+    d = lam // 16
+    while d < 2 * den:
+        points.update(c for c in (at_x - d, at_x + d) if 0 < c < den)
         d *= 2
     # split off the core tiles flanking the home support cell; their middle
     # thirds (where any deeper mass lives) become their own slabs
     for t_left in (hl - lam, hr):
         if core_l <= t_left and t_left + lam <= core_r:
             points.update({t_left, t_left + lam,
-                           t_left + lam / 3, t_left + 2 * lam / 3})
-    cuts = sorted(p for p in points if 0 <= p <= 1)
-    depth = (home_gen + extra_gens + 2) * model.k
-    slabs = []
-    for a, b in zip(cuts, cuts[1:]):
-        if a >= b:
-            continue
-        m = mass(model, MeasureQuery("w", IntervalQ(a, b), depth))
-        slabs.append({"a": a, "b": b, "mass": m})
-    idx_x = next(i for i, s in enumerate(slabs) if s["a"] <= x < s["b"])
-    n = len(slabs)
-    prefix_hi = [Q(0)]
-    prefix_lo = [Q(0)]
-    for s in slabs:
-        prefix_hi.append(prefix_hi[-1] + s["mass"].hi)
-        prefix_lo.append(prefix_lo[-1] + s["mass"].lo)
+                           t_left + lam // 3, t_left + 2 * lam // 3})
+    ends = sorted(points)
+    slabs, scale = w_slabs(model, ends, den, (home_gen + extra_gens + 2) * k)
+    idx_x = bisect_right(ends, at_x) - 1
+    prefix_lo = [0, *accumulate(lo for lo, _ in slabs)]
+    prefix_hi = [0, *accumulate(hi for _, hi in slabs)]
+    # the window of slabs i..j: full masses over the span from the end of
+    # slab i (or x) to the start of slab j (or x), exact masses over all of it
+    lefts = ends[1:idx_x + 1] + [at_x]
+    tails = list(zip([at_x] + ends[idx_x + 1:-1], prefix_hi[idx_x + 1:],
+                     prefix_lo[idx_x + 1:], ends[idx_x + 1:]))
+    best_up, best_lo = (0, 1), (0, 1)  # numerator and length of the best window
+    for lo_pt, h0, l0, a in zip(lefts, prefix_hi, prefix_lo, ends):
+        for hi_pt, h1, l1, b in tails:
+            span = hi_pt - lo_pt
+            if span <= 0:
+                continue
+            if (h1 - h0) * best_up[1] > best_up[0] * span:
+                best_up = (h1 - h0, span)
+            if (l1 - l0) * best_lo[1] > best_lo[0] * (b - a):
+                best_lo = (l1 - l0, b - a)
     w_home = model.w_value(home_gen)
-    upper = w_home
-    lower = w_home
-    for i in range(idx_x + 1):
-        for j in range(idx_x, n):
-            if i == idx_x and j == idx_x:
-                continue
-            num = prefix_hi[j + 1] - prefix_hi[i]
-            lo_pt = x if i == idx_x else slabs[i]["b"]
-            hi_pt = x if j == idx_x else slabs[j]["a"]
-            denom = hi_pt - lo_pt
-            if denom <= 0:
-                continue
-            upper = max(upper, num / denom)
-            num_lo = prefix_lo[j + 1] - prefix_lo[i]
-            win = slabs[j]["b"] - slabs[i]["a"]
-            if win > 0:
-                lower = max(lower, num_lo / win)
+    upper = max(w_home, Q(best_up[0] * den, best_up[1] * scale))
+    lower = max(w_home, Q(best_lo[0] * den, best_lo[1] * scale))
     return {"x": x, "gen": home_gen, "w": w_home,
             "lower": lower, "upper": upper,
             "ratio_upper": float(upper / w_home)}

@@ -141,6 +141,45 @@ def _interval_mass(model: WeightModel, which: str, a: Fraction, b: Fraction,
     return enclosure_sum(terms)
 
 
+def _w_prefix(model: WeightModel, t: int, den: int, max_depth: int):
+    """w-mass of [0, t/den) by one descent of its end's carrier chain.
+
+    Units are `_interval_mass`'s; a generation-g unit weighs (u+1)^-g, core
+    tile or support cell.  Returns (G, tile): G/(den*(u+1)^L) is the exact
+    mass up to the core tile that t/den cuts at generation L = max_depth//k
+    + 1, where the budget runs out (a tile that weighs den on this scale),
+    and tile is its index, or None if the descent ends first.
+    """
+    k, u, step = model.k, model.u, 3 ** model.k
+    last = max_depth // k + 1
+    total, carrier, scale = 0, 0, 1
+    for child in range(1, last + 1):
+        scale *= step
+        core = carrier * step + u
+        support = carrier * step + model.support_offset(child)
+        q, r = divmod(t * scale, den)
+        units = den * (min(max(q - core, 0), u) + (support < q)) + (r if support == q else 0)
+        total += units * (u + 1) ** (last - child)
+        if not r or not core <= q < core + u:
+            return total, None
+        carrier = q
+    return total, carrier
+
+
+def w_slabs(model: WeightModel, ends: list[int], den: int, max_depth: int):
+    """`mass`'s w enclosures of the slabs between sorted cuts ends[i]/den, as
+    integer (lo, hi) over one returned denominator: [G(b) - G(a) - m_a,
+    G(b) - G(a) + m_b] with m the mass of the frontier tile an end cuts (0 if
+    none), or [0, m] when both ends cut the same tile.  Only w's masses are
+    exact, so only for w do prefix differences not widen the enclosures.
+    """
+    cuts = [_w_prefix(model, t, den, max_depth) for t in ends]
+    slabs = [(0, den) if ta is not None and ta == tb
+             else (gb - ga - (ta is not None) * den, gb - ga + (tb is not None) * den)
+             for (ga, ta), (gb, tb) in zip(cuts, cuts[1:])]
+    return slabs, den * (model.u + 1) ** (max_depth // model.k + 1)
+
+
 def _composite_mass(comp: CompositeWeight, query: MeasureQuery) -> Enclosure:
     if query.which == "w":
         raise ValueError("composite weights expose wTilde and sigma only")

@@ -16,7 +16,9 @@ from twoweightlab.enclosure import (FloatInterval, log_abs_ratio_interval,
 from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
                                   hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
-from twoweightlab.weights import ConstructionParams, build_construction
+from twoweightlab.measures import MeasureQuery, mass, w_slabs
+from twoweightlab.triadic import IntervalQ
+from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
 
 
 def model(k=4, depth=2, placement="right"):
@@ -176,6 +178,157 @@ def test_maximal_report_within_13():
     m = model(k=5)
     rep = maximal_report(m, 2, cells_per_gen=3, seed=1)
     assert rep["all_within_13"]
+
+
+@pytest.mark.parametrize("extra_gens", [-1, -3, -4])
+def test_maximal_rejects_negative_extra_gens(extra_gens):
+    m = model(k=4)
+    x = probe_points(m, 1, 1, 1, 0)[0][1]
+    with pytest.raises(ValueError, match="extra_gens"):
+        maximal_at(m, x, extra_gens)
+    with pytest.raises(ValueError, match="extra_gens"):
+        maximal_report(m, 1, cells_per_gen=1, extra_gens=extra_gens)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of `maximal_at` with one `mass` query per slab and the
+# window loop on Fractions.  The library's version reads its slab masses from
+# one descent per cut and compares windows on integers; it must give
+# bit-identical results.
+
+def _reference_maximal_at(model, x, extra_gens=2):
+    x = Q(x)
+    chain = model.carriers_holding(x, x)
+    home_gen = len(chain)
+    k = model.k
+    points = {Q(0), Q(1)}
+    for gen, index in enumerate(chain):
+        den = 3 ** (gen * k)
+        core_l, core_r = Q(3 * index + 1, 3 * den), Q(3 * index + 2, 3 * den)
+        hl = Q(index * 3 ** k + model.support_offset(gen + 1), den * 3 ** k)
+        hr = hl + Q(1, den * 3 ** k)
+        points.update({Q(index, den), Q(index + 1, den), core_l, core_r, hl, hr})
+    if not hl <= x < hr:
+        raise ValueError(f"x={x} lies outside the support of w")
+    lam = hr - hl
+    d = lam / 16
+    while d < 2:
+        for cand in (x - d, x + d):
+            if 0 < cand < 1:
+                points.add(cand)
+        d *= 2
+    for t_left in (hl - lam, hr):
+        if core_l <= t_left and t_left + lam <= core_r:
+            points.update({t_left, t_left + lam,
+                           t_left + lam / 3, t_left + 2 * lam / 3})
+    cuts = sorted(p for p in points if 0 <= p <= 1)
+    depth = (home_gen + extra_gens + 2) * model.k
+    slabs = []
+    for a, b in zip(cuts, cuts[1:]):
+        if a >= b:
+            continue
+        m = mass(model, MeasureQuery("w", IntervalQ(a, b), depth))
+        slabs.append({"a": a, "b": b, "mass": m})
+    idx_x = next(i for i, s in enumerate(slabs) if s["a"] <= x < s["b"])
+    n = len(slabs)
+    prefix_hi = [Q(0)]
+    prefix_lo = [Q(0)]
+    for s in slabs:
+        prefix_hi.append(prefix_hi[-1] + s["mass"].hi)
+        prefix_lo.append(prefix_lo[-1] + s["mass"].lo)
+    w_home = model.w_value(home_gen)
+    upper = w_home
+    lower = w_home
+    for i in range(idx_x + 1):
+        for j in range(idx_x, n):
+            if i == idx_x and j == idx_x:
+                continue
+            num = prefix_hi[j + 1] - prefix_hi[i]
+            lo_pt = x if i == idx_x else slabs[i]["b"]
+            hi_pt = x if j == idx_x else slabs[j]["a"]
+            denom = hi_pt - lo_pt
+            if denom <= 0:
+                continue
+            upper = max(upper, num / denom)
+            num_lo = prefix_lo[j + 1] - prefix_lo[i]
+            win = slabs[j]["b"] - slabs[i]["a"]
+            if win > 0:
+                lower = max(lower, num_lo / win)
+    return {"x": x, "gen": home_gen, "w": w_home,
+            "lower": lower, "upper": upper,
+            "ratio_upper": float(upper / w_home)}
+
+
+def _maximal_points(m, gen, rng):
+    """Probe midpoints, a seeded sample and the left end of a support cell."""
+    xs = [x for _, x in probe_points(m, gen, 2, 1, rng.randrange(100))]
+    cell = rng.choice(m.support_cells(gen)).cell
+    return xs + [cell.left + cell.length * Q(rng.randrange(1, 997), 997), cell.left]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_maximal_matches_reference(k):
+    rng = random.Random(f"maximal|{k}")
+    m = model(k=k, placement=PLACEMENTS[k % 3])
+    for gen in (1, 2):
+        for x in _maximal_points(m, gen, rng):
+            for extra_gens in range(4):
+                got = maximal_at(m, x, extra_gens)
+                want = _reference_maximal_at(m, x, extra_gens)
+                assert got == want and repr(got) == repr(want), (gen, x, extra_gens)
+
+
+def _chain_point(m, gens, rng):
+    """A point in a random core tile of a random carrier chain `gens` deep."""
+    step, index = 3 ** m.k, 0
+    for _ in range(gens):
+        index = index * step + m.u + rng.randrange(m.u)
+    return (index + Q(rng.randrange(1, 89), 89)) / step ** gens
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_w_slabs_match_mass(k, placement):
+    m = model(k=k, placement=placement)
+    rng = random.Random(f"slabs|{k}|{placement}")
+    for max_depth in (k, 2 * k, 3 * k):
+        last = max_depth // k + 1  # where the descents meet their frontier tiles
+        inexact = shared = 0
+        for _ in range(6):
+            cuts = {Q(rng.randrange(1, 10 ** 6), 10 ** 6) for _ in range(6)}
+            cuts |= {_chain_point(m, rng.randrange(1, last + 2), rng) for _ in range(8)}
+            tile = _chain_point(m, last, rng)  # two cuts inside one frontier tile
+            cuts |= {tile, tile + Q(1, 97 * 3 ** (last * k))}
+            cuts = sorted(cuts)
+            den = math.lcm(*(c.denominator for c in cuts))
+            slabs, scale = w_slabs(m, [c.numerator * (den // c.denominator) for c in cuts],
+                                   den, max_depth)
+            assert len(slabs) == len(cuts) - 1
+            for (a, b), (lo, hi) in zip(zip(cuts, cuts[1:]), slabs):
+                want = mass(m, MeasureQuery("w", IntervalQ(a, b), max_depth))
+                assert (Q(lo, scale), Q(hi, scale)) == (want.lo, want.hi), (a, b)
+                inexact += lo < hi
+                shared += lo == 0 < hi and a >= tile and b <= tile + Q(1, 97 * 3 ** (last * k))
+        assert inexact and shared
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_maximal_upper_bounds_window_averages(k):
+    # independent of the slabs: every window [a, b] that holds x averages at
+    # most `upper`, by `mass` at the default depth
+    rng = random.Random(f"windows|{k}")
+    m = model(k=k)
+    for gen in (1, 2):
+        for _, x in probe_points(m, gen, 3, 2, k):
+            res = maximal_at(m, x)
+            assert res["w"] <= res["lower"] <= res["upper"]
+            for _ in range(12):
+                size = Q(1, 3 ** rng.randrange((gen + 2) * k))
+                a = max(Q(0), x - size * Q(rng.randrange(0, 64), 63))
+                b = min(Q(1), x + size * Q(rng.randrange(0, 64), 63))
+                if a < b:
+                    got = mass(m, MeasureQuery("w", IntervalQ(a, b)))
+                    assert got.lo / (b - a) <= res["upper"], (x, a, b)
 
 
 # ---------------------------------------------------------------------------
