@@ -23,7 +23,7 @@ from .report import fit_loglog_slope, fit_slope, logspace
 from .sparse import (carleson_check, chain_decay_check, gen_adversarial,
                      gen_random_martingale, restricted_packing_check,
                      sparse_packing_check, testing_report, transplant_family)
-from .triadic import IntervalQ, TriadicCell, cell_from_index
+from .triadic import IntervalQ, TriadicCell, cell_from_index, cell_of
 from .weights import ConstructionParams, build_construction
 
 UNIT = IntervalQ(Q(0), Q(1))
@@ -109,7 +109,7 @@ def c03_packing(ks=range(2, 9)) -> dict:
     ok = True
     for k in ks:
         m = _model(k, depth=1, cap=16)
-        for carrier in (TriadicCell(""), m.kcell(1, 0)):
+        for carrier in (TriadicCell(0, 0), m.kcell(1, 0)):
             gen = carrier.depth // m.k
             full = packing_sum(m, carrier, "w")
             closed = (m.u + 1) * m.carrier_w_mass(gen)
@@ -188,7 +188,7 @@ def c05_testing_triadic(ks=(2, 3, 4, 5, 6), epsilons=(Q(1, 3), Q(1, 2), Q(2, 3))
                 if rep.kfree_ratio is not None:
                     worst = max(worst, rep.kfree_ratio)
             for kind in ("chainToward_IJ", "S1", "S2"):
-                fam = gen_adversarial(m, kind, TriadicCell(""), eps)
+                fam = gen_adversarial(m, kind, TriadicCell(0, 0), eps)
                 if not fam.members:
                     continue
                 rep = testing_report(m, fam, UNIT, max_depth=400)
@@ -220,7 +220,7 @@ def c06_testing_linear(ks=range(4, 13), eps=Q(1, 3)) -> dict:
     ok = True
     for k in ks:
         m = _model(k, depth=1, cap=16)
-        fam = gen_adversarial(m, "S3", TriadicCell(""), eps)
+        fam = gen_adversarial(m, "S3", TriadicCell(0, 0), eps)
         n_expected = _chain_length_oracle(k, eps)
         n_bound = (k * math.log(3) - math.log(2)) / math.log(1 / float(eps)) + 1
         if not (len(fam.members) == n_expected and len(fam.members) <= n_bound):
@@ -244,8 +244,8 @@ def c07_rescaled_trend(ks=range(4, 13), eps=Q(1, 3), seeds=(1, 2, 3)) -> dict:
     for k in ks:
         m = _model(k, depth=1, cap=16)
         worst = 0.0
-        fams = [gen_adversarial(m, "S3", TriadicCell(""), eps),
-                gen_adversarial(m, "boundaryChain", TriadicCell(""), eps)]
+        fams = [gen_adversarial(m, "S3", TriadicCell(0, 0), eps),
+                gen_adversarial(m, "boundaryChain", TriadicCell(0, 0), eps)]
         fams += [gen_random_martingale(6, eps, s) for s in seeds]
         for fam in fams:
             if not fam.members:
@@ -291,15 +291,7 @@ def c08_exact_inequalities(seeds=200, eps=Q(1, 2), p=2, depth=4) -> dict:
         if not rk["ok"]:
             violations.append(("restricted-packing", s))
         cp_measured = max(cp_measured, rk["measured_constant"])
-        coeffs = {}
-        for member in fam.members:
-            ratio = member.length
-            d = 0
-            while ratio < 1:
-                ratio *= 3
-                d += 1
-            idx = int(member.left / member.length)
-            coeffs[cell_from_index(d, idx).address] = Q(1)
+        coeffs = {cell_of(member).address: Q(1) for member in fam.members}
         f_leaves = [Q(rng.randint(0, 5)) for _ in range(3 ** depth)]
         res = carleson_check(depth, coeffs, f_leaves, p, 1 / (1 - eps))
         if not res["ok"]:

@@ -177,7 +177,7 @@ def cmd_sparse_test(args) -> int:
         if args.kind == "random":
             fam = gen_random_martingale(args.grid_depth, eps, (args.seed or 0) + s)
         else:
-            fam = gen_adversarial(model, args.kind, TriadicCell(""), eps)
+            fam = gen_adversarial(model, args.kind, TriadicCell(0, 0), eps)
         if not fam.members:
             continue
         rep = testing_report(model, fam, unit, max_depth=2 * model.k + 60)

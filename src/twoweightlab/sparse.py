@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure, qstr
 from .measures import MeasureQuery, average, carrier_generation, mass
-from .triadic import IntervalQ, TriadicCell, base3_digits, cell_from_index
+from .triadic import IntervalQ, TriadicCell, cell_from_address, cell_from_index, cell_of
 from .weights import WeightModel
 
 
@@ -72,15 +72,10 @@ def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
     """
     members = []
     for m in family.members:
-        length = m.length
-        depth = 0
-        while length < 1:
-            length *= 3
-            depth += 1
-        if length != 1:
+        sub = cell_of(m)
+        if sub is None:
             raise FamilyError("transplant needs triadic members")
-        sub = TriadicCell(cell.address + base3_digits(int(m.left * 3 ** depth), depth))
-        members.append(sub.interval())
+        members.append(cell.descendant(sub.depth, sub.index).interval())
     return SparseFamily(tuple(members), family.kind, family.sparseness)
 
 
@@ -188,10 +183,10 @@ def gen_random_martingale(grid_depth: int, eps, seed: int,
             return
         picks = rng.sample(range(3 ** j), take)
         for t in sorted(picks):
-            walk(TriadicCell(cell.address + base3_digits(t, j)))
+            walk(cell.descendant(j, t))
 
     if grid_depth >= 0 and rng.random() < 0.95:
-        walk(TriadicCell(""))
+        walk(TriadicCell(0, 0))
     fam = family_from_cells(members, "martingale", eps) if members else \
         SparseFamily(tuple(), "martingale", eps)
     if members:
@@ -217,7 +212,7 @@ def gen_adversarial(model: WeightModel, kind: str, carrier: TriadicCell,
         cells = _thin_chain(_ancestor_chain(carrier, placed), eps)
         return family_from_cells(cells, "martingale", eps)
     if kind == "S1":
-        path = [TriadicCell(core.address + "0" * t) for t in range(model.k - 1)]
+        path = [core.descendant(t, 0) for t in range(model.k - 1)]
         return family_from_cells(_thin_chain(path, eps), "martingale", eps)
     if kind == "S2":
         chain = _ancestor_chain(carrier, placed)[1:]  # strictly inside the side child
@@ -242,8 +237,7 @@ def gen_adversarial(model: WeightModel, kind: str, carrier: TriadicCell,
 
 
 def _ancestor_chain(carrier: TriadicCell, placed: TriadicCell) -> list[TriadicCell]:
-    return [TriadicCell(placed.address[:d])
-            for d in range(carrier.depth, placed.depth + 1)]
+    return [placed.ancestor(d) for d in range(carrier.depth, placed.depth + 1)]
 
 
 def _thin_chain(cells: list[TriadicCell], eps: Fraction) -> list[TriadicCell]:
@@ -284,22 +278,18 @@ def _sample_tiles(model: WeightModel, core: TriadicCell, count: int) -> list[Tri
     width = model.k - 1
     total = 3 ** width
     picks = sorted({0, total // 3, (2 * total) // 3, total - 1})[:count]
-    return [TriadicCell(core.address + base3_digits(t, width)) for t in picks]
+    return [core.descendant(width, t) for t in picks]
 
 
 # ---------------------------------------------------------------------------
 # Testing sums and reports.
 
 def testing_sum(model, family, L: IntervalQ, direction: str = "forward",
-                exponent: Fraction | None = None,
                 max_depth: int = 60) -> Enclosure:
     """Sawyer-type sum over members inside L of <w>^p <sigma> |I| (or its dual)."""
     if direction not in ("forward", "dual"):
         raise FamilyError("direction must be forward|dual")
     members = family.members if isinstance(family, SparseFamily) else tuple(family)
-    want = model.params.p if direction == "forward" else model.params.p_prime
-    if exponent is not None and Fraction(exponent) != want:
-        raise FamilyError(f"exponent {exponent} inconsistent with direction {direction}")
     terms = []
     for member in members:
         if not L.contains(member):
@@ -342,7 +332,7 @@ def testing_report(model: WeightModel, family: SparseFamily, L: IntervalQ,
     bound = wl * Q(k) * (1 / (1 - eps))
     ratio = float(s.mid) * float(1 - eps) / (k * float(wl.mid))
     kfree = None
-    if _is_triadic(L) and all(_is_triadic(m) for m in family.members):
+    if cell_of(L) is not None and all(cell_of(m) is not None for m in family.members):
         kfree = float(s.mid) * float(1 - eps) / float(wl.mid)
     if rescaled:
         # forward sums gain scale^p while w(L) gains scale; dual sums gain one
@@ -354,18 +344,6 @@ def testing_report(model: WeightModel, family: SparseFamily, L: IntervalQ,
             kfree *= factor
     return TestingReport(s, bound, ratio, kfree, eps, "report-only",
                          {"members_in_L": sum(1 for m in family.members if L.contains(m))})
-
-
-def _is_triadic(iv: IntervalQ) -> bool:
-    n = iv.length
-    if n.numerator != 1:
-        return False
-    den = n.denominator
-    while den % 3 == 0:
-        den //= 3
-    if den != 1:
-        return False
-    return (iv.left / n).denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +411,8 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
     `coeffs` maps cell addresses to nonnegative a_Q; `f_leaves` gives f on the
     depth-level cells; `mu_leaves` gives their measures (Lebesgue when None).
     The packing precondition is validated first and failures name the cell.
+    A key that is not an address raises AddressError, and one of a cell
+    deeper than `depth` raises ValueError.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("integer p >= 2 required for the exact check")
@@ -452,14 +432,17 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
         levels_fm.append([sum(prev_fm[3 * i:3 * i + 3], Q(0)) for i in range(len(prev_fm) // 3)])
     levels_mu.reverse()
     levels_fm.reverse()
-
-    def a_of(d, i):
-        return Fraction(coeffs.get(cell_from_index(d, i).address, 0))
+    a = {}
+    for address, value in coeffs.items():
+        cell = cell_from_address(address)
+        if cell.depth > depth:
+            raise ValueError(f"coefficient cell {address!r} lies below depth {depth}")
+        a[cell.depth, cell.index] = Fraction(value)
 
     packing = [[Q(0)] * len(level) for level in levels_mu]
     for d in range(depth, -1, -1):
         for i in range(3 ** d):
-            own = a_of(d, i) * levels_mu[d][i]
+            own = a.get((d, i), 0) * levels_mu[d][i]
             if own < 0:
                 raise ValueError("coefficients must be nonnegative")
             below = sum(packing[d + 1][3 * i:3 * i + 3], Q(0)) if d < depth else Q(0)
@@ -469,13 +452,11 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
                         "cell": cell_from_index(d, i).address,
                         "lhs": packing[d][i], "rhs": A * levels_mu[d][i]}
     lhs = Q(0)
-    for d in range(depth + 1):
-        for i in range(3 ** d):
-            aq = a_of(d, i)
-            if aq == 0 or levels_mu[d][i] == 0:
-                continue
-            avg = levels_fm[d][i] / levels_mu[d][i]
-            lhs += avg ** p * aq * levels_mu[d][i]
+    for (d, i), aq in a.items():
+        if aq == 0 or levels_mu[d][i] == 0:
+            continue
+        avg = levels_fm[d][i] / levels_mu[d][i]
+        lhs += avg ** p * aq * levels_mu[d][i]
     p_prime = Fraction(p, p - 1)
     rhs = p_prime ** p * A * sum((fv ** p * mv for fv, mv in zip(f, mu)), Q(0))
     return {"ok": lhs <= rhs, "stage": "embedding", "lhs": lhs, "rhs": rhs}
@@ -554,13 +535,15 @@ def split_weak_to_martingale(family: SparseFamily, eta=None) -> list[SparseFamil
     slots: list[list[IntervalQ]] = []
     order = sorted(family.members, key=lambda i: (-i.length, i.left, i.right))
     for member in order:
-        placed = False
         for slot in slots:
-            if _fits(slot, member, eps):
+            try:
+                fits, _ = is_martingale_sparse(slot + [member], eps)
+            except FamilyError:
+                fits = False
+            if fits:
                 slot.append(member)
-                placed = True
                 break
-        if not placed:
+        else:
             if len(slots) >= 3 * m:
                 raise SplitError(
                     f"no admissible slot for {member} within 3*m = {3 * m} families")
@@ -573,19 +556,6 @@ def split_weak_to_martingale(family: SparseFamily, eta=None) -> list[SparseFamil
             raise SplitError(f"postcondition failed for a slot: {report}")
         out.append(fam)
     return out
-
-
-def _fits(slot: list[IntervalQ], member: IntervalQ, eps: Fraction) -> bool:
-    for other in slot:
-        if not (other.contains(member) or member.contains(other)
-                or other.is_disjoint(member)):
-            return False
-    trial = slot + [member]
-    for parent, kids in children_map(trial).items():
-        load = sum((k.length for k in kids), Q(0))
-        if load > eps * parent.length:
-            return False
-    return True
 
 
 def gen_weak_family(seed: int, count: int = 50, eta=Q(1, 2),

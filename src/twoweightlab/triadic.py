@@ -1,4 +1,4 @@
-"""The triadic lattice of [0,1): base-3 addressed cells with exact endpoints."""
+"""The triadic lattice of [0,1): cells as (depth, index) with exact endpoints."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 Q = Fraction
 
-_DIGITS = frozenset("012")
+_DIGITS = "012"
 
 
 class AddressError(ValueError):
@@ -53,27 +53,28 @@ class IntervalQ:
 
 @dataclass(frozen=True)
 class TriadicCell:
-    """Cell [j*3^-n, (j+1)*3^-n) of [0,1), addressed by its base-3 digits.
+    """Cell [index*3^-depth, (index+1)*3^-depth) of [0,1); the root is (0, 0).
 
-    The empty address is the root [0,1).  Addresses are strings because
-    depths beyond machine-word packing occur routinely here.
+    Cells are integer pairs throughout.  Base-3 addresses, the cell's digits
+    most significant first (the empty string for the root), exist only where
+    cells are printed (`address`) or parsed (`cell_from_address`).
     """
 
-    address: str
+    depth: int
+    index: int
 
     def __post_init__(self):
-        for pos, ch in enumerate(self.address):
-            if ch not in _DIGITS:
-                raise AddressError(
-                    f"invalid digit {ch!r} at position {pos} in address {self.address!r}")
+        if self.depth < 0 or not 0 <= self.index < 3 ** self.depth:
+            raise AddressError(f"index {self.index} out of range at depth {self.depth}")
 
     @property
-    def depth(self) -> int:
-        return len(self.address)
-
-    @property
-    def index(self) -> int:
-        return int(self.address, 3) if self.address else 0
+    def address(self) -> str:
+        digits = []
+        n = self.index
+        for _ in range(self.depth):
+            n, d = divmod(n, 3)
+            digits.append(_DIGITS[d])
+        return "".join(reversed(digits))
 
     @property
     def left(self) -> Fraction:
@@ -90,21 +91,30 @@ class TriadicCell:
     def interval(self) -> IntervalQ:
         return IntervalQ(self.left, self.right)
 
+    def descendant(self, levels: int, offset: int) -> "TriadicCell":
+        """Cell number `offset` of this cell's cells `levels` deeper."""
+        if levels < 0 or not 0 <= offset < 3 ** levels:
+            raise AddressError(f"offset {offset} out of range {levels} levels down")
+        return TriadicCell(self.depth + levels, self.index * 3 ** levels + offset)
+
+    def ancestor(self, depth: int) -> "TriadicCell":
+        """The cell of depth `depth` that holds this one."""
+        if not 0 <= depth <= self.depth:
+            raise AddressError(f"no ancestor at depth {depth} of a depth-{self.depth} cell")
+        return TriadicCell(depth, self.index // 3 ** (self.depth - depth))
+
     def child(self, digit: int) -> "TriadicCell":
-        if digit not in (0, 1, 2):
-            raise AddressError(f"child digit must be 0,1,2, got {digit}")
-        return TriadicCell(self.address + str(digit))
+        return self.descendant(1, digit)
 
     def middle_child(self) -> "TriadicCell":
-        return self.child(1)
+        return self.descendant(1, 1)
 
     def parent(self) -> "TriadicCell":
-        if not self.address:
-            raise AddressError("root cell has no parent")
-        return TriadicCell(self.address[:-1])
+        return self.ancestor(self.depth - 1)
 
     def contains(self, other: "TriadicCell") -> bool:
-        return other.address.startswith(self.address)
+        return (other.depth >= self.depth
+                and other.index // 3 ** (other.depth - self.depth) == self.index)
 
     def contains_point(self, x) -> bool:
         return self.left <= Fraction(x) < self.right
@@ -114,23 +124,37 @@ class TriadicCell:
 
 
 def cell_from_address(address: str) -> TriadicCell:
-    return TriadicCell(address)
+    """The cell with base-3 digits `address`; the one parser of addresses.
 
-
-def base3_digits(n: int, width: int) -> str:
-    """The `width` base-3 digits of 0 <= n < 3^width, most significant first."""
-    digits = []
-    for _ in range(width):
-        n, d = divmod(n, 3)
-        digits.append("012"[d])
-    return "".join(reversed(digits))
+    The digits are read one by one, since `int(address, 3)` refuses strings
+    longer than Python's 4300-digit limit and carriers reach depth 400·k.
+    """
+    index = 0
+    for pos, ch in enumerate(address):
+        if ch not in _DIGITS:
+            raise AddressError(
+                f"invalid digit {ch!r} at position {pos} in address {address!r}")
+        index = 3 * index + int(ch)
+    return TriadicCell(len(address), index)
 
 
 def cell_from_index(depth: int, index: int) -> TriadicCell:
-    """Cell at a given depth by position; inverse of TriadicCell.index."""
-    if depth < 0 or not 0 <= index < 3 ** depth:
-        raise AddressError(f"index {index} out of range at depth {depth}")
-    return TriadicCell(base3_digits(index, depth))
+    """`TriadicCell(depth, index)`, under the name perfbench's tracer counts."""
+    return TriadicCell(depth, index)
+
+
+def cell_of(interval: IntervalQ) -> TriadicCell | None:
+    """The triadic cell equal to a rational interval, or None if there is none."""
+    length = interval.length
+    if length.numerator != 1:
+        return None
+    depth, scale = 0, 1
+    while scale < length.denominator:
+        depth, scale = depth + 1, 3 * scale
+    index = interval.left * scale
+    if scale != length.denominator or index.denominator != 1 or not 0 <= index < scale:
+        return None
+    return TriadicCell(depth, index.numerator)
 
 
 def middle_child(cell: TriadicCell) -> TriadicCell:
@@ -167,5 +191,5 @@ def triadic_cover(interval: IntervalQ, depth: int) -> list[TriadicCell]:
         for d in range(3):
             visit(cell.child(d))
 
-    visit(TriadicCell(""))
+    visit(TriadicCell(0, 0))
     return out

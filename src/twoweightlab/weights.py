@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, pow_enclosure, qstr
-from .triadic import IntervalQ, TriadicCell, base3_digits, cell_from_index
+from .triadic import IntervalQ, TriadicCell, cell_from_index
 
 PLACEMENTS = ("right", "left", "alternating")
 
@@ -182,11 +182,14 @@ class WeightModel:
         """Carrier cell number `branch` (lexicographic) of generation `gen`."""
         if not 0 <= branch < self.kcell_count(gen):
             raise ValueError(f"branch {branch} out of range at generation {gen}")
-        # one base-3^(k-1) digit per level, each below that level's core digit 1
-        width = self.k - 1
-        digits = base3_digits(branch, gen * width)
-        return TriadicCell("".join("1" + digits[i:i + width]
-                                   for i in range(0, gen * width, width)))
+        # one base-3^(k-1) digit t of `branch` per level, the last one first:
+        # each carrier is tile u + t of its parent, as in carriers_holding
+        index, scale = 0, 1
+        for _ in range(gen):
+            branch, t = divmod(branch, self.u)
+            index += (self.u + t) * scale
+            scale *= 3 ** self.k
+        return TriadicCell(gen * self.k, index)
 
     def jcell(self, gen: int, branch: int) -> TriadicCell:
         """Core number `branch` of generation `gen`: its carrier's middle third."""
@@ -196,9 +199,9 @@ class WeightModel:
 
     def place_core(self, core: TriadicCell, gen: int) -> tuple[TriadicCell, str]:
         """Support cell beside a generation-`gen` core, with its side."""
-        if not core.address.endswith("1"):
+        if core.index % 3 != 1:
             raise ValueError(f"{core} is not the middle child of a carrier")
-        index = core.parent().index * 3 ** self.k + self.support_offset(gen)
+        index = core.index // 3 * 3 ** self.k + self.support_offset(gen)
         return cell_from_index(core.depth + self.k - 1, index), self.side_for(gen)
 
     def side_for(self, gen: int) -> str:
@@ -306,7 +309,7 @@ def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> C
     gen = len(model.carriers_holding(cell.left, cell.right)) - 1
     if cell.depth == gen * model.k:
         return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
-    core = TriadicCell(cell.address[:gen * model.k]).middle_child()
+    core = cell.ancestor(gen * model.k).middle_child()
     placed, _side = model.place_core(core, gen + 1)
     if placed.contains(cell):
         val = _value(model, which, gen + 1)

@@ -15,7 +15,7 @@ from twoweightlab.lorentz import (WTail, blowup_distribution, blowup_suite,
                                   psi, QuasiConcaveFn, rearrangement_atoms,
                                   rearrangement_lorentz,
                                   series_ratio, step_function_distribution)
-from twoweightlab.triadic import TriadicCell
+from twoweightlab.triadic import cell_from_address
 from twoweightlab.weights import ConstructionParams, build_construction
 
 
@@ -25,7 +25,7 @@ def model(k=2, depth=2):
 
 def test_distribution_plateaus_frozen():
     m = model()
-    dist = distribution(m, TriadicCell(""), "w")
+    dist = distribution(m, cell_from_address(""), "w")
     (t0, t1, n0), = dist.steps
     assert (t0, t1, n0) == (0, Q(9, 4), Q(1, 6))
     tail = dist.tail
@@ -64,7 +64,7 @@ def test_lorentz_indicator_and_constant():
 def test_entropy_norm_closed_form_vs_direct_sum():
     """The closed-form geometric tail equals a long explicit partial sum."""
     m = model()
-    dist = distribution(m, TriadicCell(""), "w")
+    dist = distribution(m, cell_from_address(""), "w")
     enc = lorentz_norm(dist, phi0())
     rho = Q(9, 4)
     direct = float(rho) * (1 / 6) * (1 - math.log(1 / 6))
@@ -284,10 +284,10 @@ def test_gauges_are_built_once():
 def test_distribution_requires_carrier_and_exact_dual():
     m = model()
     with pytest.raises(ValueError):
-        distribution(m, TriadicCell("0"), "w")
+        distribution(m, cell_from_address("0"), "w")
     frac = build_construction(ConstructionParams(k=2, p=Q(5, 2), r=Q(7, 6), depth=1))
     with pytest.raises(ValueError):
-        distribution(frac, TriadicCell(""), "sigma")
+        distribution(frac, cell_from_address(""), "sigma")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twoweightlab.enclosure import Enclosure
 from twoweightlab.measures import (MeasureQuery, ap_product, average, mass,
                                    packing_partial, packing_sum, smallest_carrier)
-from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import (ConstructionParams, WeightModel, _carrier_mass, _value,
                                   build_construction)
 
@@ -93,7 +93,7 @@ def test_wtilde_scale():
 
 def test_packing_closed_forms():
     m = model()
-    root = TriadicCell("")
+    root = cell_from_address("")
     enc = packing_sum(m, root, "w")
     assert enc.is_exact and enc.lo == 4
     ratio = enc.lo / 9
@@ -109,7 +109,7 @@ def test_packing_closed_forms():
 def test_packing_rejects_non_carrier():
     m = model()
     with pytest.raises(ValueError):
-        packing_sum(m, TriadicCell("0"), "w")
+        packing_sum(m, cell_from_address("0"), "w")
 
 
 def test_direct_sum_masses():
@@ -170,6 +170,17 @@ def test_smallest_carrier():
     assert carrier.address == "11" and gen == 1
     carrier, gen, _, _ = smallest_carrier(m, IntervalQ(Q(1, 9), Q(7, 9)))
     assert carrier.address == "" and gen == 0
+
+
+def test_smallest_carrier_past_4300_digits():
+    # a generation-395 carrier at k = 11 has depth 4345, past Python's
+    # 4300-digit limit on int(str, 3), which base-3 strings ran into
+    m = model(k=11, depth=1)
+    deep = m.kcell(395, 7)
+    carrier, gen, core, placed = smallest_carrier(m, deep.interval())
+    assert (carrier, gen) == (deep, 395)
+    assert core.parent() == carrier and carrier.contains(placed)
+    assert placed.depth == 396 * 11 and placed.interval().length == Q(1, 3 ** 4356)
 
 
 def _case_of(m, iv):

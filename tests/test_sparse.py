@@ -17,7 +17,7 @@ from twoweightlab.sparse import (FamilyError, SparseFamily, carleson_check,
                                  transplant_family, validate_weak_witness)
 from twoweightlab.sparse import testing_report as run_testing_report
 from twoweightlab.sparse import testing_sum as run_testing_sum
-from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.triadic import AddressError, IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import ConstructionParams, build_construction, direct_sum
 
 UNIT = IntervalQ(Q(0), Q(1))
@@ -73,7 +73,7 @@ def test_adversarial_kinds_validate():
     m = model(k=4)
     for kind in ("chainToward_IJ", "S1", "S2", "S3", "S4", "boundaryChain"):
         for eps in (Q(1, 3), Q(1, 2)):
-            fam = gen_adversarial(m, kind, TriadicCell(""), eps)
+            fam = gen_adversarial(m, kind, cell_from_address(""), eps)
             if fam.members:
                 ok, report = is_martingale_sparse(fam)
                 assert ok, (kind, eps, report)
@@ -83,7 +83,7 @@ def test_s3_chain_length_law():
     for k in (4, 6, 8, 10, 12):
         m = model(k=k, depth=1)
         for eps in (Q(1, 3), Q(1, 2)):
-            fam = gen_adversarial(m, "S3", TriadicCell(""), eps)
+            fam = gen_adversarial(m, "S3", cell_from_address(""), eps)
             # maximal by construction: lengths eps^n while >= 2*3^-k
             n = 0
             length = eps
@@ -97,7 +97,7 @@ def test_s3_chain_length_law():
 
 def test_singleton_budget_chain():
     m = model(k=3)
-    fam = gen_adversarial(m, "chainToward_IJ", TriadicCell(""), Q(1, 3))
+    fam = gen_adversarial(m, "chainToward_IJ", cell_from_address(""), Q(1, 3))
     assert fam.members[0] == UNIT
 
 
@@ -138,6 +138,13 @@ def test_transplant_preserves_sparseness():
     assert all(support.interval().contains(mem) for mem in local.members)
 
 
+def test_transplant_rejects_off_grid_members():
+    # triadic length, but the left end is off the grid of its length
+    fam = SparseFamily((iv(Q(1, 18), Q(1, 6)),), "martingale", Q(1, 3))
+    with pytest.raises(FamilyError, match="transplant needs triadic members"):
+        transplant_family(fam, cell_from_address(""))
+
+
 def test_sparse_packing_and_chain_inequalities():
     for seed in range(50):
         fam = gen_random_martingale(4, Q(1, 2), seed)
@@ -157,6 +164,15 @@ def test_carleson_trivial_and_named_rejection():
     assert res["ok"] and res["lhs"] == 1 and res["rhs"] == 4
     res = carleson_check(1, {"": Q(1), "0": Q(3)}, [Q(1), Q(0), Q(0)], 2, 1)
     assert not res["ok"] and res["stage"] == "precondition" and res["cell"] == "0"
+
+
+def test_carleson_rejects_keys_off_the_grid():
+    with pytest.raises(AddressError, match="invalid digit '7' at position 0"):
+        carleson_check(1, {"": 1, "7": 100, "00": 50}, [1, 1, 1], 2, 2)
+    with pytest.raises(ValueError, match="'00' lies below depth 1"):
+        carleson_check(1, {"": 1, "00": 50}, [1, 1, 1], 2, 2)
+    res = carleson_check(1, {"": 1, "2": 1}, [1, 1, 1], 2, 2)
+    assert res["ok"] and res["lhs"] == Q(4, 3)
 
 
 def test_carleson_reproduces_restricted_packing():

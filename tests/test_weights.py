@@ -6,7 +6,7 @@ import pytest
 
 from twoweightlab.hilbert import maximal_at
 from twoweightlab.measures import MeasureQuery, mass, smallest_carrier
-from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import (PLACEMENTS, ConstructionParams, build_construction,
                                   direct_sum, weight_on_cell)
 
@@ -93,10 +93,10 @@ def test_support_geometry_agrees_across_modules(k, placement):
 def test_place_core_rejects_a_core_that_is_not_a_middle_child():
     m = build_construction(ConstructionParams(k=2, depth=1))
     with pytest.raises(ValueError):
-        m.place_core(TriadicCell("2"), 1)
+        m.place_core(cell_from_address("2"), 1)
     with pytest.raises(ValueError):
-        m.place_core(TriadicCell("10"), 1)
-    assert m.place_core(TriadicCell("1"), 1)[0] == TriadicCell("20")
+        m.place_core(cell_from_address("10"), 1)
+    assert m.place_core(cell_from_address("1"), 1)[0] == cell_from_address("20")
 
 
 def test_support_values():
@@ -111,11 +111,11 @@ def test_weight_on_cell_constant_zero_unresolved():
     sc = m.support_cells(1)[0]
     const = weight_on_cell(m, sc.cell, "w")
     assert const.kind == "const" and const.value.lo == Q(9, 4)
-    sub = TriadicCell(sc.cell.address + "02")
+    sub = cell_from_address(sc.cell.address + "02")
     assert weight_on_cell(m, sub, "w").kind == "const"
-    zero = weight_on_cell(m, TriadicCell("0"), "w")
+    zero = weight_on_cell(m, cell_from_address("0"), "w")
     assert zero.kind == "zero" and zero.mass.lo == 0
-    root = weight_on_cell(m, TriadicCell(""), "w")
+    root = weight_on_cell(m, cell_from_address(""), "w")
     assert root.kind == "unresolved" and root.mass.lo == 1
     sig = weight_on_cell(m, sc.cell, "sigma")
     assert sig.kind == "const" and sig.value.lo == Q(4, 9)
@@ -176,7 +176,7 @@ def test_generations_out_of_range_are_rejected():
             m.jcell_count(gen)
         with pytest.raises(ValueError, match="core generations start at 1"):
             m.jcell(gen, 0)
-    assert m.kcell(0, 0) == TriadicCell("") and m.jcell(1, 0) == TriadicCell("1")
+    assert m.kcell(0, 0) == cell_from_address("") and m.jcell(1, 0) == cell_from_address("1")
     assert [m.jcell_count(g) for g in (1, 2, 3)] == [m.kcell_count(g) for g in (0, 1, 2)]
 
 
