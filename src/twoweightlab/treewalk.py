@@ -1,14 +1,17 @@
 """Walks over the implicit carrier tree that enclose the Hilbert field of w.
 
 `walk` encloses Hw at one point: it keeps whole subtrees as interval
-contributions (mass times kernel range, or a Riemann pair over equal-mass
-tile runs) and always expands the widest pending block, so precision is
-budget-driven and never requires enumerating a generation.  `CellField`
-encloses Hw on one support cell: one walk with the cell in place of the
-point builds a certified power series for all mass outside the cell, and
-each point then evaluates that polynomial and the cell's own indicator.  All
-coordinates are Python ints on a per-generation scale and all pending bounds
-are outward-rounded float pairs.
+contributions and always expands the widest pending block, so precision is
+budget-driven and never requires enumerating a generation.  A block's
+interval is the intersection of two brackets: a first-order one (mass
+times kernel range, or a Riemann pair over equal-mass tile runs) and a
+second-order one from the exact centroid and variance of a carrier's mass
+(`WeightModel.carrier_moments`).  `CellField` encloses Hw on one support
+cell: one walk with the cell in place of the point builds a certified power
+series for all mass outside the cell, with the same two brackets per
+coefficient, and each point then evaluates that polynomial and the cell's
+own indicator.  All coordinates are Python ints on a per-generation scale
+and all pending bounds are outward-rounded float pairs.
 """
 
 from __future__ import annotations
@@ -45,10 +48,21 @@ class _GenConstants:
     den = xd * 3^((gen+1)k).  In these units a cell, its third and the
     sliver have the same lengths at every generation.  Float constants are
     (lo, hi) bounds.
+
+    The second-order brackets read a carrier's centroid and variance
+    (`WeightModel.carrier_moments`).  Offsets that need not be integers are
+    kept exactly, over the common denominator q, which makes L*q even.
+    `offsets[side]` holds, measured from the end of a cell nearest to x (so
+    that distances from x grow with the offset): the centroid, the near end
+    of the cell of length L centred on it, and the two ends of the region
+    that this shifted cell and the mass hull span together.  `moments`
+    bounds rho * var/L^2 and rho/12, with rho the generation's density and
+    var the carrier's variance.
     """
 
     __slots__ = ("den", "x", "length", "third", "slen", "sliver", "hull",
-                 "mass_num", "mass_den", "mass_f", "density", "w_next")
+                 "mass_num", "mass_den", "density", "w_next",
+                 "q", "offsets", "moments")
 
     def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
         scale = 3 ** ((gen + 1) * model.k)
@@ -57,14 +71,14 @@ class _GenConstants:
         self.slen = xd
         u = model.u
         self.third = xd * u
-        self.length = 3 * self.third
+        self.length = length = 3 * self.third
         cell_mass = model.carrier_w_mass(gen)
         # mass / (x - c) == mass_num / (mass_den * (X - C)), all integers
         scaled = cell_mass * self.den
         self.mass_num, self.mass_den = scaled.numerator, scaled.denominator
-        self.mass_f = float(cell_mass)
         # a carrier's mass over its length is the generation's w value
-        density = FloatInterval.from_fraction(model.w_value(gen))
+        w_value = model.w_value(gen)
+        density = FloatInterval.from_fraction(w_value)
         self.density = (density.lo, density.hi)
         w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
         self.w_next = (w_next.lo, w_next.hi)
@@ -74,6 +88,26 @@ class _GenConstants:
         off = model.support_offset(gen + 1)
         self.sliver = off * xd
         self.hull = (min(u, off) * xd, max(2 * u, off + 1) * xd)
+        centroid, variance = model.carrier_moments(gen)
+        cen = centroid * xd  # a tile is xd long
+        self.q = q = cen.denominator * (1 + length * cen.denominator % 2)
+        lq = length * q
+        c = cen.numerator * (q // cen.denominator)
+        shift = c - lq // 2
+        r0, r1 = min(self.hull[0] * q, shift), max(self.hull[1] * q, shift + lq)
+        self.offsets = {1: (c, shift, r0, r1), -1: (lq - c, -shift, lq - r1, lq - r0)}
+        # var/L^2 is the same on every scale: L is 3u tiles
+        self.moments = (_bounds(w_value * variance / (9 * u * u)), _bounds(w_value / 12))
+
+
+def _bounds(x: Fraction) -> tuple[float, float]:
+    return ratio_bounds(x.numerator, x.denominator)
+
+
+def _cube(lo: float, hi: float) -> tuple[float, float]:
+    """Bounds on t^3 for 0 <= lo <= t <= hi."""
+    return (nextafter(nextafter(lo * lo, -_INF) * lo, -_INF),
+            nextafter(nextafter(hi * hi, _INF) * hi, _INF))
 
 
 def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int]]:
@@ -90,31 +124,109 @@ def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int
     return pieces
 
 
+def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
+    """Where the block's mass lies; count 0 is a support cell."""
+    if count == 0:
+        return left, left + gc.slen
+    if count == 1:
+        return left + gc.hull[0], left + gc.hull[1]
+    return left, left + count * gc.length
+
+
+def _distances(gc: _GenConstants, lo: int, hi: int) -> tuple[int, int, int]:
+    """Side of x (-1 or 1), nearest and farthest distance of [lo, hi] from x."""
+    if hi <= gc.x:
+        return -1, gc.x - hi, gc.x - lo
+    return 1, lo - gc.x, hi - gc.x
+
+
+def _near_first(gc: _GenConstants, side: int, left: int, count: int):
+    """(base, offsets) for a block on `side` of x (1 if right of it): a point
+    at offset o of `gc.offsets[side]` in the block's cell i, counted from the
+    one nearest to x, lies at distance (base + o + i*L*q)/q from x."""
+    if side == 1:
+        return (left - gc.x) * gc.q, gc.offsets[1]
+    return (gc.x - left - count * gc.length) * gc.q, gc.offsets[-1]
+
+
+def _run_points(gc: _GenConstants, side: int, left: int, count: int, clearance: int):
+    """Distances from x, times q, of the shifted run's ends a < b and of its
+    regions' near ends p_0 and p_(n-1) and far ends q_0 and q_(n-1) + L;
+    None unless every region stays farther than `clearance`/q from x."""
+    base, (_cen, shift, r0, r1) = _near_first(gc, side, left, count)
+    if base + r0 <= clearance:
+        return None
+    lq = gc.length * gc.q
+    a = base + shift
+    return (a, a + count * lq), (base + r0, base + r0 + (count - 1) * lq,
+                                 base + r1, base + r1 + count * lq)
+
+
 def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float] | None:
     """Bounds (lo, hi) on the block's kernel integral; None forces expansion.
 
-    For a single cell the kernel range `mass * [min 1/(x-t), max 1/(x-t)]` is
-    sound however the mass sits inside (tightened to the middle-third hull
-    where all of it actually lives).  For a run of equal-mass cells the
-    lower/upper Riemann pair around the exact log integral is tighter: the
-    per-cell granularity costs at most mass * (kernel range over the run).
+    Each block gets a first- and a second-order bracket, and the bounds are
+    their intersection.  With d = |x - t|, the kernel integral of the mass
+    is -side times its integral of 1/d, so the brackets below are on the
+    latter.
+
+    A carrier of mass M: first order, M * [1/d_far, 1/d_near] over the hull
+    where its mass lives.  Second order, about its centroid at d_bar: the
+    dipole term vanishes, so the integral is M/d_bar + M * var * 1/d^3 at a
+    point of the hull, between M * var * [1/d_far^3, 1/d_near^3].
+
+    A run of n equal carriers at density rho: first order, the uniform log
+    integral, off by at most one cell's mass times the kernel range over the
+    run, M * (d_far - d_near)/(d_near * d_far).  Second order, shift each
+    cell so it is centred on its carrier's centroid; the shifted run spans
+    a < b and a carrier differs from uniform mass on its shifted cell by
+    M * (var * G(eta_i) - L^2/12 * G(xi_i)), G = 1/d^3, at points of the
+    region that the shifted cell and the hull span.  G falls with the
+    distance, so over the regions' near ends p_i and far ends q_i
+        sum G(p_i) <= G(p_0) + (1/p_0^2 - 1/p_(n-1)^2) / (2L) = U,
+        sum G(q_i) >= (1/q_0^2 - 1/(q_(n-1) + L)^2) / (2L) = D,
+    and the run lies in rho * ln(b/a) + M * [var * D - L^2/12 * U,
+    var * U - L^2/12 * D].  With e = L/d, M * var * U = rho * var/L^2 *
+    (e_p0^3 + (e_p0^2 - e_pl^2)/2), and so on.  The shifted cells may reach
+    past the run; the second order is left out if a region reaches x.  All
+    integers are on the walk's scale.
     """
-    x = gc.x
-    hi = left + count * gc.length
-    if left <= x <= hi:
+    if left <= gc.x <= left + count * gc.length:
         return None
+    side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
+    (v_lo, v_hi), (l_lo, l_hi) = gc.moments  # rho * var/L^2, rho * (L^2/12)/L^2
     if count == 1:
-        a_lo, a_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[0])))
-        b_lo, b_hi = ratio_bounds(gc.mass_num, gc.mass_den * (x - (left + gc.hull[1])))
-        return min(a_lo, b_lo), max(a_hi, b_hi)
-    # x lies outside [left, hi], so neither end is a kernel endpoint
-    i_lo, i_hi = log_ratio_bounds(abs(x - left), abs(x - hi))
-    base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
-    # upper bound on the kernel range suffices; floats with a pad are sound
-    # because the exact differences below are positive and well separated
-    dl, dh = (x - left) / gc.den, (x - hi) / gc.den
-    slack = gc.mass_f * abs(1.0 / dl - 1.0 / dh) * (1 + 1e-9) + 1e-300
-    return base_lo - slack, base_hi + slack
+        lo = ratio_bounds(gc.mass_num, gc.mass_den * d_far)[0]
+        hi = ratio_bounds(gc.mass_num, gc.mass_den * d_near)[1]
+        base, (cen, *_ends) = _near_first(gc, side, left, 1)
+        c_lo, c_hi = ratio_bounds(gc.mass_num * gc.q, gc.mass_den * (base + cen))
+        t_lo = _cube(*ratio_bounds(gc.length, d_far))[0]
+        t_hi = _cube(*ratio_bounds(gc.length, d_near))[1]
+        lo = max(lo, nextafter(c_lo + nextafter(v_lo * t_lo, -_INF), -_INF))
+        hi = min(hi, nextafter(c_hi + nextafter(v_hi * t_hi, _INF), _INF))
+    else:
+        i_lo, i_hi = log_ratio_bounds(d_far, d_near)
+        base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
+        slack = ratio_bounds(gc.mass_num * count * gc.length, gc.mass_den * d_near * d_far)[1]
+        lo, hi = nextafter(base_lo - slack, -_INF), nextafter(base_hi + slack, _INF)
+        points = _run_points(gc, side, left, count, 0)
+        if points is not None:
+            (a, b), (p0, pl, q0, qe) = points
+            lq = gc.length * gc.q
+            s_lo, s_hi = mul_bounds(*log_ratio_bounds(b, a), *gc.density)
+            ep0 = ratio_bounds(lq, p0)[1]
+            epl, eq0, eqe = ratio_bounds(lq, pl)[0], ratio_bounds(lq, q0)[0], ratio_bounds(lq, qe)[1]
+            # U and D times L^3, from above and below
+            sq_p0 = nextafter(ep0 * ep0, _INF)
+            up = nextafter(sq_p0 - nextafter(epl * epl, -_INF), _INF)
+            up = nextafter(nextafter(sq_p0 * ep0, _INF) + 0.5 * up, _INF)
+            down = max(0.0, 0.5 * nextafter(nextafter(eq0 * eq0, -_INF)
+                                            - nextafter(eqe * eqe, _INF), -_INF))
+            r_lo = nextafter(nextafter(v_lo * down, -_INF) - nextafter(l_hi * up, _INF), -_INF)
+            r_hi = nextafter(nextafter(v_hi * up, _INF) - nextafter(l_lo * down, -_INF), _INF)
+            lo = max(lo, nextafter(s_lo + r_lo, -_INF))
+            hi = min(hi, nextafter(s_hi + r_hi, _INF))
+    return (-hi, -lo) if side == 1 else (lo, hi)
 
 
 def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
@@ -206,25 +318,16 @@ def _add_at(acc_lo: list, acc_hi: list, j: int, lo: float, hi: float) -> None:
     acc_hi[j] = nextafter(acc_hi[j] + hi, _INF)
 
 
-def _bounds(x: Fraction) -> tuple[float, float]:
-    return ratio_bounds(x.numerator, x.denominator)
-
-
 class _CellConstants(_GenConstants):
-    """`_GenConstants` plus what `CellField`'s second-order brackets read.
+    """`_GenConstants` plus what `CellField`'s series read, with the cell's
+    centre c in place of x.
 
     On the generation's scale R = r and a carrier has length L, mass M and
-    variance var about its centroid (`WeightModel.carrier_moments`).  Offsets
-    that need not be integers are kept exactly, over the common denominator
-    q.  `offsets[side]` holds, measured from the end of a cell nearest to c
-    (so that distances from c grow with the offset): the centroid, the near
-    end of the cell of length L centred on it, and the two ends of the region
-    that this shifted cell and the mass hull span together.  The bounds are
-    on M/R, mv = (M/R) * var/(2R^2), mw = (M/R) * L^2/(24R^2), mv - mw and
-    R/L.
+    variance var about its centroid.  The bounds are on M/R,
+    mv = (M/R) * var/(2R^2), mw = (M/R) * L^2/(24R^2), mv - mw and R/L.
     """
 
-    __slots__ = ("r", "q", "mass_r", "offsets", "mv", "mw", "mvw", "mu")
+    __slots__ = ("r", "mass_r", "mv", "mw", "mvw", "mu")
 
     def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
         super().__init__(model, gen, xn, xd)
@@ -232,14 +335,7 @@ class _CellConstants(_GenConstants):
         length = self.length
         mass_r = Fraction(self.mass_num, self.mass_den * r)
         self.mass_r = _bounds(mass_r)
-        centroid, variance = model.carrier_moments(gen)
-        cen = centroid * xd  # a tile is xd long
-        self.q = q = cen.denominator
-        lq = length * q
-        c = cen.numerator
-        shift = c - lq // 2  # xd is even, and so is L
-        r0, r1 = min(self.hull[0] * q, shift), max(self.hull[1] * q, shift + lq)
-        self.offsets = {1: (c, shift, r0, r1), -1: (lq - c, -shift, lq - r1, lq - r0)}
+        _centroid, variance = model.carrier_moments(gen)
         mv = mass_r * variance * xd * xd / (2 * r * r)
         mw = mass_r * Fraction(length * length, 24 * r * r)
         self.mv, self.mw, self.mvw = _bounds(mv), _bounds(mw), _bounds(mv - mw)
@@ -432,43 +528,6 @@ class CellField:
             gc = self._gcs[gen] = _CellConstants(self.model, gen, self.xn, self.xd)
         return gc
 
-    @staticmethod
-    def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
-        """Where the block's mass lies; count 0 is a support cell."""
-        if count == 0:
-            return left, left + gc.slen
-        if count == 1:
-            return left + gc.hull[0], left + gc.hull[1]
-        return left, left + count * gc.length
-
-    @staticmethod
-    def _distances(gc: _GenConstants, lo: int, hi: int) -> tuple[int, int, int]:
-        """Side of c (-1 or 1), nearest and farthest distance of [lo, hi] from c."""
-        if hi <= gc.x:
-            return -1, gc.x - hi, gc.x - lo
-        return 1, lo - gc.x, hi - gc.x
-
-    @staticmethod
-    def _near_first(gc: _CellConstants, side: int, left: int, count: int):
-        """(base, offsets): a point at offset o of `gc.offsets[side]` in the
-        block's cell i, counted from the one nearest to c, lies at distance
-        (base + o + i*L*q)/q from c."""
-        if side == 1:
-            return (left - gc.x) * gc.q, gc.offsets[1]
-        return (gc.x - left - count * gc.length) * gc.q, gc.offsets[-1]
-
-    def _run_points(self, gc: _CellConstants, side: int, left: int, count: int):
-        """Distances from c, times q, of the shifted run's ends a < b and of
-        p_0, p_(n-1), q_0 and q_(n-1) + L (see `_density_series`); None if
-        a region comes within R of c."""
-        base, (_cen, shift, r0, r1) = self._near_first(gc, side, left, count)
-        if base + r0 <= gc.r * gc.q:
-            return None
-        lq = gc.length * gc.q
-        a = base + shift
-        return (a, a + count * lq), (base + r0, base + r0 + (count - 1) * lq,
-                                     base + r1, base + r1 + count * lq)
-
     def _width(self, gc: _CellConstants, left: int, count: int) -> float:
         """Width over S of the block's bracket: its coefficients' widths
         summed over j, for the first- or second-order bracket, whichever
@@ -483,13 +542,13 @@ class CellField:
         for a run whose regions stay farther than R from c.
         """
         r = gc.r
-        side, d_near, d_far = self._distances(gc, *self._mass_span(gc, left, count))
+        side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
         first = ((1 if count == 1 else 2) * gc.mass_num * (d_far - d_near)
                  / (gc.mass_den * (d_near - r) * (d_far - r)))
         if count == 1:
             z_near, z_far = r / (d_near - r), r / (d_far - r)
             return min(first, 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3))
-        points = self._run_points(gc, side, left, count)
+        points = _run_points(gc, side, left, count, gc.r * gc.q)
         if points is None:
             return first
         rq = r * gc.q
@@ -505,7 +564,7 @@ class CellField:
         cell, at its own density."""
         gc = self._consts(gen)
         r = gc.r
-        side, d_near, d_far = self._distances(gc, *self._mass_span(gc, left, count))
+        side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
         e_near, e_far = ratio_bounds(r, d_near), ratio_bounds(r, d_far)
         acc_lo, acc_hi = sums[side]
         if count == 0:
@@ -513,12 +572,12 @@ class CellField:
                                    e_near, e_far, tol)
         rq = r * gc.q
         if count == 1:
-            base, (cen, *_rest) = self._near_first(gc, side, left, 1)
+            base, (cen, *_rest) = _near_first(gc, side, left, 1)
             return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, tol,
                                 (gc.mv, ratio_bounds(rq, base + cen)))
         # a run at the carriers' mean density, off by one cell's mass, and
         # shifted onto the centroids where its regions stay farther than R
-        points = self._run_points(gc, side, left, count)
+        points = _run_points(gc, side, left, count, gc.r * gc.q)
         if points is not None:
             ends, lattice = points
             points = ((gc.mv, gc.mw, gc.mvw, gc.mu), ends,
