@@ -2,16 +2,16 @@
 
 `walk` encloses Hw at one point: it keeps whole subtrees as interval
 contributions and always expands the widest pending block, so precision is
-budget-driven and never requires enumerating a generation.  A block's
-interval is the intersection of two brackets: a first-order one (mass
-times kernel range, or a Riemann pair over equal-mass tile runs) and a
-second-order one from the exact centroid and variance of a carrier's mass
-(`WeightModel.carrier_moments`).  `CellField` encloses Hw on one support
-cell: one walk with the cell in place of the point builds a certified power
-series for all mass outside the cell, with the same two brackets per
-coefficient, and each point then evaluates that polynomial and the cell's
-own indicator.  All coordinates are Python ints on a per-generation scale
-and all pending bounds are outward-rounded float pairs.
+budget-driven and never requires enumerating a generation.  A block has one
+bracket, second order, from the exact mass, centroid and variance of a
+carrier's mass (`WeightModel.carrier_moments`).  Only a run of carriers
+whose cells, shifted onto the centroids, reach x falls back to the first
+order (a Riemann pair over its equal-mass tiles).  `CellField` encloses Hw
+on one support cell: one walk with the cell in place of the point builds a
+certified power series for all mass outside the cell, with the same
+brackets per coefficient, and each point then evaluates that polynomial and
+the cell's own indicator.  All coordinates are Python ints on a
+per-generation scale and all pending bounds are outward-rounded float pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import itemgetter
 from .enclosure import (FloatInterval, add_bounds, log_ratio_bounds, mul_bounds,
                         ratio_bounds)
 from .triadic import TriadicCell
-from .weights import WeightModel
+from .weights import MAX_GENERATIONS, WeightModel
 
 _INF = float("inf")
 
@@ -162,24 +162,33 @@ def _run_points(gc: _GenConstants, side: int, left: int, count: int, clearance: 
                                  base + r1, base + r1 + count * lq)
 
 
+def _open_block(gc: _GenConstants, left: int, count: int, u: int):
+    """Split a pending block: halve a run, or open a carrier into its
+    support cell and its core's u = 3^(k-1) tiles, a run of the next
+    generation's carriers.  Returns the support cell's left end (None for a
+    run) and the new runs as (left, count)."""
+    if count > 1:
+        # the x-side half concentrates the kernel range, so widths decay
+        # geometrically under repeated splitting
+        cut = count // 2
+        return None, ((left, cut), (left + cut * gc.length, count - cut))
+    return left + gc.sliver, (((left + gc.third) * 3 * u, u),)
+
+
 def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float] | None:
     """Bounds (lo, hi) on the block's kernel integral; None forces expansion.
 
-    Each block gets a first- and a second-order bracket, and the bounds are
-    their intersection.  With d = |x - t|, the kernel integral of the mass
-    is -side times its integral of 1/d, so the brackets below are on the
-    latter.
+    With d = |x - t|, the kernel integral of the mass is -side times its
+    integral of 1/d, so the brackets below are on the latter.  They are
+    second order, from the carriers' exact mass M, centroid and variance.
 
-    A carrier of mass M: first order, M * [1/d_far, 1/d_near] over the hull
-    where its mass lives.  Second order, about its centroid at d_bar: the
-    dipole term vanishes, so the integral is M/d_bar + M * var * 1/d^3 at a
-    point of the hull, between M * var * [1/d_far^3, 1/d_near^3].
+    A carrier, about its centroid at d_bar: the dipole term vanishes, so
+    the integral is M/d_bar + M * var * 1/d^3 at a point of the hull where
+    its mass lives, between M * var * [1/d_far^3, 1/d_near^3].
 
-    A run of n equal carriers at density rho: first order, the uniform log
-    integral, off by at most one cell's mass times the kernel range over the
-    run, M * (d_far - d_near)/(d_near * d_far).  Second order, shift each
-    cell so it is centred on its carrier's centroid; the shifted run spans
-    a < b and a carrier differs from uniform mass on its shifted cell by
+    A run of n equal carriers at density rho: shift each cell so it is
+    centred on its carrier's centroid; the shifted run spans a < b and a
+    carrier differs from uniform mass on its shifted cell by
     M * (var * G(eta_i) - L^2/12 * G(xi_i)), G = 1/d^3, at points of the
     region that the shifted cell and the hull span.  G falls with the
     distance, so over the regions' near ends p_i and far ends q_i
@@ -188,52 +197,56 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
     and the run lies in rho * ln(b/a) + M * [var * D - L^2/12 * U,
     var * U - L^2/12 * D].  With e = L/d, M * var * U = rho * var/L^2 *
     (e_p0^3 + (e_p0^2 - e_pl^2)/2), and so on.  The shifted cells may reach
-    past the run; the second order is left out if a region reaches x.  All
-    integers are on the walk's scale.
+    past the run, and e_p0^3 grows without bound as a region nears x.  So a
+    run whose regions come within L/4 of x falls back to the first order:
+    the uniform log integral, off by at most one cell's mass times the
+    kernel range over the run, M * (d_far - d_near)/(d_near * d_far).  (On
+    sampled points for k = 2..12, the first order is the narrower at both
+    ends only below 0.16 L from x, and the second order only above 0.31 L.)
+    All integers are on the walk's scale.
     """
     if left <= gc.x <= left + count * gc.length:
         return None
     side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
     (v_lo, v_hi), (l_lo, l_hi) = gc.moments  # rho * var/L^2, rho * (L^2/12)/L^2
+    points = None if count == 1 else _run_points(gc, side, left, count, gc.length * gc.q // 4)
     if count == 1:
-        lo = ratio_bounds(gc.mass_num, gc.mass_den * d_far)[0]
-        hi = ratio_bounds(gc.mass_num, gc.mass_den * d_near)[1]
         base, (cen, *_ends) = _near_first(gc, side, left, 1)
         c_lo, c_hi = ratio_bounds(gc.mass_num * gc.q, gc.mass_den * (base + cen))
         t_lo = _cube(*ratio_bounds(gc.length, d_far))[0]
         t_hi = _cube(*ratio_bounds(gc.length, d_near))[1]
-        lo = max(lo, nextafter(c_lo + nextafter(v_lo * t_lo, -_INF), -_INF))
-        hi = min(hi, nextafter(c_hi + nextafter(v_hi * t_hi, _INF), _INF))
-    else:
+        lo = nextafter(c_lo + nextafter(v_lo * t_lo, -_INF), -_INF)
+        hi = nextafter(c_hi + nextafter(v_hi * t_hi, _INF), _INF)
+    elif points is None:
         i_lo, i_hi = log_ratio_bounds(d_far, d_near)
         base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
         slack = ratio_bounds(gc.mass_num * count * gc.length, gc.mass_den * d_near * d_far)[1]
         lo, hi = nextafter(base_lo - slack, -_INF), nextafter(base_hi + slack, _INF)
-        points = _run_points(gc, side, left, count, 0)
-        if points is not None:
-            (a, b), (p0, pl, q0, qe) = points
-            lq = gc.length * gc.q
-            s_lo, s_hi = mul_bounds(*log_ratio_bounds(b, a), *gc.density)
-            ep0 = ratio_bounds(lq, p0)[1]
-            epl, eq0, eqe = ratio_bounds(lq, pl)[0], ratio_bounds(lq, q0)[0], ratio_bounds(lq, qe)[1]
-            # U and D times L^3, from above and below
-            sq_p0 = nextafter(ep0 * ep0, _INF)
-            up = nextafter(sq_p0 - nextafter(epl * epl, -_INF), _INF)
-            up = nextafter(nextafter(sq_p0 * ep0, _INF) + 0.5 * up, _INF)
-            down = max(0.0, 0.5 * nextafter(nextafter(eq0 * eq0, -_INF)
-                                            - nextafter(eqe * eqe, _INF), -_INF))
-            r_lo = nextafter(nextafter(v_lo * down, -_INF) - nextafter(l_hi * up, _INF), -_INF)
-            r_hi = nextafter(nextafter(v_hi * up, _INF) - nextafter(l_lo * down, -_INF), _INF)
-            lo = max(lo, nextafter(s_lo + r_lo, -_INF))
-            hi = min(hi, nextafter(s_hi + r_hi, _INF))
+    else:
+        (a, b), (p0, pl, q0, qe) = points
+        lq = gc.length * gc.q
+        s_lo, s_hi = mul_bounds(*log_ratio_bounds(b, a), *gc.density)
+        ep0 = ratio_bounds(lq, p0)[1]
+        epl, eq0, eqe = ratio_bounds(lq, pl)[0], ratio_bounds(lq, q0)[0], ratio_bounds(lq, qe)[1]
+        # U and D times L^3, from above and below
+        sq_p0 = nextafter(ep0 * ep0, _INF)
+        up = nextafter(sq_p0 - nextafter(epl * epl, -_INF), _INF)
+        up = nextafter(nextafter(sq_p0 * ep0, _INF) + 0.5 * up, _INF)
+        down = max(0.0, 0.5 * nextafter(nextafter(eq0 * eq0, -_INF)
+                                        - nextafter(eqe * eqe, _INF), -_INF))
+        r_lo = nextafter(nextafter(v_lo * down, -_INF) - nextafter(l_hi * up, _INF), -_INF)
+        r_hi = nextafter(nextafter(v_hi * up, _INF) - nextafter(l_lo * down, -_INF), _INF)
+        lo, hi = nextafter(s_lo + r_lo, -_INF), nextafter(s_hi + r_hi, _INF)
     return (-hi, -lo) if side == 1 else (lo, hi)
 
 
 def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
          max_expansions: int) -> tuple[tuple[float, float] | None, int]:
     """Adaptive bounds (lo, hi) on Hw at x = xn/xd, and the number of
-    expansions; None if a block holding x is left pending."""
-    up, children = 3 ** model.k, 3 ** (model.k - 1)
+    expansions; None if a block holding x is left pending.
+
+    Raises ValueError if x lies in nested cores past `MAX_GENERATIONS`, as
+    `WeightModel.carriers_holding` does."""
     acc_lo = acc_hi = 0.0
     # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
     heap: list[tuple] = []
@@ -271,21 +284,17 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
         else:
             pending_width += neg_width
         gc = gcs[gen]
-        if count > 1:
-            # halve the run; the x-side half concentrates the kernel range,
-            # so widths decay geometrically under repeated splitting
-            cut = count // 2
-            runs = ((left, cut), (left + cut * gc.length, count - cut))
-        else:
-            sl = left + gc.sliver
-            i_lo, i_hi = _indicator_bounds(sl, sl + gc.slen, gc.x)
+        sliver, runs = _open_block(gc, left, count, model.u)
+        if sliver is not None:
+            i_lo, i_hi = _indicator_bounds(sliver, sliver + gc.slen, gc.x)
             t_lo, t_hi = mul_bounds(i_lo, i_hi, *gc.w_next)
             acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, t_lo, t_hi)
-            # the core's tiles are the next generation's carriers
             gen += 1
             if gen == len(gcs):
+                if gen > MAX_GENERATIONS:
+                    raise ValueError(f"the carrier chain at {Fraction(xn, xd)} runs past "
+                                     f"generation {MAX_GENERATIONS} without ending")
                 gcs.append(_GenConstants(model, gen, xn, xd))
-            runs = (((left + gc.third) * up, children),)
         expansions += 1
     # sum in push order, so the float total does not depend on heap layout
     for *_block, enc in sorted(heap, key=itemgetter(1)):
@@ -344,44 +353,39 @@ class _CellConstants(_GenConstants):
 
 def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
                  e_near: tuple[float, float], e_far: tuple[float, float],
-                 tol: float, second=None) -> float:
+                 mv: tuple[float, float], e_bar: tuple[float, float], tol: float) -> float:
     """Add (1/R) * integral of e^(j+1) dmu for one carrier to acc[j], j = 0..,
     and return the bound on the rest once it is below `tol`.
 
-    The mass M lies where e runs from e_far to e_near, so term j lies in
-    (M/R) * [e_far^(j+1), e_near^(j+1)].  With `second` = (mv, e_bar), where
-    e_bar = R/d at the mass's centroid, Taylor's theorem about the centroid
-    also puts it in
+    The mass M lies where e runs from e_far to e_near, e_bar = R/d at the
+    mass's centroid and mv = (M/R) * var/(2R^2).  Taylor's theorem about
+    the centroid puts term j in
         (M/R) * e_bar^(j+1) + mv * (j+1)(j+2) * [e_far^(j+3), e_near^(j+3)],
     because the second derivative (j+1)(j+2)/R^2 * e^(j+3) of e^(j+1) falls
-    with the distance.  That bracket is centred on the estimate at e_bar,
-    with the half-width that covers both ends, and meets the first.
+    with the distance.  The bracket is centred on the estimate at e_bar,
+    with the half-width that covers both ends.  Term j is at most
+    (M/R) * e_near^(j+1), which bounds the rest by a geometric tail.
     """
     m_lo, m_hi = mass_r
     f_lo, n_hi = e_far[0], e_near[1]
-    p_lo, p_hi = f_lo, n_hi
-    if second is not None:
-        (mv_lo, mv_hi), (b_lo, b_hi) = second
-        n2, f2 = nextafter(n_hi * n_hi, _INF), nextafter(f_lo * f_lo, -_INF)
-        b2_lo, b2_hi = nextafter(b_lo * b_lo, -_INF), nextafter(b_hi * b_hi, _INF)
-        e_lo, e_hi = b_lo, b_hi  # e_bar^(j+1)
+    (mv_lo, mv_hi), (b_lo, b_hi) = mv, e_bar
+    p_lo, p_hi = f_lo, n_hi  # e_far^(j+1) from below, e_near^(j+1) from above
+    n2, f2 = nextafter(n_hi * n_hi, _INF), nextafter(f_lo * f_lo, -_INF)
+    b2_lo, b2_hi = nextafter(b_lo * b_lo, -_INF), nextafter(b_hi * b_hi, _INF)
+    e_lo, e_hi = b_lo, b_hi  # e_bar^(j+1)
     j = 0
     while True:
-        lo, hi = nextafter(m_lo * p_lo, -_INF), nextafter(m_hi * p_hi, _INF)
-        if second is not None:
-            c = (j + 1) * (j + 2)
-            c_lo, c_hi = nextafter(mv_lo * c, -_INF), nextafter(mv_hi * c, _INF)
-            q_lo = nextafter(c_lo * nextafter(e_lo * b2_lo, -_INF), -_INF)
-            q_hi = nextafter(c_hi * nextafter(e_hi * b2_hi, _INF), _INF)
-            q_near = nextafter(c_hi * nextafter(p_hi * n2, _INF), _INF)
-            q_far = nextafter(c_lo * nextafter(p_lo * f2, -_INF), -_INF)
-            half = nextafter(max(q_near - q_lo, q_hi - q_far), _INF)
-            mid_lo = nextafter(nextafter(m_lo * e_lo, -_INF) + q_lo, -_INF)
-            mid_hi = nextafter(nextafter(m_hi * e_hi, _INF) + q_hi, _INF)
-            lo = max(lo, nextafter(mid_lo - half, -_INF))
-            hi = min(hi, nextafter(mid_hi + half, _INF))
-            e_lo, e_hi = nextafter(e_lo * b_lo, -_INF), nextafter(e_hi * b_hi, _INF)
-        _add_at(acc_lo, acc_hi, j, lo, hi)
+        c = (j + 1) * (j + 2)
+        c_lo, c_hi = nextafter(mv_lo * c, -_INF), nextafter(mv_hi * c, _INF)
+        q_lo = nextafter(c_lo * nextafter(e_lo * b2_lo, -_INF), -_INF)
+        q_hi = nextafter(c_hi * nextafter(e_hi * b2_hi, _INF), _INF)
+        q_near = nextafter(c_hi * nextafter(p_hi * n2, _INF), _INF)
+        q_far = nextafter(c_lo * nextafter(p_lo * f2, -_INF), -_INF)
+        half = nextafter(max(q_near - q_lo, q_hi - q_far), _INF)
+        mid_lo = nextafter(nextafter(m_lo * e_lo, -_INF) + q_lo, -_INF)
+        mid_hi = nextafter(nextafter(m_hi * e_hi, _INF) + q_hi, _INF)
+        _add_at(acc_lo, acc_hi, j, nextafter(mid_lo - half, -_INF), nextafter(mid_hi + half, _INF))
+        e_lo, e_hi = nextafter(e_lo * b_lo, -_INF), nextafter(e_hi * b_hi, _INF)
         p_hi = nextafter(p_hi * n_hi, _INF)
         tail = _geometric_tail(n_hi, nextafter(m_hi * p_hi, _INF))
         if tail <= tol or j == _MAX_DEGREE:
@@ -400,11 +404,13 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
 
     Term j is density/j * (e_near^j - e_far^j), and density * ln(d_far/d_near)
     for j = 0; a cell of mass m moves it by at most (m/R) * the range of
-    e^(j+1) over the cell, which sums to the slack over the run.
+    e^(j+1) over the cell, which sums to the slack over the run.  This first
+    order is the bracket of a support cell (slack 0) and of a run whose
+    shifted cells come within R of c.
 
-    With `second` = ((mv, mw, mvw, mu), (a, b), (e_a, e_b), (e_p0, e_pl,
-    e_q0, e_qe)) the run's n carriers of mass M, length L and variance var
-    also get a second-order bracket.  Shift each cell to be centred on its
+    Any other run gets its bracket from `second` = ((mv, mw, mvw, mu),
+    (a, b), (e_a, e_b), (e_p0, e_pl, e_q0, e_qe)), for its n carriers of
+    mass M, length L and variance var.  Shift each cell to be centred on its
     carrier's centroid: the run then spans the distances a < b, and a
     carrier differs from uniform mass on its shifted cell by
     (M/2) * (var * g'' - L^2/12 * g'') at points of the cell's region, with
@@ -414,36 +420,37 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
         sum g''(q_i) >= (|g'(q_0)| - |g'(q_(n-1) + L)|) / L = D,
     and the first bound, U, and D bracket I = (|g'(a)| - |g'(b)|) / L.  So
     term j is the uniform term at a, b plus (M/2) * (var - L^2/12) * I, to
-    within (M/2) * max(var(U - I) + L^2/12 (I - D), var(I - D) + L^2/12 (U - I)),
-    and that bracket meets the first.  e_pl and e_qe are at p_(n-1) and
-    q_(n-1) + L.
+    within (M/2) * max(var(U - I) + L^2/12 (I - D), var(I - D) + L^2/12 (U - I)).
+    e_pl and e_qe are at p_(n-1) and q_(n-1) + L.  Either way the rest is
+    bounded by the first order's tail.
     """
     d_lo, d_hi = density
-    l_lo, l_hi = log_ratio_bounds(d_far, d_near)
-    part_lo, part_hi = nextafter(d_lo * l_lo, -_INF), nextafter(d_hi * l_hi, _INF)
-    (en_lo, en_hi), (ef_lo, ef_hi) = e_near, e_far
-    # bounds on e_near^(j+1) and e_far^(j+1)
-    n_lo, n_hi, f_lo, f_hi = en_lo, en_hi, ef_lo, ef_hi
-    if second is not None:
+    en_hi = e_near[1]
+    if second is None:
+        (ea_lo, ea_hi), (eb_lo, eb_hi) = e_near, e_far
+        l_lo, l_hi = log_ratio_bounds(d_far, d_near)
+    else:
         ((mv, mw, mvw, (mu_lo, mu_hi)), (a, b), ((ea_lo, ea_hi), (eb_lo, eb_hi)),
          (ep0, epl, eq0, eqe)) = second
         mv_hi, mw_hi = mv[1], mw[1]
         l_lo, l_hi = log_ratio_bounds(b, a)
-        # the shifted run's uniform term j, and e^(j+1) at its ends
-        s_lo, s_hi = nextafter(d_lo * l_lo, -_INF), nextafter(d_hi * l_hi, _INF)
-        a_lo, a_hi, b_lo, b_hi = ea_lo, ea_hi, eb_lo, eb_hi
         # e^(j+2) at p_0 (above), p_(n-1) and q_0 (below) and q_(n-1) + L (above)
         p0_e, pl_e, q0_e, qe_e = ep0[1], epl[0], eq0[0], eqe[1]
         p0 = nextafter(p0_e * p0_e, _INF)
         pl = nextafter(pl_e * pl_e, -_INF)
         q0 = nextafter(q0_e * q0_e, -_INF)
         qe = nextafter(qe_e * qe_e, _INF)
+    # the uniform term j, and e^(j+1) at the uniform mass's near and far ends
+    part_lo, part_hi = nextafter(d_lo * l_lo, -_INF), nextafter(d_hi * l_hi, _INF)
+    a_lo, a_hi, b_lo, b_hi = ea_lo, ea_hi, eb_lo, eb_hi
+    n_hi = en_hi  # e_near^(j+1), for the tail
     j = 0
     while True:
-        diff_hi = nextafter(n_hi - f_lo, _INF)
-        slack = nextafter(slack_r * diff_hi, _INF)
-        lo, hi = nextafter(part_lo - slack, -_INF), nextafter(part_hi + slack, _INF)
-        if second is not None:
+        diff_hi = nextafter(a_hi - b_lo, _INF)
+        if second is None:
+            slack = nextafter(slack_r * diff_hi, _INF)
+            lo, hi = nextafter(part_lo - slack, -_INF), nextafter(part_hi + slack, _INF)
+        else:
             # R^2 |g'|/L = (j+1) (R/L) e^(j+2) and R^2 g'' = (j+1)(j+2) e^(j+3)
             jm_lo, jm_hi = nextafter((j + 1) * mu_lo, -_INF), nextafter((j + 1) * mu_hi, _INF)
             a2_lo = nextafter(jm_lo * nextafter(a_lo * ea_lo, -_INF), -_INF)
@@ -459,28 +466,23 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
             half = max(nextafter(nextafter(mv_hi * ga, _INF) + nextafter(mw_hi * gb, _INF), _INF),
                        nextafter(nextafter(mv_hi * gb, _INF) + nextafter(mw_hi * ga, _INF), _INF))
             est_lo, est_hi = mul_bounds(*mvw, i_lo, i_hi)
-            lo = max(lo, nextafter(nextafter(s_lo + est_lo, -_INF) - half, -_INF))
-            hi = min(hi, nextafter(nextafter(s_hi + est_hi, _INF) + half, _INF))
+            lo = nextafter(nextafter(part_lo + est_lo, -_INF) - half, -_INF)
+            hi = nextafter(nextafter(part_hi + est_hi, _INF) + half, _INF)
             p0, pl = nextafter(p0 * p0_e, _INF), nextafter(pl * pl_e, -_INF)
             q0, qe = nextafter(q0 * q0_e, -_INF), nextafter(qe * qe_e, _INF)
         _add_at(acc_lo, acc_hi, j, lo, hi)
         j += 1
         top = nextafter(nextafter(d_hi * n_hi, _INF) / j, _INF)
-        top = nextafter(top + nextafter(slack_r * nextafter(n_hi * en_hi, _INF), _INF), _INF)
+        n_hi = nextafter(n_hi * en_hi, _INF)
+        top = nextafter(top + nextafter(slack_r * n_hi, _INF), _INF)
         tail = _geometric_tail(en_hi, top)
         if tail <= tol or j > _MAX_DEGREE:
             return tail
-        diff_lo = max(0.0, nextafter(n_lo - f_hi, -_INF))
+        diff_lo = max(0.0, nextafter(a_lo - b_hi, -_INF))
         part_lo = nextafter(nextafter(d_lo * diff_lo, -_INF) / j, -_INF)
         part_hi = nextafter(nextafter(d_hi * diff_hi, _INF) / j, _INF)
-        n_lo, n_hi = nextafter(n_lo * en_lo, -_INF), nextafter(n_hi * en_hi, _INF)
-        f_lo, f_hi = nextafter(f_lo * ef_lo, -_INF), nextafter(f_hi * ef_hi, _INF)
-        if second is not None:
-            s_diff = max(0.0, nextafter(a_lo - b_hi, -_INF))
-            s_lo = nextafter(nextafter(d_lo * s_diff, -_INF) / j, -_INF)
-            s_hi = nextafter(nextafter(d_hi * nextafter(a_hi - b_lo, _INF), _INF) / j, _INF)
-            a_lo, a_hi = nextafter(a_lo * ea_lo, -_INF), nextafter(a_hi * ea_hi, _INF)
-            b_lo, b_hi = nextafter(b_lo * eb_lo, -_INF), nextafter(b_hi * eb_hi, _INF)
+        a_lo, a_hi = nextafter(a_lo * ea_lo, -_INF), nextafter(a_hi * ea_hi, _INF)
+        b_lo, b_hi = nextafter(b_lo * eb_lo, -_INF), nextafter(b_hi * eb_hi, _INF)
 
 
 class CellField:
@@ -499,9 +501,9 @@ class CellField:
     then sums certified coefficients over the frontier, each series cut once
     its geometric tail is below an equal share of the rest.  A block's
     coefficients are bracketed to second order, from the exact mass,
-    centroid and variance of a carrier's mass, wherever that is tighter than
-    the first-order kernel range.  `enclose` evaluates the polynomial and
-    S's own indicator exactly.
+    centroid and variance of a carrier's mass; only a support cell, and a
+    run whose shifted cells come within R of c, take the first-order kernel
+    range.  `enclose` evaluates the polynomial and S's own indicator exactly.
     """
 
     def __init__(self, model: WeightModel, cell: TriadicCell, budget: float):
@@ -530,32 +532,28 @@ class CellField:
 
     def _width(self, gc: _CellConstants, left: int, count: int) -> float:
         """Width over S of the block's bracket: its coefficients' widths
-        summed over j, for the first- or second-order bracket, whichever
-        is smaller.
+        summed over j.
 
-        With z = R/(d - R) = sum over j of e^(j+1), the first order gives
-        (M/R) * (z_near - z_far), and twice that for a run.  Summing over j,
-        (j+1)(j+2) e^(j+3) gives 2z^3 and (j+1) e^(j+2) gives z^2, and the
-        centred second-order bracket is at most twice as wide as the one it
-        centres: 4 mv (z_near^3 - z_far^3) for a carrier over its hull, and
-        2 (mv + mw) (2 z_p0^3 + (R/L) (z_p0^2 - z_pl^2 - z_q0^2 + z_qe^2))
-        for a run whose regions stay farther than R from c.
+        With z = R/(d - R) = sum over j of e^(j+1), (j+1)(j+2) e^(j+3) sums
+        to 2z^3 and (j+1) e^(j+2) to z^2, and a centred bracket is at most
+        twice as wide as the one it centres: 4 mv (z_near^3 - z_far^3) for a
+        carrier over its hull, and 2 (mv + mw) (2 z_p0^3 + (R/L) (z_p0^2 -
+        z_pl^2 - z_q0^2 + z_qe^2)) for a run whose regions stay farther
+        than R from c.  The first order of any other run is
+        2 (M/R) (z_near - z_far).
         """
         r = gc.r
         side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
-        first = ((1 if count == 1 else 2) * gc.mass_num * (d_far - d_near)
-                 / (gc.mass_den * (d_near - r) * (d_far - r)))
         if count == 1:
             z_near, z_far = r / (d_near - r), r / (d_far - r)
-            return min(first, 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3))
+            return 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3)
         points = _run_points(gc, side, left, count, gc.r * gc.q)
         if points is None:
-            return first
+            return 2 * gc.mass_num * (d_far - d_near) / (gc.mass_den * (d_near - r) * (d_far - r))
         rq = r * gc.q
         z0, zl, zq, ze = (rq / (p - rq) for p in points[1])
-        second = 2 * (gc.mv[1] + gc.mw[1]) * (
+        return 2 * (gc.mv[1] + gc.mw[1]) * (
             2 * z0 ** 3 + gc.mu[1] * (z0 * z0 - zl * zl - zq * zq + ze * ze))
-        return min(first, second)
 
     def _block_series(self, sums: dict, gen: int, left: int, count: int,
                       tol: float) -> float:
@@ -573,10 +571,10 @@ class CellField:
         rq = r * gc.q
         if count == 1:
             base, (cen, *_rest) = _near_first(gc, side, left, 1)
-            return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, tol,
-                                (gc.mv, ratio_bounds(rq, base + cen)))
-        # a run at the carriers' mean density, off by one cell's mass, and
-        # shifted onto the centroids where its regions stay farther than R
+            return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, gc.mv,
+                                ratio_bounds(rq, base + cen), tol)
+        # a run shifted onto the centroids where its regions stay farther
+        # than R, else at the carriers' mean density, off by one cell's mass
         points = _run_points(gc, side, left, count, gc.r * gc.q)
         if points is not None:
             ends, lattice = points
@@ -621,7 +619,7 @@ class CellField:
         coefficients' widths, so the frontier's widths bound the field's
         over S.  Expanded carriers leave their support cells in `slivers`.
         """
-        up, children = 3 ** self.model.k, 3 ** (self.model.k - 1)
+        u = self.model.u
         heap: list[tuple] = []
         pending = 0.0
         pushed = expansions = 0
@@ -635,13 +633,11 @@ class CellField:
                 return heap, expansions
             neg_width, _ident, gen, left, count = heapq.heappop(heap)
             pending += neg_width
-            gc = self._consts(gen)
-            if count > 1:
-                cut = count // 2
-                runs = ((gen, left, cut), (gen, left + cut * gc.length, count - cut))
-            else:
-                slivers.append((gen, left + gc.sliver))
-                runs = ((gen + 1, (left + gc.third) * up, children),)
+            sliver, pieces = _open_block(self._consts(gen), left, count, u)
+            if sliver is not None:
+                slivers.append((gen, sliver))
+                gen += 1
+            runs = [(gen, piece_left, piece_count) for piece_left, piece_count in pieces]
             expansions += 1
 
     def _sum_series(self, frontier, slivers, budget: float):

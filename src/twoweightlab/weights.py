@@ -253,6 +253,8 @@ class WeightModel:
         self.support: list[SupportCell] = []
         for gen in range(1, self.depth + 1):
             branches = _even_sample(self.jcell_count(gen), cap)
+            # one value per generation, shared by its (frozen) support cells
+            w_value, sigma_value = self.w_value(gen), self.sigma_value(gen)
             cells = []
             for i in branches:
                 core = self.jcell(gen, i)
@@ -260,7 +262,7 @@ class WeightModel:
                 placed, side = self.place_core(core, gen)
                 self.support.append(SupportCell(
                     gen=gen, core=core, cell=placed, side=side,
-                    w_value=self.w_value(gen), sigma_value=self.sigma_value(gen)))
+                    w_value=w_value, sigma_value=sigma_value))
             self.jcells[gen] = cells
 
     def support_cells(self, gen: int | None = None) -> list[SupportCell]:

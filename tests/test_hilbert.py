@@ -536,6 +536,18 @@ def test_walk_converges_where_first_order_brackets_hit_the_cap():
     assert _meets(hv, reference_hilbert_weight(m, x, 1e-3, 2000))
 
 
+def test_walk_falls_back_to_first_order_where_a_shifted_run_nears_x():
+    """Here a run's shifted cells come within 2e-4 of a cell of x, where
+    the second-order bracket is ~4e10 wide.  Such widths left
+    enough rounding error in the walk's running sum of pending widths that
+    it stopped unconverged; within L/4 of x the run takes the first order."""
+    m = model(k=8)
+    x = Q(378602, 1000003)
+    for rel in (1e-6, 1e-9):
+        hv = hilbert_weight(m, x, tail_budget=rel * 8 * float(m.w_value(1)))
+        assert hv.converged, (rel, hv)
+
+
 # An independent 50-digit oracle for whole Hilbert points.  It sums the
 # carrier tree directly, with each support cell's log term in interval
 # arithmetic, down to carriers whose centre is at least two of their lengths
@@ -641,6 +653,121 @@ def test_integer_walk_rejects_support_cell_endpoints(placement):
                 hilbert_weight(m, x, tail_budget=1e-9)
             with pytest.raises(BoundaryError):
                 reference_hilbert_weight(m, x, tail_budget=1e-9)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_walk_names_a_carrier_chain_that_never_ends(k, placement):
+    """1/2 and 5/8 lie in nested cores at every generation (but 5/8 at
+    k = 3, where it is off the support): the walk raises the ValueError of
+    `carriers_holding` instead of overflowing a float hundreds of
+    generations down."""
+    m = model(k=k, placement=placement)
+    for x in (Q(1, 2), Q(5, 8)):
+        if (k, x) == (3, Q(5, 8)):
+            assert len(m.carriers_holding(x, x)) == 2
+            assert hilbert_weight(m, x).converged
+            continue
+        message = f"the carrier chain at {x} runs past generation 400 without ending"
+        with pytest.raises(ValueError, match=message):
+            m.carriers_holding(x, x)
+        with pytest.raises(ValueError, match=message):
+            hilbert_weight(m, x)
+
+
+# Outputs pinned bit for bit: (k, placement, x, budget / (k * w_2), and
+# hilbert_weight's (lo, hi, expansions)); then (k, placement, gen, tail,
+# expansions, coefficients) of the CellField on support cell 1 of generation
+# gen at budget 2e-3 * k * w_gen.  The last three points also take the
+# walk's first-order run bracket.  A change that moves an enclosure on
+# purpose records the new values here.
+
+_PINNED_POINTS = [
+    (2, 'right', Q(85, 162), 0.0001, (7.7461795778282525, 7.7470853442505705, 14)),
+    (2, 'left', Q(77, 162), 0.0001, (-7.747023814141002, -7.746243551333228, 14)),
+    (2, 'alternating', Q(77, 162), 0.0001, (-9.22275786848925, -9.221955202000174, 14)),
+    (2, 'right', Q(2), 1e-10, (0.699938010179632, 0.6999380109832092, 19)),
+    (6, 'right', Q(560845, 1062882), 0.0001, (53.582065609920186, 53.587300167809985, 46)),
+    (6, 'left', Q(560357, 1062882), 0.0001, (-51.61018234813193, -51.60520328478172, 46)),
+    (6, 'alternating', Q(560357, 1062882), 0.0001, (-51.63999784215425, -51.635019845040226, 46)),
+    (6, 'right', Q(2), 1e-10, (0.6697628183748237, 0.6697628186686172, 1)),
+    (12, 'right', Q(219600632845, 564859072962), 0.0001,
+     (107.50789620662492, 107.51711802791952, 68)),
+    (12, 'left', Q(219600278549, 564859072962), 0.0001,
+     (-117.18925641332412, -117.17939488322878, 67)),
+    (12, 'alternating', Q(219600278549, 564859072962), 0.0001,
+     (-117.18935017037468, -117.17948864539402, 67)),
+    (12, 'right', Q(2), 1e-10, (0.6694311087600808, 0.6694311087600847, 1)),
+    (2, 'left', Q(440764, 1000003), 1e-06, (-0.5545752124209953, -0.5545657325862455, 28)),
+    (6, 'alternating', Q(653159, 1000003), 0.0001, (3.6235177573052204, 3.62862442066325, 22)),
+    (12, 'alternating', Q(653159, 1000003), 0.0001, (15.659266888704387, 15.669705966331124, 92)),
+]
+
+_PINNED_FIELDS = [
+    (3, 'left', 2, 0.00043092801673014355, 14, [
+        (-22.558963585662383, -22.547272154335754),
+        (-6.087404457524923, -6.083959564253323),
+        (-2.4464677644419073, -2.4450852201064843),
+        (-1.1891598206674323, -1.1883471275924447),
+        (-0.6184708685552212, -0.6178534645164483),
+        (-0.33250633747917524, -0.3320058580820091),
+        (-0.18229608760858987, -0.18189451918894725),
+        (-0.10130170645011839, -0.10098978349841872),
+        (-0.056901421647205054, -0.05666509637945599),
+        (-0.032227675835135326, -0.03205315576970385),
+        (-0.01841042058277102, -0.018284150870722722),
+        (-0.01058781253042965, -0.010497981083107791),
+        (-0.00612605573304883, -0.006063038412907007),
+        (-0.0035639644629948033, -0.0035202785225440496),
+        (-0.002083682070826657, -0.0020537029439775195),
+        (-0.0012236734934609845, -0.0012032802162887397),
+        (-0.0007215186325825313, -0.0007077519950563795),
+        (-0.0004269819579989614, -0.00041775120883927883),
+        (-0.0002535140703868538, -0.00024736170198171986),
+        (-0.00015097064673690394, -0.00014689197107596472),
+        (-9.01494658403644e-05, -8.745854795310299e-05),
+        (-5.396467243452017e-05, -5.2197067532592964e-05),
+        (-2.023992229233409e-05, -2.0239922292333424e-05),
+    ]),
+    (6, 'alternating', 2, 0.0008716970202665819, 21, [
+        (-68.0975307460362, -68.06801886266341),
+        (-7.463344118189887, -7.457146713249844),
+        (-2.8128904634249925, -2.8113225297185607),
+        (-1.3165413376334134, -1.3161907601895282),
+        (-0.6614575240507511, -0.6613826126527289),
+        (-0.34305989229004114, -0.34305016371069885),
+        (-0.1811931131547779, -0.18119308575649318),
+        (-0.09691406566204706, -0.09691404422735382),
+        (-0.05230964153415571, -0.052309625296999236),
+        (-0.02843276057755565, -0.02843274858648887),
+        (-0.015574980430136718, -0.015574971752739537),
+        (-0.008581555711910754, -0.008581549536780609),
+        (-0.004753643282861424, -0.004753638949331726),
+        (-0.002645624719909369, -0.0026456217144308052),
+        (-0.0014793622756690465, -0.0014793602121987786),
+        (-0.0008305908955023404, -0.0008305894911255142),
+        (-0.00046807010490885256, -0.0004680691563891143),
+        (-0.00026466973904934926, -0.0002646691027267576),
+        (-0.0001501201771057693, -0.00015011975277822215),
+        (-8.538850781978831e-05, -8.538822637672555e-05),
+        (-4.869462968957418e-05, -4.869444391925702e-05),
+    ]),
+]
+
+
+@pytest.mark.parametrize("k,placement,x,rel,expected", _PINNED_POINTS)
+def test_hilbert_weight_is_pinned(k, placement, x, rel, expected):
+    m = model(k=k, placement=placement)
+    hv = hilbert_weight(m, x, tail_budget=rel * k * float(m.w_value(2)))
+    assert (hv.value.lo, hv.value.hi, hv.expansions) == expected
+
+
+@pytest.mark.parametrize("k,placement,gen,tail,expansions,coeffs", _PINNED_FIELDS)
+def test_cell_field_is_pinned(k, placement, gen, tail, expansions, coeffs):
+    m = model(k=k, placement=placement)
+    field = treewalk.CellField(m, m.support_cells(gen)[1].cell,
+                               2e-3 * k * float(m.w_value(gen)))
+    assert (field.coeffs, field.tail, field.expansions) == (coeffs, tail, expansions)
 
 
 def _reference_cell_integral(m, cell, p, levels, nodes, budget, scale):
@@ -947,15 +1074,21 @@ def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
     mass, mass_r = Q(3, 7), ratio_bounds(3, 7)
     tol = 1e-9
 
-    # one carrier, with its mass at either end or split between them
-    lo, hi = [], []
-    tail = treewalk._cell_series(lo, hi, mass_r, *bounds, tol)
-    assert 0 <= tail <= tol and len(lo) >= 2
+    # one carrier, with its mass at either end or split between them; each
+    # layout's series reads its exact centroid and variance
     for split in (Q(0), Q(1, 3), Q(1)):
+        centroid = split * d_near + (1 - split) * d_far
+        mv = mass * split * (1 - split) * (d_far - d_near) ** 2 / 2  # (M/R) * var/(2R^2)
+        lo, hi = [], []
+        tail = treewalk._cell_series(lo, hi, mass_r, *bounds,
+                                     ratio_bounds(mv.numerator, mv.denominator),
+                                     ratio_bounds(centroid.denominator, centroid.numerator), tol)
+        assert 0 <= tail <= tol and len(lo) >= 2
+
         def term(j):
             return mass * (split * e_near ** (j + 1) + (1 - split) * e_far ** (j + 1))
         for j in range(len(lo)):
-            assert _inside(term(j), lo[j], hi[j])
+            assert _inside(term(j), lo[j], hi[j]), (split, j)
         assert sum(term(j) for j in range(len(lo), len(lo) + 200)) <= Q(tail)
 
     # uniform density 2 over distances [d_near, d_far]: term j >= 1 is
@@ -985,10 +1118,11 @@ def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
 @pytest.mark.parametrize("e_hi", [1.0, 1.5])
 def test_series_reject_a_ratio_bound_not_below_one(e_hi):
     """A geometric tail at ratio >= 1 has no finite bound; the series raise
-    instead of returning a negative tail."""
+    instead of returning a negative tail.  The carrier's mass sits at e_far,
+    so its variance is 0."""
     e_near, e_far = (e_hi, e_hi), (0.25, 0.25)
     with pytest.raises(ValueError, match="not below 1"):
-        treewalk._cell_series([], [], (0.5, 0.5), e_near, e_far, 1e-9)
+        treewalk._cell_series([], [], (0.5, 0.5), e_near, e_far, (0.0, 0.0), e_far, 1e-9)
     with pytest.raises(ValueError, match="not below 1"):
         treewalk._density_series([], [], (2.0, 2.0), 0.0, 1, 4, e_near, e_far, 1e-9)
 
