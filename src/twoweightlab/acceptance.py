@@ -1,13 +1,15 @@
 """Acceptance criteria, one runner per numbered check.
 
-Every runner returns {"id", "name", "passed", "elapsed", "details", "rows"}.
-Paper-scale constants are never asserted; each check pins the exact oracle
-or the trend stated for desk scale.  The CLI scenarios and the acceptance
-test module both dispatch through `run_criterion`.
+Each check is declared once, with `criterion`, and returns
+(passed, details, rows).  Paper-scale constants are never asserted; each
+check pins the exact oracle or the trend stated for desk scale.  The CLI
+scenarios and the acceptance test module both dispatch through
+`run_criterion`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -27,6 +29,28 @@ from .triadic import IntervalQ, TriadicCell, cell_from_index, cell_of
 from .weights import ConstructionParams, build_construction
 
 UNIT = IntervalQ(Q(0), Q(1))
+
+CRITERIA: dict = {}  # id -> runner, in declaration order
+CRITERION_SCENARIOS: dict[str, tuple[str, ...]] = {}  # CLI scenario -> ids
+
+
+def criterion(cid: str, name: str, scenario: str):
+    """Register a check as criterion `cid` of the CLI scenario `scenario`.
+
+    The registered runner times the check and returns the record
+    {"id", "name", "passed", "elapsed", "details", "rows"}.
+    """
+    def register(check):
+        @functools.wraps(check)
+        def run(*args, **overrides) -> dict:
+            t0 = time.monotonic()
+            passed, details, rows = check(*args, **overrides)
+            return {"id": cid, "name": name, "passed": passed,
+                    "elapsed": time.monotonic() - t0, "details": details, "rows": rows}
+        CRITERIA[cid] = run
+        CRITERION_SCENARIOS[scenario] = CRITERION_SCENARIOS.get(scenario, ()) + (cid,)
+        return run
+    return register
 
 
 def _model(k, p=2, r=None, depth=2, placement="right", cap=2048):
@@ -49,8 +73,8 @@ def _partition_average(model, cell: TriadicCell, which: str) -> Enclosure:
     return total * (1 / cell.length)
 
 
-def c01_exact_averages(ks=(2, 3, 4), ps=(2, 3), depth=4, cap=120) -> dict:
-    t0 = time.monotonic()
+@criterion("C1", "exact averages", "averages-exact")
+def c01_exact_averages(ks=(2, 3, 4), ps=(2, 3), depth=4, cap=120):
     rows = []
     ok = True
     for k in ks:
@@ -77,13 +101,11 @@ def c01_exact_averages(ks=(2, 3, 4), ps=(2, 3), depth=4, cap=120) -> dict:
             rows.append({"k": k, "p": p, "check": "all-materialized-cells",
                          "cells": sum(len(m.kcells[g]) for g in range(depth + 1)),
                          "passed": True})
-    return {"id": "C1", "name": "exact averages", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {"runtime_limit_s": 10},
-            "rows": rows}
+    return ok, {"runtime_limit_s": 10}, rows
 
 
-def c02_mass_conservation(ks=(2, 3, 4), depths=(1, 2, 3, 4)) -> dict:
-    t0 = time.monotonic()
+@criterion("C2", "mass conservation", "averages-exact")
+def c02_mass_conservation(ks=(2, 3, 4), depths=(1, 2, 3, 4)):
     rows = []
     ok = True
     for k in ks:
@@ -99,12 +121,11 @@ def c02_mass_conservation(ks=(2, 3, 4), depths=(1, 2, 3, 4)) -> dict:
             ok = ok and good
             rows.append({"k": k, "depth": depth, "mass": qstr(total.lo),
                          "support_plus_frontier": qstr(split), "passed": good})
-    return {"id": "C2", "name": "mass conservation", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {}, "rows": rows}
+    return ok, {}, rows
 
 
-def c03_packing(ks=range(2, 9)) -> dict:
-    t0 = time.monotonic()
+@criterion("C3", "packing sums", "packing")
+def c03_packing(ks=range(2, 9)):
     rows = []
     ok = True
     for k in ks:
@@ -125,12 +146,11 @@ def c03_packing(ks=range(2, 9)) -> dict:
             rows.append({"k": k, "gen": gen, "packing": qstr(full.lo),
                          "ratio_to_3k_mass": qstr(ratio), "sigma_ok": sig_good,
                          "passed": good})
-    return {"id": "C3", "name": "packing sums", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {}, "rows": rows}
+    return ok, {}, rows
 
 
-def c04_ap_uniformity(ks=range(2, 9), seed=7, random_cells=40) -> dict:
-    t0 = time.monotonic()
+@criterion("C4", "two-weight product uniformity", "ap-uniformity")
+def c04_ap_uniformity(ks=range(2, 9), seed=7, random_cells=40):
     rows = []
     ok = True
     bound = Q(2)
@@ -159,15 +179,14 @@ def c04_ap_uniformity(ks=range(2, 9), seed=7, random_cells=40) -> dict:
         ok = ok and good
         rows.append({"k": k, "sup": qstr(sup), "attains_one_on_support": attained_one,
                      "cells_checked": len(cells), "passed": good})
-    return {"id": "C4", "name": "two-weight product uniformity", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {"bound": "2"}, "rows": rows}
+    return ok, {"bound": "2"}, rows
 
 
+@criterion("C5", "triadic testing uniformity", "testing-triadic")
 def c05_testing_triadic(ks=(2, 3, 4, 5, 6), epsilons=(Q(1, 3), Q(1, 2), Q(2, 3)),
-                        families_per_eps=100, grid_depth=6, seed0=1000) -> dict:
+                        families_per_eps=100, grid_depth=6, seed0=1000):
     """Per k: random families at the root plus families transplanted into a
     support cell (where the localized bound saturates k-independently)."""
-    t0 = time.monotonic()
     per_k = {}
     rows = []
     for k in ks:
@@ -197,10 +216,8 @@ def c05_testing_triadic(ks=(2, 3, 4, 5, 6), epsilons=(Q(1, 3), Q(1, 2), Q(2, 3))
         per_k[k] = worst
         rows.append({"k": k, "max_kfree_ratio": worst})
     spread = max(per_k.values()) / min(per_k.values())
-    return {"id": "C5", "name": "triadic testing uniformity", "passed": spread <= 1.5,
-            "elapsed": time.monotonic() - t0,
-            "details": {"cross_k_spread": spread, "limit": 1.5,
-                        "runtime_limit_s": 60}, "rows": rows}
+    return spread <= 1.5, {"cross_k_spread": spread, "limit": 1.5,
+                           "runtime_limit_s": 60}, rows
 
 
 def _chain_length_oracle(k: int, eps: Fraction) -> int:
@@ -213,8 +230,8 @@ def _chain_length_oracle(k: int, eps: Fraction) -> int:
     return n
 
 
-def c06_testing_linear(ks=range(4, 13), eps=Q(1, 3)) -> dict:
-    t0 = time.monotonic()
+@criterion("C6", "general testing linear in k", "testing-adversarial")
+def c06_testing_linear(ks=range(4, 13), eps=Q(1, 3)):
     rows = []
     ratios = {}
     ok = True
@@ -231,13 +248,11 @@ def c06_testing_linear(ks=range(4, 13), eps=Q(1, 3)) -> dict:
                      "len_bound": n_bound, "ratio": ratios[k]})
     slope = fit_loglog_slope(list(ks), [ratios[k] for k in ks])
     ok = ok and slope <= 1.1
-    return {"id": "C6", "name": "general testing linear in k", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"loglog_slope": slope, "limit": 1.1}, "rows": rows}
+    return ok, {"loglog_slope": slope, "limit": 1.1}, rows
 
 
-def c07_rescaled_trend(ks=range(4, 13), eps=Q(1, 3), seeds=(1, 2, 3)) -> dict:
-    t0 = time.monotonic()
+@criterion("C7", "rescaled testing non-increasing", "testing-rescaled")
+def c07_rescaled_trend(ks=range(4, 13), eps=Q(1, 3), seeds=(1, 2, 3)):
     rows = []
     ok = True
     per_k = {}
@@ -256,13 +271,11 @@ def c07_rescaled_trend(ks=range(4, 13), eps=Q(1, 3), seeds=(1, 2, 3)) -> dict:
         rows.append({"k": k, "max_rescaled_ratio": worst})
     slope = fit_slope(list(map(float, ks)), [per_k[k] for k in ks])
     ok = slope <= 0
-    return {"id": "C7", "name": "rescaled testing non-increasing", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"fitted_slope": slope, "limit": 0.0}, "rows": rows}
+    return ok, {"fitted_slope": slope, "limit": 0.0}, rows
 
 
-def c08_exact_inequalities(seeds=200, eps=Q(1, 2), p=2, depth=4) -> dict:
-    t0 = time.monotonic()
+@criterion("C8", "packing/chain/embedding exactness", "sparse-exactness")
+def c08_exact_inequalities(seeds=200, eps=Q(1, 2), p=2, depth=4):
     violations = []
     cp_measured = 0.0
     for s in range(seeds):
@@ -297,14 +310,12 @@ def c08_exact_inequalities(seeds=200, eps=Q(1, 2), p=2, depth=4) -> dict:
         if not res["ok"]:
             violations.append(("carleson", s))
     ok = not violations
-    return {"id": "C8", "name": "packing/chain/embedding exactness", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"seeds": seeds, "violations": violations[:10],
-                        "restricted_packing_constant": cp_measured}, "rows": []}
+    return ok, {"seeds": seeds, "violations": violations[:10],
+                "restricted_packing_constant": cp_measured}, []
 
 
-def c09_hilbert_growth(ks=(6, 8, 10, 12), cells_per_gen=8, seed=0) -> dict:
-    t0 = time.monotonic()
+@criterion("C9", "pointwise Hilbert growth", "hilbert-pointwise")
+def c09_hilbert_growth(ks=(6, 8, 10, 12), cells_per_gen=8, seed=0):
     rows = []
     medians = []
     ok = True
@@ -319,14 +330,12 @@ def c09_hilbert_growth(ks=(6, 8, 10, 12), cells_per_gen=8, seed=0) -> dict:
                      "min": rep["min_ratio"], "max": rep["max_ratio"],
                      "max_rel_width": rep["max_rel_width"]})
     ok = ok and all(b > a for a, b in zip(medians, medians[1:]))
-    return {"id": "C9", "name": "pointwise Hilbert growth", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"medians": medians}, "rows": rows}
+    return ok, {"medians": medians}, rows
 
 
+@criterion("C10", "rescaled norm growth exponent", "hilbert-norm")
 def c10_norm_exponent(ks=tuple(range(6, 15)), cells_per_gen=8, edge_levels=6,
-                      seed=0) -> dict:
-    t0 = time.monotonic()
+                      seed=0):
     rows = []
     ratios = []
     ok = True
@@ -342,14 +351,11 @@ def c10_norm_exponent(ks=tuple(range(6, 15)), cells_per_gen=8, edge_levels=6,
                      "decay_exact": res["decay_exact"]})
     slope = fit_loglog_slope(list(map(float, ks)), ratios)
     ok = ok and 0.1 <= slope <= 0.5
-    return {"id": "C10", "name": "rescaled norm growth exponent", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"slope": slope, "band": [0.1, 0.5], "theoretical": 0.25},
-            "rows": rows}
+    return ok, {"slope": slope, "band": [0.1, 0.5], "theoretical": 0.25}, rows
 
 
-def c11_maximal_bound(ks=(4, 5, 6, 7, 8), cells_per_gen=4, seed=0) -> dict:
-    t0 = time.monotonic()
+@criterion("C11", "maximal function bound", "maximal")
+def c11_maximal_bound(ks=(4, 5, 6, 7, 8), cells_per_gen=4, seed=0):
     rows = []
     ok = True
     for k in ks:
@@ -358,12 +364,11 @@ def c11_maximal_bound(ks=(4, 5, 6, 7, 8), cells_per_gen=4, seed=0) -> dict:
         ok = ok and rep["all_within_13"]
         rows.append({"k": k, "worst_ratio": rep["worst_ratio"],
                      "within_13": rep["all_within_13"]})
-    return {"id": "C11", "name": "maximal function bound", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {"bound": 13}, "rows": rows}
+    return ok, {"bound": 13}, rows
 
 
-def c12_entropy_window(ks=(3, 4, 5, 6, 7, 8)) -> dict:
-    t0 = time.monotonic()
+@criterion("C12", "entropy-norm window", "entropy")
+def c12_entropy_window(ks=(3, 4, 5, 6, 7, 8)):
     rows = []
     vals = []
     for k in ks:
@@ -374,13 +379,11 @@ def c12_entropy_window(ks=(3, 4, 5, 6, 7, 8)) -> dict:
                      "width": float(er.width)})
     window = max(vals) / min(vals)
     ok = window <= 4
-    return {"id": "C12", "name": "entropy-norm window", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"window": window, "limit": 4}, "rows": rows}
+    return ok, {"window": window, "limit": 4}, rows
 
 
-def c13_blowup(ks=range(6, 13)) -> dict:
-    t0 = time.monotonic()
+@criterion("C13", "entropy-bump blow-up", "blowup")
+def c13_blowup(ks=range(6, 13)):
     models = [_model(k, depth=1, cap=8) for k in ks]
     suite = blowup_suite(models)
     bs = [float(r["B_k"].mid) for r in suite]
@@ -392,14 +395,12 @@ def c13_blowup(ks=range(6, 13)) -> dict:
     rows = [{"k": r["k"], "B_k": float(r["B_k"].mid),
              "ap_R": float(r["ap_R"].mid), "halving_ok": r["halving_ok"]}
             for r in suite]
-    return {"id": "C13", "name": "entropy-bump blow-up", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"B_last_over_B_first": growth, "monotone": mono,
-                        "ap_in_band": ap_ok}, "rows": rows}
+    return ok, {"B_last_over_B_first": growth, "monotone": mono,
+                "ap_in_band": ap_ok}, rows
 
 
-def c14_psi_bump(ks=(2, 3, 4, 5, 6, 7, 8), r=Q(3, 2), dual_constant=16) -> dict:
-    t0 = time.monotonic()
+@criterion("C14", "triadic psi-bump finiteness", "psi-bump")
+def c14_psi_bump(ks=(2, 3, 4, 5, 6, 7, 8), r=Q(3, 2), dual_constant=16):
     gauge = psi(r)
     forward = {}
     dual = {}
@@ -424,16 +425,13 @@ def c14_psi_bump(ks=(2, 3, 4, 5, 6, 7, 8), r=Q(3, 2), dual_constant=16) -> dict:
         min(forward[k] for k in ks if k >= 4)
     dual_ok = max(dual.values()) <= dual_constant
     ok = spread <= 2 and dual_ok
-    return {"id": "C14", "name": "triadic psi-bump finiteness", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"forward_cross_k_spread": spread, "limit": 2,
-                        "spread_k_ge_4": stable_tail,
-                        "dual_max": max(dual.values()),
-                        "dual_constant": dual_constant}, "rows": rows}
+    return ok, {"forward_cross_k_spread": spread, "limit": 2,
+                "spread_k_ge_4": stable_tail, "dual_max": max(dual.values()),
+                "dual_constant": dual_constant}, rows
 
 
-def c15_fundamental(r=Q(3, 2), grid_points=49) -> dict:
-    t0 = time.monotonic()
+@criterion("C15", "fundamental-function window", "fundamental")
+def c15_fundamental(r=Q(3, 2), grid_points=49):
     young = phi_r_young(r)
     gauge = psi(r)
     res = fundamental_compare(young, gauge, logspace(1e-12, 1.0, grid_points),
@@ -442,14 +440,12 @@ def c15_fundamental(r=Q(3, 2), grid_points=49) -> dict:
           and res["max_residual"] < 1e-10)
     rows = [{"s": row["s"], "product": row["product"], "residual": row["residual"]}
             for row in res["rows"]]
-    return {"id": "C15", "name": "fundamental-function window", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"min": res["min"], "max": res["max"],
-                        "max_residual": res["max_residual"]}, "rows": rows}
+    return ok, {"min": res["min"], "max": res["max"],
+                "max_residual": res["max_residual"]}, rows
 
 
-def c16_series(r=Q(3, 2), xs=(0.9, 0.99, 0.999), tol=1e-9) -> dict:
-    t0 = time.monotonic()
+@criterion("C16", "series majorant ratios", "series")
+def c16_series(r=Q(3, 2), xs=(0.9, 0.99, 0.999), tol=1e-9):
     rows = []
     ok = True
     for x in xs:
@@ -460,8 +456,7 @@ def c16_series(r=Q(3, 2), xs=(0.9, 0.99, 0.999), tol=1e-9) -> dict:
             rows.append({"x": x, "mode": mode, "ratio": res["ratio"],
                          "tail": res["tail_bound"], "terms": res["terms"],
                          "passed": good})
-    return {"id": "C16", "name": "series majorant ratios", "passed": ok,
-            "elapsed": time.monotonic() - t0, "details": {"limit": 10}, "rows": rows}
+    return ok, {"limit": 10}, rows
 
 
 def _random_step_function(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
@@ -476,8 +471,8 @@ def _random_step_function(rng: random.Random) -> list[tuple[Fraction, Fraction]]
     return atoms
 
 
-def c17_orlicz_domination(r=Q(3, 2), samples=100, seed=4242) -> dict:
-    t0 = time.monotonic()
+@criterion("C17", "Orlicz dominated by Lorentz", "orlicz-domination")
+def c17_orlicz_domination(r=Q(3, 2), samples=100, seed=4242):
     young = phi_r_young(r)
     gauge = fundamental_of(young)
     llogl = llogl_young()
@@ -506,31 +501,7 @@ def c17_orlicz_domination(r=Q(3, 2), samples=100, seed=4242) -> dict:
     window = (min(ll_ratios), max(ll_ratios))
     stable = window[1] / window[0] <= 8 and Q(1, 8) <= Q(window[0]) and window[1] <= 8
     ok = ok and stable
-    return {"id": "C17", "name": "Orlicz dominated by Lorentz", "passed": ok,
-            "elapsed": time.monotonic() - t0,
-            "details": {"llogl_window": list(window), "samples": samples},
-            "rows": rows}
-
-
-CRITERIA = {
-    "C1": c01_exact_averages,
-    "C2": c02_mass_conservation,
-    "C3": c03_packing,
-    "C4": c04_ap_uniformity,
-    "C5": c05_testing_triadic,
-    "C6": c06_testing_linear,
-    "C7": c07_rescaled_trend,
-    "C8": c08_exact_inequalities,
-    "C9": c09_hilbert_growth,
-    "C10": c10_norm_exponent,
-    "C11": c11_maximal_bound,
-    "C12": c12_entropy_window,
-    "C13": c13_blowup,
-    "C14": c14_psi_bump,
-    "C15": c15_fundamental,
-    "C16": c16_series,
-    "C17": c17_orlicz_domination,
-}
+    return ok, {"llogl_window": list(window), "samples": samples}, rows
 
 
 def run_criterion(cid: str, **overrides) -> dict:

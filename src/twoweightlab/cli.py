@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .acceptance import CRITERIA, run_criterion
+from .acceptance import CRITERIA, CRITERION_SCENARIOS, run_criterion
 from .enclosure import parse_q, qstr
 from .hilbert import hilbert_norm_ratio, hilbert_pointwise_report, maximal_report
 from .lorentz import blowup_suite, distribution, lorentz_norm, phi0, psi
@@ -25,26 +25,8 @@ from .sparse import gen_adversarial, gen_random_martingale, testing_report
 from .triadic import IntervalQ, TriadicCell
 from .weights import PLACEMENTS, ConstructionParams, build_construction
 
-SCENARIOS = {
-    "averages-exact": ("C1", "C2"),
-    "packing": ("C3",),
-    "ap-uniformity": ("C4",),
-    "testing-triadic": ("C5",),
-    "testing-adversarial": ("C6",),
-    "testing-rescaled": ("C7",),
-    "sparse-exactness": ("C8",),
-    "hilbert-pointwise": ("C9",),
-    "hilbert-norm": ("C10",),
-    "maximal": ("C11",),
-    "entropy": ("C12",),
-    "blowup": ("C13",),
-    "psi-bump": ("C14",),
-    "fundamental": ("C15",),
-    "series": ("C16",),
-    "orlicz-domination": ("C17",),
-    "counterexample": ("C5", "C9", "C13"),
-    "all": tuple(CRITERIA),
-}
+SCENARIOS = {**CRITERION_SCENARIOS, "counterexample": ("C5", "C9", "C13"),
+             "all": tuple(CRITERIA)}
 
 
 def _run_one(args):

@@ -34,16 +34,6 @@ def _pad_out(lo: float, hi: float) -> FloatInterval:
     return FloatInterval(lo, hi)
 
 
-def _as_float_pair(s) -> tuple[float, float]:
-    if isinstance(s, FloatInterval):
-        return s.lo, s.hi
-    if isinstance(s, Fraction):
-        fi = FloatInterval.from_fraction(s)
-        return fi.lo, fi.hi
-    f = float(s)
-    return f, f
-
-
 # ---------------------------------------------------------------------------
 # Quasiconcave functions (Lorentz fundamental functions).
 
@@ -71,8 +61,9 @@ class QuasiConcaveFn:
     def __post_init__(self):
         self.validate()
 
-    def eval_interval(self, s) -> FloatInterval:
-        lo, hi = _as_float_pair(s)
+    def eval_interval(self, s: Fraction) -> FloatInterval:
+        bounds = FloatInterval.from_fraction(s)
+        lo, hi = bounds.lo, bounds.hi
         if lo < 0:
             raise ValueError(f"{self.name} evaluated at negative {lo}")
         vlo = self.point_eval(lo) if lo > 0 else 0.0

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import nextafter
-from operator import itemgetter
+from math import fsum, nextafter
 
 from .enclosure import (FloatInterval, add_bounds, log_ratio_bounds, mul_bounds,
                         ratio_bounds)
@@ -271,7 +270,7 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
                     width = _INF
                 else:
                     width = enc[1] - enc[0]
-                    pending_width += width
+                    pending_width = nextafter(pending_width + width, _INF)
                 heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
                 pushed += 1
         if expansions >= max_expansions or not heap:
@@ -282,7 +281,7 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
         if enc is None:
             unresolved -= 1
         else:
-            pending_width += neg_width
+            pending_width = nextafter(pending_width + neg_width, _INF)
         gc = gcs[gen]
         sliver, runs = _open_block(gc, left, count, model.u)
         if sliver is not None:
@@ -296,12 +295,13 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
                                      f"generation {MAX_GENERATIONS} without ending")
                 gcs.append(_GenConstants(model, gen, xn, xd))
         expansions += 1
-    # sum in push order, so the float total does not depend on heap layout
-    for *_block, enc in sorted(heap, key=itemgetter(1)):
-        if enc is None:
-            return None, expansions
-        acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, *enc)
-    return (acc_lo, acc_hi), expansions
+    if unresolved:
+        return None, expansions
+    # fsum is correctly rounded, so one ulp outward encloses the exact sum,
+    # whatever the heap layout
+    bounds = [(acc_lo, acc_hi)] + [enc for *_block, enc in heap]
+    return (nextafter(fsum(lo for lo, _hi in bounds), -_INF),
+            nextafter(fsum(hi for _lo, hi in bounds), _INF)), expansions
 
 
 # ---------------------------------------------------------------------------

@@ -683,24 +683,24 @@ def test_walk_names_a_carrier_chain_that_never_ends(k, placement):
 # purpose records the new values here.
 
 _PINNED_POINTS = [
-    (2, 'right', Q(85, 162), 0.0001, (7.7461795778282525, 7.7470853442505705, 14)),
-    (2, 'left', Q(77, 162), 0.0001, (-7.747023814141002, -7.746243551333228, 14)),
-    (2, 'alternating', Q(77, 162), 0.0001, (-9.22275786848925, -9.221955202000174, 14)),
-    (2, 'right', Q(2), 1e-10, (0.699938010179632, 0.6999380109832092, 19)),
-    (6, 'right', Q(560845, 1062882), 0.0001, (53.582065609920186, 53.587300167809985, 46)),
-    (6, 'left', Q(560357, 1062882), 0.0001, (-51.61018234813193, -51.60520328478172, 46)),
-    (6, 'alternating', Q(560357, 1062882), 0.0001, (-51.63999784215425, -51.635019845040226, 46)),
+    (2, 'right', Q(85, 162), 0.0001, (7.74617957782826, 7.7470853442505625, 14)),
+    (2, 'left', Q(77, 162), 0.0001, (-7.747023814140997, -7.746243551333234, 14)),
+    (2, 'alternating', Q(77, 162), 0.0001, (-9.222757868489241, -9.221955202000183, 14)),
+    (2, 'right', Q(2), 1e-10, (0.699938010179633, 0.6999380109832084, 19)),
+    (6, 'right', Q(560845, 1062882), 0.0001, (53.5820656099204, 53.58730016780977, 46)),
+    (6, 'left', Q(560357, 1062882), 0.0001, (-51.61018234813172, -51.60520328478193, 46)),
+    (6, 'alternating', Q(560357, 1062882), 0.0001, (-51.63999784215406, -51.63501984504042, 46)),
     (6, 'right', Q(2), 1e-10, (0.6697628183748237, 0.6697628186686172, 1)),
     (12, 'right', Q(219600632845, 564859072962), 0.0001,
-     (107.50789620662492, 107.51711802791952, 68)),
+     (107.50789620662552, 107.51711802791895, 68)),
     (12, 'left', Q(219600278549, 564859072962), 0.0001,
-     (-117.18925641332412, -117.17939488322878, 67)),
+     (-117.1892564133235, -117.17939488322942, 67)),
     (12, 'alternating', Q(219600278549, 564859072962), 0.0001,
-     (-117.18935017037468, -117.17948864539402, 67)),
+     (-117.18935017037408, -117.17948864539461, 67)),
     (12, 'right', Q(2), 1e-10, (0.6694311087600808, 0.6694311087600847, 1)),
-    (2, 'left', Q(440764, 1000003), 1e-06, (-0.5545752124209953, -0.5545657325862455, 28)),
-    (6, 'alternating', Q(653159, 1000003), 0.0001, (3.6235177573052204, 3.62862442066325, 22)),
-    (12, 'alternating', Q(653159, 1000003), 0.0001, (15.659266888704387, 15.669705966331124, 92)),
+    (2, 'left', Q(440764, 1000003), 1e-06, (-0.5545752124209945, -0.5545657325862464, 28)),
+    (6, 'alternating', Q(653159, 1000003), 0.0001, (3.623517757305233, 3.6286244206632383, 22)),
+    (12, 'alternating', Q(653159, 1000003), 0.0001, (15.659266888704726, 15.669705966330756, 92)),
 ]
 
 _PINNED_FIELDS = [
@@ -760,6 +760,18 @@ def test_hilbert_weight_is_pinned(k, placement, x, rel, expected):
     m = model(k=k, placement=placement)
     hv = hilbert_weight(m, x, tail_budget=rel * k * float(m.w_value(2)))
     assert (hv.value.lo, hv.value.hi, hv.expansions) == expected
+
+
+@pytest.mark.parametrize("gen", range(4))
+def test_walk_returns_the_width_it_stopped_on(gen):
+    # at 1e-10 * k * w_gen the walk runs at float precision: its stopping sum
+    # must bound the pending widths from above and its returned bounds must
+    # be no wider, or it comes back unconverged below the expansion cap
+    m = model(k=5, placement="alternating")
+    budget = 1e-10 * 5 * float(m.w_value(gen))
+    hv = hilbert_weight(m, Q(380064650, 1000000007), tail_budget=budget)
+    assert hv.converged and hv.width <= budget
+    assert hv.expansions < 20000
 
 
 @pytest.mark.parametrize("k,placement,gen,tail,expansions,coeffs", _PINNED_FIELDS)

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twoweightlab.acceptance import _chain_length_oracle
 from twoweightlab.measures import MeasureQuery, mass
 from twoweightlab.sparse import (FamilyError, SparseFamily, carleson_check,
                                  chain_decay_check, children_map,
@@ -17,8 +18,10 @@ from twoweightlab.sparse import (FamilyError, SparseFamily, carleson_check,
                                  transplant_family, validate_weak_witness)
 from twoweightlab.sparse import testing_report as run_testing_report
 from twoweightlab.sparse import testing_sum as run_testing_sum
-from twoweightlab.triadic import AddressError, IntervalQ, cell_from_address, cell_from_index
-from twoweightlab.weights import ConstructionParams, build_construction, direct_sum
+from twoweightlab.triadic import (AddressError, IntervalQ, cell_from_address, cell_from_index,
+                                  cell_of)
+from twoweightlab.weights import (ConstructionParams, build_construction, direct_sum,
+                                  weight_on_cell)
 
 UNIT = IntervalQ(Q(0), Q(1))
 
@@ -95,6 +98,29 @@ def test_s3_chain_length_law():
             assert len(fam.members) <= bound
 
 
+@pytest.mark.parametrize("placement,gen", [("left", 0), ("alternating", 1)])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_boundary_chains_on_the_left_of_the_core(k, placement, gen):
+    # the core's support cell sits on its left: placement "left" at the
+    # root, and generation-1 carriers of alternating models
+    m = build_construction(ConstructionParams(k=k, placement=placement, depth=2))
+    eps = Q(1, 3)
+    for carrier in (m.kcell(gen, 0), m.kcell(gen, m.kcell_count(gen) - 1)):
+        core = carrier.middle_child()
+        placed, side = m.place_core(core, gen + 1)
+        assert side == "left" and placed.right == core.left
+        fams = {kind: gen_adversarial(m, kind, carrier, eps)
+                for kind in ("S3", "S4", "boundaryChain")}
+        for kind, fam in fams.items():
+            ok, report = is_martingale_sparse(fam)
+            assert ok, (kind, report)
+        assert len(fams["S3"].members) == _chain_length_oracle(k, eps)
+        for member in fams["S3"].members + fams["S4"].members:
+            assert member.left < core.left < member.right
+            inside = member.intersect(core.interval())
+            assert inside.length == Q(2, 3) * member.length
+
+
 def test_singleton_budget_chain():
     m = model(k=3)
     fam = gen_adversarial(m, "chainToward_IJ", cell_from_address(""), Q(1, 3))
@@ -126,6 +152,36 @@ def test_testing_report_flags_zero_mass_violation():
     fam = SparseFamily((iv(0, Q(1, 3)),), "martingale", Q(1, 2))
     rep = run_testing_report(m, fam, iv(0, Q(1, 3)))
     assert rep.ratio == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dual_testing_sums_are_exact(k):
+    # sum over I of <sigma>_I^p' <w>_I |I> at [0,1) and in a support cell,
+    # against the masses that weight_on_cell gives each member
+    m = model(k=k)
+    support = m.support_cells(1)[0].cell
+    p_dual = m.params.p_prime
+    for eps in (Q(1, 3), Q(1, 2), Q(2, 3)):
+        for seed in range(6):
+            fam = gen_random_martingale(5, eps, 700 + seed)
+            if not fam.members:
+                continue
+            for cell, local in ((cell_from_address(""), fam),
+                                (support, transplant_family(fam, support))):
+                got = run_testing_sum(m, local, cell.interval(), "dual", max_depth=400)
+                assert got.is_exact
+                want = Q(0)
+                for member in local.members:
+                    masses = [weight_on_cell(m, cell_of(member), which).mass
+                              for which in ("sigma", "w")]
+                    assert all(enc.is_exact for enc in masses)
+                    sig, w = (enc.lo / member.length for enc in masses)
+                    want += sig ** p_dual * w * member.length
+                assert got.lo == want, (k, eps, seed, cell)
+                sigma_l = weight_on_cell(m, cell, "sigma").mass
+                rep = run_testing_report(m, local, cell.interval(), "dual", max_depth=400)
+                assert rep.bound.is_exact
+                assert rep.bound.lo == sigma_l.lo * k / (1 - eps)
 
 
 def test_transplant_preserves_sparseness():
