@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, qstr
-from .hilbert import hilbert_norm_ratio, hilbert_pointwise_report, maximal_report
+from .hilbert import REL_WIDTH, hilbert_norm_ratio, hilbert_pointwise_report, maximal_report
 from .lorentz import (blowup_suite, distribution, entropy_ratio, fundamental_compare,
                       llogl_young, lorentz_norm, luxemburg_norm, phi0, phi_r_young,
                       psi, series_ratio, step_function_distribution, fundamental_of)
@@ -53,15 +53,14 @@ def criterion(cid: str, name: str, scenario: str):
     return register
 
 
-def _model(k, p=2, r=None, depth=2, placement="right", cap=2048):
+def _model(k, p=2, r=None, depth=2, cap=2048):
     p = Fraction(p)
     if r is None:
         # midpoint of the admissible window (max(1, 1/(p-1)), p')
         lo = max(Q(1), 1 / (p - 1))
         r = (lo + p / (p - 1)) / 2
     return build_construction(
-        ConstructionParams(k=k, p=p, r=Fraction(r),
-                           placement=placement, depth=depth), family_cap=cap)
+        ConstructionParams(k=k, p=p, r=Fraction(r), depth=depth), family_cap=cap)
 
 
 def _partition_average(model, cell: TriadicCell, which: str) -> Enclosure:
@@ -324,7 +323,7 @@ def c09_hilbert_growth(ks=(6, 8, 10, 12), cells_per_gen=8, seed=0):
         rep = hilbert_pointwise_report(m, generations=2, cells_per_gen=cells_per_gen,
                                        seed=seed)
         medians.append(rep["median_ratio"])
-        if rep["max_rel_width"] > 0.01:
+        if rep["max_rel_width"] > REL_WIDTH:
             ok = False
         rows.append({"k": k, "median": rep["median_ratio"],
                      "min": rep["min_ratio"], "max": rep["max_ratio"],

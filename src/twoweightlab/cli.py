@@ -181,7 +181,7 @@ def cmd_hilbert(args) -> int:
                                        cells_per_gen=args.cells, seed=args.seed or 0)
         rows = [{k: v for k, v in row.items()} for row in rep["rows"]]
     elif args.mode == "norm":
-        res = hilbert_norm_ratio(model, cells_per_gen=args.cells,
+        res = hilbert_norm_ratio(model, p=int(model.params.p), cells_per_gen=args.cells,
                                  seed=args.seed or 0)
         rows = [{"k": res["k"], "ratio": res["ratio"],
                  "indicator": res["indicator"],

@@ -169,34 +169,34 @@ def _int_nth_root(n: int, d: int) -> int:
     return x
 
 
-def nth_root_enclosure(x: Fraction, d: int, bits: int = 80) -> Enclosure:
-    """Enclosure of x**(1/d) for x >= 0, tight to about 2**-bits relative."""
+def nth_root_enclosure(x: Fraction, d: int) -> Enclosure:
+    """Enclosure of x**(1/d) for x >= 0, tight to about 2**-80 relative."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return ZERO
-    shift = 1 << bits
+    shift = 1 << 80
     scaled = (x.numerator * shift ** d) // x.denominator
     r = _int_nth_root(scaled, d)
     return Enclosure(Q(r, shift), Q(r + 1, shift))
 
 
-def qpow_enclosure(x: Fraction, e: Fraction, bits: int = 80) -> Enclosure:
+def qpow_enclosure(x: Fraction, e: Fraction) -> Enclosure:
     """Enclosure of x**e for x > 0 and rational e."""
     x, e = Fraction(x), Fraction(e)
     if x <= 0:
         raise ValueError("base must be positive")
     n, d = e.numerator, e.denominator
     if n < 0:
-        inner = qpow_enclosure(x, -e, bits)
+        inner = qpow_enclosure(x, -e)
         return ONE / inner
     if d == 1:
         return Enclosure.exact(x ** n)
-    return nth_root_enclosure(x ** n, d, bits)
+    return nth_root_enclosure(x ** n, d)
 
 
-def pow_enclosure(e: Enclosure, exponent: Fraction, bits: int = 80) -> Enclosure:
+def pow_enclosure(e: Enclosure, exponent: Fraction) -> Enclosure:
     """Enclosure of e**exponent for a nonnegative enclosure e."""
     exponent = Fraction(exponent)
     if e.lo < 0:
@@ -204,13 +204,13 @@ def pow_enclosure(e: Enclosure, exponent: Fraction, bits: int = 80) -> Enclosure
     if exponent.denominator == 1:
         return e.pow_int(exponent.numerator)
     if exponent >= 0:
-        lo = ZERO if e.lo == 0 else qpow_enclosure(e.lo, exponent, bits)
-        hi = ZERO if e.hi == 0 else qpow_enclosure(e.hi, exponent, bits)
+        lo = ZERO if e.lo == 0 else qpow_enclosure(e.lo, exponent)
+        hi = ZERO if e.hi == 0 else qpow_enclosure(e.hi, exponent)
         return Enclosure(lo.lo, hi.hi)
     if e.lo == 0:
         raise ZeroDivisionError("negative power of enclosure touching zero")
-    lo = qpow_enclosure(e.hi, exponent, bits)
-    hi = qpow_enclosure(e.lo, exponent, bits)
+    lo = qpow_enclosure(e.hi, exponent)
+    hi = qpow_enclosure(e.lo, exponent)
     return Enclosure(lo.lo, hi.hi)
 
 

@@ -24,6 +24,7 @@ from .triadic import TriadicCell
 from .weights import WeightModel
 
 _INF = float("inf")
+REL_WIDTH = 0.01  # relative width of each point of `hilbert_pointwise_report`
 
 
 def hilbert_indicator(a, b, x) -> float:
@@ -90,8 +91,7 @@ def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int
 
 def hilbert_pointwise_report(model: WeightModel, generations: int,
                              samples_per_cell: int = 1, seed: int = 0,
-                             cells_per_gen: int = 12,
-                             rel_width: float = 0.01) -> dict:
+                             cells_per_gen: int = 12) -> dict:
     """Ratios |Hw(x)|/w(x) over probe samples at generations <= `generations`."""
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
@@ -102,9 +102,9 @@ def hilbert_pointwise_report(model: WeightModel, generations: int,
         w_val = model.w_value(gen)
         scale = model.k * float(w_val)
         for probe, x in probe_points(model, gen, cells_per_gen, samples_per_cell, seed):
-            hv = hilbert_weight(model, x, tail_budget=0.5 * rel_width * scale)
-            if hv.value.mid != 0 and hv.width > rel_width * abs(hv.value.mid):
-                hv = hilbert_weight(model, x, tail_budget=0.8 * rel_width * abs(hv.value.mid))
+            hv = hilbert_weight(model, x, tail_budget=0.5 * REL_WIDTH * scale)
+            if hv.value.mid != 0 and hv.width > REL_WIDTH * abs(hv.value.mid):
+                hv = hilbert_weight(model, x, tail_budget=0.8 * REL_WIDTH * abs(hv.value.mid))
             ratio_iv = hv.value.abs() * FloatInterval.from_fraction(1 / w_val)
             rows.append({
                 "k": model.k, "policy": model.params.placement, "gen": gen,
@@ -204,9 +204,12 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
     Generations above `gen_cap` repeat the deepest computed one with the
     exact per-generation factor q = rho/3, which the computed generations
     are checked against (reported as `decay_observed` vs `decay_exact`).
+    `p` must be the model's own exponent.
     """
     if not model.b.is_exact:
         raise ValueError("norm ratio requires integer p (exact dual weight)")
+    if p != model.params.p:
+        raise ValueError(f"p={p} differs from the model's p={model.params.p}")
     if cells_per_gen < 1:
         raise ValueError(f"cells per generation must be >= 1, got {cells_per_gen}")
     if gen_cap < 1:

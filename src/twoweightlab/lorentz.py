@@ -25,6 +25,9 @@ from .weights import WeightModel
 _PAD = 8
 _INF = float("inf")
 _NINF = -_INF
+_INVERSE_STEPS = 128  # doublings, then halvings, of `YoungFn.inverse`
+_ATOM_LEVELS = 200  # w-tail levels expanded into atoms
+_SERIES_TERMS = 2_000_000  # terms of `series_ratio` before it gives up
 
 
 def _pad_out(lo: float, hi: float) -> FloatInterval:
@@ -44,9 +47,9 @@ class QuasiConcaveFn:
     `linear_log_form` = (A, B) asserts phi(s) = s*(A + B*log(1/s)) exactly,
     which unlocks closed-form geometric tails.  `log_form_eval` is
     G(u) = phi(exp(-u))*exp(u), needed for tails whose plateaus underflow
-    floats.  `slow_ratio` asserts that s -> phi(s/3)/phi(s) is decreasing as
-    s decreases (true for all shipped functions; sampled at construction),
-    which the ratio-test tail needs.  `convex_log_form` asserts that G is
+    floats; a gauge that has it must also have s -> phi(s/3)/phi(s)
+    decreasing as s decreases (sampled at construction), which the
+    ratio-test tail needs.  `convex_log_form` asserts that G is
     convex for u >= 0 (sampled at construction), which lets the tail sum
     blocks of terms between a chord and a secant line.
     """
@@ -55,7 +58,6 @@ class QuasiConcaveFn:
     point_eval: Callable[[float], float]
     linear_log_form: tuple[Fraction, Fraction] | None = None
     log_form_eval: Callable[[float], float] | None = None
-    slow_ratio: bool = True
     convex_log_form: bool = False
 
     def __post_init__(self):
@@ -72,8 +74,8 @@ class QuasiConcaveFn:
             vlo, vhi = vhi, vlo
         return _pad_out(vlo, vhi)
 
-    def validate(self, grid_points: int = 60):
-        grid = [10 ** (-12 + 12 * i / (grid_points - 1)) for i in range(grid_points)]
+    def validate(self):
+        grid = [10 ** (-12 + 12 * i / 59) for i in range(60)]
         prev_v, prev_ratio, prev_slow = -1.0, None, None
         for s in grid:
             v = self.point_eval(s)
@@ -84,7 +86,7 @@ class QuasiConcaveFn:
             ratio = v / s
             if prev_ratio is not None and ratio > prev_ratio * (1 + 1e-9):
                 raise ValueError(f"{self.name}: phi(s)/s not decreasing near s={s}")
-            if self.slow_ratio:
+            if self.log_form_eval is not None:
                 slow = self.point_eval(s / 3) / v
                 if prev_slow is not None and slow < prev_slow * (1 - 1e-9):
                     raise ValueError(f"{self.name}: phi(s/3)/phi(s) not decreasing as s drops")
@@ -146,7 +148,7 @@ def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
         t, _res = young.inverse(1.0 / s)
         return 1.0 / t
 
-    return QuasiConcaveFn(f"fundamental[{young.name}]", ev, slow_ratio=False)
+    return QuasiConcaveFn(f"fundamental[{young.name}]", ev)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ class YoungFn:
             raise ValueError("Young functions take nonnegative arguments")
         return self.point_eval(t) if t > 0 else 0.0
 
-    def inverse(self, y: float, tol: float = 1e-12, max_iter: int = 128) -> tuple[float, float]:
+    def inverse(self, y: float, tol: float = 1e-12) -> tuple[float, float]:
         """Right-continuous inverse sup{t : Phi(t) <= y}; returns (t, rel residual)."""
         if y < 0:
             raise ValueError("inverse of negative value")
@@ -177,7 +179,7 @@ class YoungFn:
                 hi /= 2
             return hi, 0.0
         lo, hi = 0.0, 1.0
-        for _ in range(max_iter):
+        for _ in range(_INVERSE_STEPS):
             if self(hi) > y:
                 break
             lo = hi
@@ -191,7 +193,7 @@ class YoungFn:
                 lo /= 2
                 if lo < 1e-300:
                     break
-        for _ in range(max_iter):
+        for _ in range(_INVERSE_STEPS):
             mid = 0.5 * (lo + hi)
             if self(mid) <= y:
                 lo = mid
@@ -202,10 +204,10 @@ class YoungFn:
         residual = abs(self(lo) - y) / max(y, 1e-300)
         return lo, residual
 
-    def validate(self, samples: int = 40):
+    def validate(self):
         if self(0.0) != 0.0:
             raise ValueError(f"{self.name}: Phi(0) must be 0")
-        ts = [10 ** (-6 + 12 * i / (samples - 1)) for i in range(samples)]
+        ts = [10 ** (-6 + 12 * i / 39) for i in range(40)]
         prev = 0.0
         for t in ts:
             v = self(t)
@@ -334,23 +336,8 @@ class DistributionSteps:
             if self.steps and self.steps[0][0] != self.tail.t_end:
                 raise ValueError("BandTail must end where the steps begin")
 
-    def layer_cake(self) -> Enclosure:
-        """Integral of N over t; equals the mean of the function (layer cake)."""
-        total = Enclosure.exact(0)
-        for t0, t1, n in self.steps:
-            total = total + Enclosure.exact(n * (t1 - t0))
-        t = self.tail
-        if isinstance(t, WTail):
-            q = t.rho / 3
-            s0 = q ** t.l0 / (1 - q)
-            total = total + Enclosure.exact((t.rho - 1) * t.coeff * s0)
-        elif isinstance(t, BandTail):
-            total = total + Enclosure(t.n_lo * t.t_end, t.n_hi * t.t_end)
-        return total
 
-
-def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w",
-                 band_levels: int = 24) -> DistributionSteps:
+def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w") -> DistributionSteps:
     """Exact distribution of w or sigma over a carrier cell (normalized measure)."""
     gen = carrier_generation(model, carrier)
     k = model.k
@@ -364,7 +351,7 @@ def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w",
     if not model.b.is_exact:
         raise ValueError("sigma distribution needs an exact dual value (integer p)")
     b = model.b.lo
-    top = gen + 1 + band_levels
+    top = gen + 1 + 24  # sigma levels listed as steps before the band tail
     steps = []
     for l in range(top, gen, -1):
         steps.append((b ** (l + 1), b ** l, n0 * (1 - Q(3) ** (gen - l))))
@@ -392,14 +379,12 @@ def blowup_distribution(model: WeightModel) -> DistributionSteps:
 # ---------------------------------------------------------------------------
 # Lorentz norms over step distributions.
 
-def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn,
-                 rel_tol: float = 1e-9, max_terms: int = 400_000) -> Enclosure:
+def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn, rel_tol: float = 1e-9) -> Enclosure:
     """Enclosure of the Lorentz norm: integral of phi(N(t)) dt over the steps.
 
     A w tail without a closed form is summed in steps of one term or, for a
-    gauge with `convex_log_form`, of one block of terms; `max_terms` caps the
-    number of those steps, and ArithmeticError says when the tail did not
-    close within them.
+    gauge with `convex_log_form`, of one block of terms, at most 400,000
+    steps; ArithmeticError says when the tail did not close within them.
     """
     acc = FZERO
     for t0, t1, n in dist.steps:
@@ -412,7 +397,7 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn,
         hi = phi.eval_interval(tail.n_hi).hi
         acc = acc + FloatInterval(lo, hi) * FloatInterval.from_fraction(tail.t_end)
     elif isinstance(tail, WTail):
-        acc = acc + _wtail_norm(tail, phi, rel_tol, max_terms)
+        acc = acc + _wtail_norm(tail, phi, rel_tol, 400_000)
     return acc.to_enclosure()
 
 
@@ -470,7 +455,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
     if phi.linear_log_form is not None:
         return _wtail_closed_form(tail, phi)
     g = phi.log_form_eval
-    if g is None or not phi.slow_ratio:
+    if g is None:
         raise ValueError(f"{phi.name} cannot certify a geometric tail")
     rho, coeff, l0 = tail.rho, tail.coeff, tail.l0
     q = rho / 3
@@ -530,7 +515,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
         if n > a | 31:
             # once per step that holds a term of index 31 mod 32: the term
             # ratio is q*G(u+log3)/G(u), at least q by quasiconcavity and
-            # decreasing toward q under slow_ratio, so it caps all later ratios
+            # decreasing toward q (sampled by `validate`), so it caps all later ratios
             kappa = q_hi * _g_hi(g, u + ln3) / g_lo
             if kappa < 1.0:
                 tail_lo = t_lo / (1.0 - q_lo)
@@ -566,10 +551,10 @@ def _wtail_closed_form(tail: WTail, phi: QuasiConcaveFn) -> FloatInterval:
     return lead * (const_part + lin_part)
 
 
-def rearrangement_atoms(dist: DistributionSteps, value_cap_terms: int = 200) -> list[tuple]:
+def rearrangement_atoms(dist: DistributionSteps) -> list[tuple]:
     """Value/measure atoms of the function behind a step distribution.
 
-    A WTail is expanded for `value_cap_terms` levels; the leftover measure is
+    A WTail is expanded for `_ATOM_LEVELS` levels; the leftover measure is
     assigned to the next threshold value, slightly undervaluing the top tail
     (callers needing certified results must not rely on the truncated atoms).
     """
@@ -588,11 +573,11 @@ def rearrangement_atoms(dist: DistributionSteps, value_cap_terms: int = 200) -> 
     t = dist.tail
     if isinstance(t, WTail):
         n_cur = t.coeff * Q(1, 3 ** t.l0)
-        for l in range(t.l0, t.l0 + value_cap_terms):
+        for l in range(t.l0, t.l0 + _ATOM_LEVELS):
             n_next = n_cur / 3
             atoms.append((t.rho ** (l + 1), n_cur - n_next))
             n_cur = n_next
-        atoms.append((t.rho ** (t.l0 + value_cap_terms + 1), n_cur))
+        atoms.append((t.rho ** (t.l0 + _ATOM_LEVELS + 1), n_cur))
     return atoms
 
 
@@ -616,20 +601,6 @@ def step_function_distribution(atoms: list[tuple]) -> DistributionSteps:
     return DistributionSteps(tuple(steps))
 
 
-def rearrangement_lorentz(atoms: list[tuple], phi: QuasiConcaveFn) -> FloatInterval:
-    """Stieltjes form of the Lorentz norm: sum f*(s) dphi(s) for a step function."""
-    clean = sorted(((Fraction(v), Fraction(m)) for v, m in atoms if m > 0 and v > 0),
-                   key=lambda t: t[0], reverse=True)
-    acc = FZERO
-    cum = Q(0)
-    for v, m in clean:
-        lo = phi.eval_interval(cum) if cum > 0 else FZERO
-        cum += m
-        hi = phi.eval_interval(cum)
-        acc = acc + FloatInterval.from_fraction(v) * (hi - lo)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Appendix-style numeric comparisons.
 
@@ -650,8 +621,7 @@ def fundamental_compare(young: YoungFn, gauge: QuasiConcaveFn, s_grid: list[floa
             "max_residual": worst_res, "rows": rows}
 
 
-def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9,
-                 max_terms: int = 2_000_000) -> dict:
+def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9) -> dict:
     """Partial power-log series against its closed-form majorant.
 
     mode "first": sum (log n)^r x^n  vs  (-log(1-x))^r / (1-x)
@@ -668,7 +638,7 @@ def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9,
     partial = 0.0
     n = 2
     tail_bound = None
-    while n < max_terms:
+    while n < _SERIES_TERMS:
         term = math.log(n) ** rf * x ** n
         if mode == "second":
             term *= n
@@ -686,7 +656,7 @@ def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9,
                 break
         n += 1
     if tail_bound is None:
-        raise ArithmeticError(f"series tail not closed below {tol} within {max_terms} terms")
+        raise ArithmeticError(f"series tail not closed below {tol} within {_SERIES_TERMS} terms")
     major = (-math.log(1.0 - x)) ** rf / (1.0 - x)
     if mode == "second":
         major /= 1.0 - x
@@ -698,7 +668,7 @@ def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9,
 # Bump products and the blow-up sweep.
 
 def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entropyPhi0",
-                 direction: str = "forward", rel_tol: float = 1e-9) -> Enclosure:
+                 direction: str = "forward") -> Enclosure:
     """Bumped two-weight product over a carrier cell or the probe window "Rk".
 
     forward: ||w||_{norm} * <sigma>; dual: ||sigma||_{norm} * <w>.
@@ -725,7 +695,7 @@ def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entro
         other_avg = (model.avg_sigma_carrier(gen) if other == "sigma"
                      else Enclosure.exact(model.avg_w_carrier(gen)))
     if gauge is not None:
-        norm_enc = lorentz_norm(dist, gauge, rel_tol=rel_tol)
+        norm_enc = lorentz_norm(dist, gauge)
     else:
         atoms = rearrangement_atoms(dist)
         value = luxemburg_norm(atoms, phi_r_young(model.params.r))
@@ -742,18 +712,18 @@ def blowup_w_average(model: WeightModel) -> Fraction:
     return model.rho
 
 
-def blowup_suite(models: list[WeightModel], rel_tol: float = 1e-9) -> list[dict]:
+def blowup_suite(models: list[WeightModel]) -> list[dict]:
     """Per-k blow-up table: B_k = k^-r * ||w||*_{R_k} * <sigma>_{R_k}."""
     rows = []
     for m in models:
         dist = blowup_distribution(m)
-        norm_r = lorentz_norm(dist, phi0(), rel_tol=rel_tol)
+        norm_r = lorentz_norm(dist, phi0())
         avg_w = blowup_w_average(m)
         avg_s = blowup_sigma_average(m)
         ap = Enclosure.exact(avg_w) * avg_s
         bk = m.scale * norm_r * avg_s
         k1 = distribution(m, m.kcell(1, 0), "w")
-        norm_k1 = lorentz_norm(k1, phi0(), rel_tol=rel_tol)
+        norm_k1 = lorentz_norm(k1, phi0())
         rows.append({
             "k": m.k,
             "norm_R": norm_r,
@@ -768,8 +738,8 @@ def blowup_suite(models: list[WeightModel], rel_tol: float = 1e-9) -> list[dict]
     return rows
 
 
-def entropy_ratio(model: WeightModel, gen: int = 0, rel_tol: float = 1e-9) -> Enclosure:
-    """||w||*_K / (3^k <w>_K) over a generation-`gen` carrier; gen-independent."""
-    dist = distribution(model, model.kcell(gen, 0), "w")
-    norm = lorentz_norm(dist, phi0(), rel_tol=rel_tol)
-    return norm * Q(1, 3 ** model.k * model.rho ** gen)
+def entropy_ratio(model: WeightModel) -> Enclosure:
+    """||w||*_K / (3^k <w>_K) over the root carrier K; the same at every generation."""
+    dist = distribution(model, model.kcell(0, 0), "w")
+    norm = lorentz_norm(dist, phi0())
+    return norm * Q(1, 3 ** model.k)

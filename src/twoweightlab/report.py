@@ -58,18 +58,16 @@ def logspace(lo: float, hi: float, n: int) -> list[float]:
     return [10 ** (a + (b - a) * i / (n - 1)) for i in range(n)]
 
 
-def write_csv(path: Path, rows: list[dict], columns: list[str] | None = None) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
-                                lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: fmt(row.get(k)) if not isinstance(row.get(k), str)

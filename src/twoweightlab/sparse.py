@@ -82,29 +82,23 @@ def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
 # ---------------------------------------------------------------------------
 # Validators.
 
-def trichotomy_violation(members) -> tuple[IntervalQ, IntervalQ] | None:
-    items = sorted(members, key=lambda i: (i.left, -i.right))
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if b.left >= a.right:
-                break
-            if not (a.contains(b) or b.contains(a) or a.is_disjoint(b)):
-                return a, b
-    return None
-
-
 def children_map(members) -> dict[IntervalQ, list[IntervalQ]]:
-    """Forest structure: maximal strict members below each member."""
+    """Forest structure: maximal strict members below each member.
+
+    One pass in (left, -right) order; FamilyError if two members overlap
+    without nesting.
+    """
     out: dict[IntervalQ, list[IntervalQ]] = {m: [] for m in members}
-    order = sorted(members, key=lambda i: (i.length, i.left))
-    for idx, child in enumerate(order):
-        parent = None
-        for cand in order[idx + 1:]:
-            if cand != child and cand.contains(child):
-                if parent is None or parent.contains(cand):
-                    parent = cand
-        if parent is not None:
+    stack: list[IntervalQ] = []  # nested members, innermost last
+    for child in sorted(members, key=lambda i: (i.left, -i.right)):
+        while stack and stack[-1].right <= child.left:
+            stack.pop()
+        if stack:
+            parent = stack[-1]
+            if child.right > parent.right:
+                raise FamilyError(f"members {parent} and {child} overlap without nesting")
             out[parent].append(child)
+        stack.append(child)
     return out
 
 
@@ -120,9 +114,6 @@ def is_martingale_sparse(family, eps=None) -> tuple[bool, dict]:
     else:
         members = tuple(family)
         eps = Fraction(eps)
-    bad = trichotomy_violation(members)
-    if bad is not None:
-        raise FamilyError(f"members {bad[0]} and {bad[1]} overlap without nesting")
     for parent, kids in children_map(members).items():
         load = sum((k.length for k in kids), Q(0))
         if load > eps * parent.length:
@@ -349,12 +340,10 @@ def testing_report(model: WeightModel, family: SparseFamily, L: IntervalQ,
 # ---------------------------------------------------------------------------
 # Exact packing and chain inequalities.
 
-def sparse_packing_check(family, L: IntervalQ, eps=None) -> dict:
+def sparse_packing_check(family: SparseFamily, L: IntervalQ) -> dict:
     """Sum over members inside L of |Q| against |L|/(1-eps), exact."""
-    members = family.members if isinstance(family, SparseFamily) else tuple(family)
-    eps = Fraction(eps) if eps is not None else family.sparseness
-    lhs = sum((m.length for m in members if L.contains(m)), Q(0))
-    rhs = L.length / (1 - eps)
+    lhs = sum((m.length for m in family.members if L.contains(m)), Q(0))
+    rhs = L.length / (1 - family.sparseness)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
 
 
@@ -405,11 +394,11 @@ def _pieces_overlap(pieces: list[IntervalQ], window: IntervalQ) -> Fraction:
 # Carleson embedding on the triadic grid.
 
 def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
-                   p: int, A, mu_leaves: list | None = None) -> dict:
+                   p: int, A) -> dict:
     """Exact Carleson embedding check over the depth-`depth` triadic grid.
 
     `coeffs` maps cell addresses to nonnegative a_Q; `f_leaves` gives f on the
-    depth-level cells; `mu_leaves` gives their measures (Lebesgue when None).
+    depth-level cells, which carry Lebesgue measure.
     The packing precondition is validated first and failures name the cell.
     A key that is not an address raises AddressError, and one of a cell
     deeper than `depth` raises ValueError.
@@ -421,9 +410,9 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
     if len(f_leaves) != n:
         raise ValueError(f"need {n} leaf values")
     f = [Fraction(v) for v in f_leaves]
-    mu = [Fraction(m) for m in (mu_leaves or [Q(1, n)] * n)]
-    if any(v < 0 for v in f) or any(m < 0 for m in mu):
-        raise ValueError("f and mu must be nonnegative")
+    mu = [Q(1, n)] * n
+    if any(v < 0 for v in f):
+        raise ValueError("f must be nonnegative")
     levels_mu = [mu]
     levels_fm = [[fv * mv for fv, mv in zip(f, mu)]]
     while len(levels_mu[-1]) > 1:
@@ -479,15 +468,14 @@ def sparse_apply(family, pieces: list[tuple[IntervalQ, Fraction]], p: Fraction,
     """Sparse p-function at a point: (float value, exact sum of p-th powers)."""
     members = family.members if isinstance(family, SparseFamily) else tuple(family)
     p = Fraction(p)
+    if p.denominator != 1:
+        raise ValueError(f"sparse_apply needs an integer p for an exact sum, got {p}")
     x = Fraction(x)
     inner = Q(0)
     for member in members:
         if member.contains_point(x):
             avg = _step_average(pieces, member)
-            if p.denominator == 1:
-                inner += avg ** p.numerator
-            else:
-                inner += Fraction(float(avg) ** float(p))
+            inner += avg ** p.numerator
     return float(inner) ** (1.0 / float(p)), inner
 
 
@@ -516,16 +504,15 @@ def split_parameters(eta: Fraction) -> tuple[int, Fraction]:
     return m, eps
 
 
-def split_weak_to_martingale(family: SparseFamily, eta=None) -> list[SparseFamily]:
+def split_weak_to_martingale(family: SparseFamily) -> list[SparseFamily]:
     """Partition a weak family into martingale eps-sparse families.
 
     The slot assignment is greedy (largest first); the result is always
     re-validated, and impossibility within 3*m slots is an explicit failure.
     """
-    eta = Fraction(eta) if eta is not None else family.sparseness
     if family.witness is not None:
         validate_weak_witness(family)
-    m, eps = split_parameters(eta)
+    m, eps = split_parameters(family.sparseness)
     try:
         ok, _ = is_martingale_sparse(family.members, eps)
     except FamilyError:
@@ -558,8 +545,7 @@ def split_weak_to_martingale(family: SparseFamily, eta=None) -> list[SparseFamil
     return out
 
 
-def gen_weak_family(seed: int, count: int = 50, eta=Q(1, 2),
-                    max_attempts: int = 4000) -> SparseFamily:
+def gen_weak_family(seed: int, count: int = 50, eta=Q(1, 2)) -> SparseFamily:
     """Seeded weak eta-sparse family with an explicit disjoint witness.
 
     Greedy construction over dyadic-rational intervals: each accepted member
@@ -572,7 +558,7 @@ def gen_weak_family(seed: int, count: int = 50, eta=Q(1, 2),
     members: list[IntervalQ] = []
     witness: list[tuple[IntervalQ, tuple[IntervalQ, ...]]] = []
     need = 1 - eta
-    for _ in range(max_attempts):
+    for _ in range(4000):  # candidate members
         if len(members) >= count:
             break
         scale = rng.randint(2, 9)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 import twoweightlab
 from twoweightlab import cli
 from twoweightlab.cli import main, run_scenario
+from twoweightlab.hilbert import hilbert_norm_ratio
+from twoweightlab.weights import ConstructionParams, build_construction
 
 
 def test_construct_writes_json(tmp_path, capsys):
@@ -157,6 +160,15 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "scenario" in proc.stdout
+
+
+def test_hilbert_norm_command_uses_the_models_p(tmp_path):
+    rc = main(["hilbert", "--mode", "norm", "--k", "4", "--p", "3", "--r", "5/4",
+               "--cells", "1", "--format", "json", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = json.loads((tmp_path / "hilbert-norm.json").read_text())["rows"]
+    model = build_construction(ConstructionParams(k=4, p=Fraction(3), r=Fraction(5, 4)))
+    assert rows[0]["ratio"] == hilbert_norm_ratio(model, p=3, cells_per_gen=1)["ratio"]
 
 
 def test_lorentz_command(tmp_path):

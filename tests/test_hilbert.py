@@ -132,6 +132,12 @@ def test_norm_ratio_rejects_bad_input(kwargs, message):
         hilbert.hilbert_norm_ratio(model(k=3, depth=1), cells_per_gen=1, **kwargs)
 
 
+def test_norm_ratio_takes_the_models_p():
+    m = build_construction(ConstructionParams(k=4, p=Q(3), r=Q(5, 4), depth=2))
+    with pytest.raises(ValueError, match="differs from the model's p=3"):
+        hilbert.hilbert_norm_ratio(m, cells_per_gen=1)
+
+
 def test_walk_leaves_no_reference_cycle():
     """A walk's pending blocks are freed by reference counting when it
     returns; none wait for the cyclic collector."""

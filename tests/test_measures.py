@@ -84,6 +84,18 @@ def test_ap_products():
     assert dual.lo == 1
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ap_products_at_a_non_integer_p(k):
+    # p = 3/2 raises <w> to the power 1/2 (forward), so the support-cell
+    # product of 1 comes back as a fixed-point root enclosure
+    m = model(k=k, p=Q(3, 2), depth=2)
+    assert m.params.r == Q(5, 2)
+    for support in m.support[:4]:
+        for direction in ("forward", "dual"):
+            enc = ap_product(m, support.cell.interval(), direction)
+            assert enc.contains(1) and enc.width < Q(1, 10 ** 20), (support, direction)
+
+
 def test_wtilde_scale():
     m = model()
     enc = mass(m, MeasureQuery("wTilde", UNIT))

@@ -58,6 +58,43 @@ def test_children_map_forest():
     assert ch[IntervalQ(Q(0), Q(1, 3))] == [IntervalQ(Q(0), Q(1, 9))]
 
 
+def _brute_force_children(members):
+    """Each member's parent is the smallest member that strictly contains it."""
+    out = {m: set() for m in members}
+    for child in members:
+        holders = [c for c in members if c != child and c.contains(child)]
+        if holders:
+            out[min(holders, key=lambda c: c.length)].add(child)
+    return out
+
+
+def test_children_map_matches_brute_force_parents():
+    m = model(k=4)
+    support = m.support_cells(1)[0].cell
+    families = []
+    for seed in range(40):
+        fam = gen_random_martingale(5, (Q(1, 3), Q(1, 2), Q(2, 3))[seed % 3], seed)
+        families += [fam, transplant_family(fam, support)]
+    for kind in ("chainToward_IJ", "S1", "S2", "S3", "S4", "boundaryChain"):
+        for eps in (Q(1, 3), Q(1, 2)):
+            families.append(gen_adversarial(m, kind, cell_from_address(""), eps))
+    assert sum(len(f.members) > 3 for f in families) > 40
+    for fam in families:
+        got = children_map(fam.members)
+        assert list(got) == list(fam.members)
+        assert {parent: set(kids) for parent, kids in got.items()} == \
+            _brute_force_children(fam.members)
+
+
+def test_children_map_rejects_overlap_after_a_popped_sibling():
+    # [1/9, 2/9) pops [0, 1/9) off the stack; [1/6, 1/2) then overlaps it
+    members = [iv(0, 1), iv(0, Q(1, 9)), iv(Q(1, 9), Q(2, 9)), iv(Q(1, 6), Q(1, 2))]
+    with pytest.raises(FamilyError, match="overlap without nesting"):
+        children_map(members)
+    with pytest.raises(FamilyError, match="overlap without nesting"):
+        is_martingale_sparse(members, Q(1, 2))
+
+
 def test_random_generator_validates_and_is_deterministic():
     for seed in range(30):
         fam = gen_random_martingale(3, Q(1, 3), seed)
@@ -119,6 +156,24 @@ def test_boundary_chains_on_the_left_of_the_core(k, placement, gen):
             assert member.left < core.left < member.right
             inside = member.intersect(core.interval())
             assert inside.length == Q(2, 3) * member.length
+
+
+@pytest.mark.parametrize("eps", [Q(1, 4), Q(2, 9), Q(1, 10), Q(1, 27)])
+def test_thin_chains_below_one_third(eps):
+    # below eps = 1/3 a chain keeps every step-th cell, with step the least
+    # integer such that 3^-step <= eps
+    step = 1
+    while Q(1, 3 ** step) > eps:
+        step += 1
+    m = model(k=6)
+    for carrier in (cell_from_address(""), m.kcell(1, 0)):
+        for kind in ("chainToward_IJ", "S1", "S2"):
+            fam = gen_adversarial(m, kind, carrier, eps)
+            assert len(fam.members) >= 2, (kind, carrier)
+            ok, report = is_martingale_sparse(fam)
+            assert ok, (kind, carrier, report)
+            for big, small in zip(fam.members, fam.members[1:]):
+                assert big.contains(small) and small.length == big.length / 3 ** step
 
 
 def test_singleton_budget_chain():
@@ -276,6 +331,9 @@ def test_sparse_apply_and_maximal():
     # p = 1 degenerates to the plain sparse operator (sum of averages)
     val1, inner1 = sparse_apply(fam, g, 1, Q(1, 6))
     assert inner1 == 3 and abs(val1 - 3.0) < 1e-12
+    # a non-integer p has no exact sum of p-th powers
+    with pytest.raises(ValueError, match="integer p"):
+        sparse_apply(fam, g, Q(3, 2), Q(1, 6))
 
 
 def test_split_parameters_match_the_reduction():
