@@ -11,8 +11,8 @@ from .triadic import (IntervalQ, TriadicCell, cell_from_address, cell_from_index
                       middle_child, nested_or_disjoint, triadic_cover)
 from .weights import (CompositeWeight, ConstructionParams, SupportCell, WeightModel,
                       build_construction, direct_sum, weight_on_cell)
-from .measures import (MeasureQuery, ap_product, average, carrier_generation, mass,
-                       packing_sum, smallest_carrier)
+from .measures import (ap_product, average, carrier_generation, mass, packing_sum,
+                       smallest_carrier)
 from .sparse import (SparseFamily, carleson_check, gen_adversarial,
                      gen_random_martingale, gen_weak_family, is_martingale_sparse,
                      sparse_apply, sparse_maximal, split_weak_to_martingale,

@@ -20,7 +20,7 @@ from .hilbert import REL_WIDTH, hilbert_norm_ratio, hilbert_pointwise_report, ma
 from .lorentz import (blowup_suite, distribution, entropy_ratio, fundamental_compare,
                       llogl_young, lorentz_norm, luxemburg_norm, phi0, phi_r_young,
                       psi, series_ratio, step_function_distribution, fundamental_of)
-from .measures import MeasureQuery, ap_product, mass, packing_partial, packing_sum
+from .measures import ap_product, mass, packing_partial, packing_sum
 from .report import fit_loglog_slope, fit_slope, logspace
 from .sparse import (carleson_check, chain_decay_check, gen_adversarial,
                      gen_random_martingale, restricted_packing_check,
@@ -68,7 +68,7 @@ def _partition_average(model, cell: TriadicCell, which: str) -> Enclosure:
     total = Enclosure.exact(0)
     for d in range(3):
         child = cell.child(d)
-        total = total + mass(model, MeasureQuery(which, child.interval(), 400))
+        total = total + mass(model, which, child.interval(), 400)
     return total * (1 / cell.length)
 
 
@@ -84,7 +84,7 @@ def c01_exact_averages(ks=(2, 3, 4), ps=(2, 3), depth=4, cap=120):
                 ok = False
                 rows.append({"k": k, "p": p, "check": "a-range", "passed": False})
             for gen in range(depth + 1):
-                want_w = Enclosure.exact(m.avg_w_carrier(gen))
+                want_w = Enclosure.exact(m.w_value(gen))
                 want_s = m.avg_sigma_carrier(gen)
                 for cell in m.kcells[gen]:
                     got_w = _partition_average(m, cell, "w")
@@ -110,7 +110,7 @@ def c02_mass_conservation(ks=(2, 3, 4), depths=(1, 2, 3, 4)):
     for k in ks:
         for depth in depths:
             m = _model(k, depth=depth, cap=64)
-            total = mass(m, MeasureQuery("w", UNIT, 400))
+            total = mass(m, "w", UNIT, 400)
             # independent route: materialized support masses plus the frontier
             support = sum((Q(1, (m.u + 1) ** g) * m.jcell_count(g)
                            for g in range(1, depth + 1)), Q(0))
@@ -414,7 +414,7 @@ def c14_psi_bump(ks=(2, 3, 4, 5, 6, 7, 8), r=Q(3, 2), dual_constant=16):
             fwd = float((nw * m.avg_sigma_carrier(gen)).mid) / float(k) ** float(r)
             per_gen.append(fwd)
             ns = lorentz_norm(distribution(m, cell, "sigma"), gauge, rel_tol=1e-7)
-            per_gen_dual.append(float(ns.mid) * float(m.avg_w_carrier(gen)))
+            per_gen_dual.append(float(ns.mid) * float(m.w_value(gen)))
         forward[k] = max(per_gen)
         dual[k] = max(per_gen_dual)
         rows.append({"k": k, "forward_sup": forward[k], "dual_sup": dual[k],

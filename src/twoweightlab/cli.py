@@ -19,7 +19,7 @@ from .acceptance import CRITERIA, CRITERION_SCENARIOS, run_criterion
 from .enclosure import parse_q, qstr
 from .hilbert import hilbert_norm_ratio, hilbert_pointwise_report, maximal_report
 from .lorentz import blowup_suite, distribution, lorentz_norm, phi0, psi
-from .measures import MeasureQuery, average, mass
+from .measures import average, mass
 from .report import write_csv, write_json
 from .sparse import gen_adversarial, gen_random_martingale, testing_report
 from .triadic import IntervalQ, TriadicCell
@@ -137,13 +137,13 @@ def cmd_averages(args) -> int:
     for gen in range(args.depth + 1):
         cell = model.kcell(gen, 0)
         for which in ("w", "sigma"):
-            enc = average(model, MeasureQuery(which, cell.interval(), 400))
+            enc = average(model, which, cell.interval(), 400)
             rows.append({"gen": gen, "cell": cell.address, "which": which,
                          "lo": qstr(enc.lo), "hi": qstr(enc.hi)})
     if args.interval:
         lo, hi = (parse_q(t) for t in args.interval.split(","))
         for which in ("w", "sigma", "wTilde"):
-            enc = mass(model, MeasureQuery(which, IntervalQ(lo, hi), args.max_depth))
+            enc = mass(model, which, IntervalQ(lo, hi), args.max_depth)
             rows.append({"gen": "", "cell": f"[{lo},{hi})", "which": which,
                          "lo": qstr(enc.lo), "hi": qstr(enc.hi)})
     _emit(rows, args.out, args.format, "averages")

@@ -44,10 +44,6 @@ class HilbertValue:
     expansions: int
     converged: bool
 
-    @property
-    def mid(self) -> float:
-        return self.value.mid
-
 
 def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
                    max_expansions: int = 20000) -> HilbertValue:
@@ -65,6 +61,14 @@ def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
 # ---------------------------------------------------------------------------
 # Pointwise growth report over the probe set.
 
+def _support_sample(model: WeightModel, gen: int, cells: int,
+                    rng: random.Random) -> list[TriadicCell]:
+    """The generation-`gen` support cells, or `cells` of them drawn by `rng`."""
+    total = model.jcell_count(gen)
+    branches = range(total) if total <= cells else sorted(rng.sample(range(total), cells))
+    return [model.place_core(model.jcell(gen, br), gen)[0] for br in branches]
+
+
 def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int,
                  seed: int) -> list[tuple[TriadicCell, Fraction]]:
     """Deterministic sample of probe-cell points at one generation."""
@@ -72,16 +76,9 @@ def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int
         raise ValueError(f"cells per generation must be >= 1, got {cells}")
     if samples_per_cell < 1:
         raise ValueError(f"samples per cell must be >= 1, got {samples_per_cell}")
-    total = model.jcell_count(gen)
     rng = random.Random(f"probe|{model.k}|{gen}|{cells}|{samples_per_cell}|{seed}")
-    if total <= cells:
-        branches = list(range(total))
-    else:
-        branches = sorted(rng.sample(range(total), cells))
     out = []
-    for br in branches:
-        core = model.jcell(gen, br)
-        placed, _ = model.place_core(core, gen)
+    for placed in _support_sample(model, gen, cells, rng):
         probe = placed.middle_child()
         for j in range(samples_per_cell):
             frac = Q(2 * j + 1, 2 * samples_per_cell)
@@ -227,24 +224,18 @@ def hilbert_norm_ratio(model: WeightModel, p: int = 2, nodes: int = 3,
     ests_hi: list[float] = []
     ests_lo: list[float] = []
     for gen in range(1, gen_cap + 1):
-        total_cells = model.jcell_count(gen)
-        if total_cells <= cells_per_gen:
-            branches = list(range(total_cells))
-        else:
-            branches = sorted(rng.sample(range(total_cells), cells_per_gen))
+        cells = _support_sample(model, gen, cells_per_gen, rng)
         sig_val = float(model.sigma_value(gen).lo)
         scale = model.k * float(model.w_value(gen))
         acc_fine = acc_coarse = 0.0
-        for br in branches:
-            core = model.jcell(gen, br)
-            placed, _ = model.place_core(core, gen)
+        for placed in cells:
             fine, coarse, w, used = _cell_integral(model, placed, p, edge_levels, nodes,
                                                    budget_rel * scale, scale)
             worst_rel = max(worst_rel, w)
             expansions += used
             acc_fine += fine
             acc_coarse += coarse
-        factor = sig_val * (total_cells / len(branches))
+        factor = sig_val * (model.jcell_count(gen) / len(cells))
         ests_hi.append(factor * acc_fine)
         ests_lo.append(factor * acc_coarse)
 

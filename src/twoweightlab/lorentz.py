@@ -401,13 +401,13 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn, rel_tol: float = 
     return acc.to_enclosure()
 
 
-def _g_hi(g: Callable[[float], float], u: float) -> float:
-    # G(u) padded up as in `_wtail_norm`; nan, which no comparison accepts,
-    # stays nan
-    v = g(u)
-    hi = v + (1e-12 * abs(v) + 5e-324)
-    hi = nextafter(nextafter(nextafter(nextafter(hi, _INF), _INF), _INF), _INF)
-    return nextafter(nextafter(nextafter(nextafter(hi, _INF), _INF), _INF), _INF)
+def _g_bound(v: float, toward: float) -> float:
+    # a value v of G padded toward -inf or +inf: 1e-12 relative, then 8 ulp;
+    # nan, which no comparison accepts, stays nan
+    pad = 1e-12 * abs(v) + 5e-324
+    x = v + pad if toward > 0 else v - pad
+    x = nextafter(nextafter(nextafter(nextafter(x, toward), toward), toward), toward)
+    return nextafter(nextafter(nextafter(nextafter(x, toward), toward), toward), toward)
 
 
 # (q^m, S0(m), S1(m)) with S0(m) = sum_{i<m} q^i and S1(m) = sum_{i<m} i q^i,
@@ -481,16 +481,9 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
     qp_lo = qp_hi = 1.0
     a = e = 0
     for _ in range(max_steps):
-        # G(u_a), padded by 1e-12 relative, then 8 ulp outward
         u = u0 + a * ln3
         v = g(u)
-        pad = 1e-12 * abs(v) + 5e-324
-        g_lo = v - pad
-        g_hi = v + pad
-        g_lo = nextafter(nextafter(nextafter(nextafter(g_lo, _NINF), _NINF), _NINF), _NINF)
-        g_lo = nextafter(nextafter(nextafter(nextafter(g_lo, _NINF), _NINF), _NINF), _NINF)
-        g_hi = nextafter(nextafter(nextafter(nextafter(g_hi, _INF), _INF), _INF), _INF)
-        g_hi = nextafter(nextafter(nextafter(nextafter(g_hi, _INF), _INF), _INF), _INF)
+        g_lo, g_hi = _g_bound(v, _NINF), _g_bound(v, _INF)
         if not g_lo <= g_hi:
             raise ValueError(f"{phi.name}: G({u!r}) = {v!r} is not a finite number")
         if e or a >= grow_at:
@@ -499,7 +492,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
             while e:
                 if e == len(rows):
                     rows.append(_doubled(rows[-1], 1 << (e - 1)))
-                last_hi = _g_hi(g, u0 + (a + (1 << e) - 1) * ln3)
+                last_hi = _g_bound(g(u0 + (a + (1 << e) - 1) * ln3), _INF)
                 b_lo, b_hi = _block_bounds(prev_hi, g_lo, g_hi, last_hi, 1 << e, rows[e])
                 if b_hi - b_lo <= budget * b_lo:
                     break
@@ -516,7 +509,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
             # once per step that holds a term of index 31 mod 32: the term
             # ratio is q*G(u+log3)/G(u), at least q by quasiconcavity and
             # decreasing toward q (sampled by `validate`), so it caps all later ratios
-            kappa = q_hi * _g_hi(g, u + ln3) / g_lo
+            kappa = q_hi * _g_bound(g(u + ln3), _INF) / g_lo
             if kappa < 1.0:
                 tail_lo = t_lo / (1.0 - q_lo)
                 tail_hi = t_hi / (1.0 - kappa)
@@ -693,7 +686,7 @@ def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entro
         which, other = ("w", "sigma") if direction == "forward" else ("sigma", "w")
         dist = distribution(model, cell, which)
         other_avg = (model.avg_sigma_carrier(gen) if other == "sigma"
-                     else Enclosure.exact(model.avg_w_carrier(gen)))
+                     else Enclosure.exact(model.w_value(gen)))
     if gauge is not None:
         norm_enc = lorentz_norm(dist, gauge)
     else:
@@ -708,17 +701,13 @@ def blowup_sigma_average(model: WeightModel) -> Enclosure:
     return model.b * (1 + model.c * Q(1, 3 ** model.k)) * Q(1, 2)
 
 
-def blowup_w_average(model: WeightModel) -> Fraction:
-    return model.rho
-
-
 def blowup_suite(models: list[WeightModel]) -> list[dict]:
     """Per-k blow-up table: B_k = k^-r * ||w||*_{R_k} * <sigma>_{R_k}."""
     rows = []
     for m in models:
         dist = blowup_distribution(m)
         norm_r = lorentz_norm(dist, phi0())
-        avg_w = blowup_w_average(m)
+        avg_w = m.rho
         avg_s = blowup_sigma_average(m)
         ap = Enclosure.exact(avg_w) * avg_s
         bk = m.scale * norm_r * avg_s

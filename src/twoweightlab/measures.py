@@ -8,7 +8,6 @@ which keeps every enclosure sound and shrinking under refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure
@@ -18,30 +17,22 @@ from .weights import CompositeWeight, WeightModel, _carrier_mass, _check_which, 
 DEFAULT_MAX_DEPTH = 60
 
 
-@dataclass(frozen=True)
-class MeasureQuery:
-    which: str
-    interval: IntervalQ
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-    def __post_init__(self):
-        _check_which(self.which)
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-
-
-def mass(model, query: MeasureQuery) -> Enclosure:
-    """Enclosure of the `which`-mass of the query interval."""
+def mass(model, which: str, interval: IntervalQ,
+         max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
+    """Enclosure of the `which`-mass of the interval."""
+    _check_which(which)
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     if isinstance(model, CompositeWeight):
-        return _composite_mass(model, query)
-    iv = query.interval
-    if not UNIT.contains(iv):
-        raise ValueError(f"interval {iv} outside the model domain [0,1)")
-    return _interval_mass(model, query.which, iv.left, iv.right, query.max_depth)
+        return _composite_mass(model, which, interval, max_depth)
+    if not UNIT.contains(interval):
+        raise ValueError(f"interval {interval} outside the model domain [0,1)")
+    return _interval_mass(model, which, interval.left, interval.right, max_depth)
 
 
-def average(model, query: MeasureQuery) -> Enclosure:
-    return mass(model, query) * (1 / query.interval.length)
+def average(model, which: str, interval: IntervalQ,
+            max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
+    return mass(model, which, interval, max_depth) * (1 / interval.length)
 
 
 def ap_product(model: WeightModel, interval: IntervalQ, direction: str = "forward",
@@ -50,8 +41,8 @@ def ap_product(model: WeightModel, interval: IntervalQ, direction: str = "forwar
     if direction not in ("forward", "dual"):
         raise ValueError(f"direction must be forward|dual, got {direction!r}")
     p = model.params.p
-    aw = average(model, MeasureQuery("w", interval, max_depth))
-    asig = average(model, MeasureQuery("sigma", interval, max_depth))
+    aw = average(model, "w", interval, max_depth)
+    asig = average(model, "sigma", interval, max_depth)
     if direction == "forward":
         return pow_enclosure(aw, p - 1) * asig
     return pow_enclosure(asig, model.params.p_prime - 1) * aw
@@ -72,12 +63,9 @@ def packing_sum(model: WeightModel, carrier: TriadicCell, which: str = "w") -> E
     """
     _check_which(which)
     gen = carrier_generation(model, carrier)
-    if which == "w":
-        return Enclosure.exact((model.u + 1) * model.carrier_w_mass(gen))
     if which == "sigma":
-        one = Enclosure.exact(1)
-        return model.carrier_sigma_mass(gen) / (one - model.a)
-    return model.scale * ((model.u + 1) * model.carrier_w_mass(gen))
+        return _carrier_mass(model, which, gen) / (Enclosure.exact(1) - model.a)
+    return _carrier_mass(model, which, gen) * (model.u + 1)
 
 
 def packing_partial(model: WeightModel, gen: int, upto_gen: int, which: str = "w") -> Enclosure:
@@ -180,17 +168,16 @@ def w_slabs(model: WeightModel, ends: list[int], den: int, max_depth: int):
     return slabs, den * (model.u + 1) ** (max_depth // model.k + 1)
 
 
-def _composite_mass(comp: CompositeWeight, query: MeasureQuery) -> Enclosure:
-    if query.which == "w":
+def _composite_mass(comp: CompositeWeight, which: str, interval: IntervalQ,
+                    max_depth: int) -> Enclosure:
+    if which == "w":
         raise ValueError("composite weights expose wTilde and sigma only")
     total = Enclosure.exact(0)
-    iv = query.interval
     for copy in comp.copies:
-        lo = max(iv.left, Q(copy.shift))
-        hi = min(iv.right, Q(copy.shift + 1))
+        lo = max(interval.left, Q(copy.shift))
+        hi = min(interval.right, Q(copy.shift + 1))
         if lo >= hi:
             continue
         local = IntervalQ(lo - copy.shift, hi - copy.shift)
-        total = total + mass(copy.model, MeasureQuery(query.which, local, query.max_depth))
+        total = total + mass(copy.model, which, local, max_depth)
     return total
-

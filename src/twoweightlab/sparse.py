@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure, qstr
-from .measures import MeasureQuery, average, carrier_generation, mass
+from .measures import average, carrier_generation, mass
 from .triadic import IntervalQ, TriadicCell, cell_from_address, cell_from_index, cell_of
 from .weights import WeightModel
 
@@ -275,18 +275,17 @@ def _sample_tiles(model: WeightModel, core: TriadicCell, count: int) -> list[Tri
 # ---------------------------------------------------------------------------
 # Testing sums and reports.
 
-def testing_sum(model, family, L: IntervalQ, direction: str = "forward",
+def testing_sum(model, family: SparseFamily, L: IntervalQ, direction: str = "forward",
                 max_depth: int = 60) -> Enclosure:
     """Sawyer-type sum over members inside L of <w>^p <sigma> |I| (or its dual)."""
     if direction not in ("forward", "dual"):
         raise FamilyError("direction must be forward|dual")
-    members = family.members if isinstance(family, SparseFamily) else tuple(family)
     terms = []
-    for member in members:
+    for member in family.members:
         if not L.contains(member):
             continue
-        aw = average(model, MeasureQuery("w", member, max_depth))
-        asig = average(model, MeasureQuery("sigma", member, max_depth))
+        aw = average(model, "w", member, max_depth)
+        asig = average(model, "sigma", member, max_depth)
         if direction == "forward":
             term = pow_enclosure(aw, model.params.p) * asig
         else:
@@ -313,7 +312,7 @@ def testing_report(model: WeightModel, family: SparseFamily, L: IntervalQ,
     eps = family.sparseness
     s = testing_sum(model, family, L, direction, max_depth=max_depth)
     which = "w" if direction == "forward" else "sigma"
-    wl = mass(model, MeasureQuery(which, L, max_depth))
+    wl = mass(model, which, L, max_depth)
     if wl.hi == 0:
         if s.hi > 0:
             return TestingReport(s, wl, math.inf, None, eps, "violation",
@@ -347,10 +346,9 @@ def sparse_packing_check(family: SparseFamily, L: IntervalQ) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
 
 
-def chain_decay_check(chain, floor_len, p: int, eps) -> dict:
+def chain_decay_check(chain: list[IntervalQ], floor_len, p: int, eps) -> dict:
     """For a containment chain with |Q| >= floor_len: sum 1/|Q|^p <= 1/(c^p (1-eps))."""
-    members = sorted(chain.members if isinstance(chain, SparseFamily) else tuple(chain),
-                     key=lambda i: i.length)
+    members = sorted(chain, key=lambda i: i.length)
     eps, c = Fraction(eps), Fraction(floor_len)
     for small, big in zip(members, members[1:]):
         if not big.contains(small):
@@ -410,17 +408,14 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
     if len(f_leaves) != n:
         raise ValueError(f"need {n} leaf values")
     f = [Fraction(v) for v in f_leaves]
-    mu = [Q(1, n)] * n
     if any(v < 0 for v in f):
         raise ValueError("f must be nonnegative")
-    levels_mu = [mu]
-    levels_fm = [[fv * mv for fv, mv in zip(f, mu)]]
-    while len(levels_mu[-1]) > 1:
-        prev_mu, prev_fm = levels_mu[-1], levels_fm[-1]
-        levels_mu.append([sum(prev_mu[3 * i:3 * i + 3], Q(0)) for i in range(len(prev_mu) // 3)])
-        levels_fm.append([sum(prev_fm[3 * i:3 * i + 3], Q(0)) for i in range(len(prev_fm) // 3)])
-    levels_mu.reverse()
-    levels_fm.reverse()
+    # a depth-d cell has measure 3^-d, so only f's sums over cells vary
+    sums = [f]
+    while len(sums[-1]) > 1:
+        prev = sums[-1]
+        sums.append([sum(prev[3 * i:3 * i + 3], Q(0)) for i in range(len(prev) // 3)])
+    sums.reverse()
     a = {}
     for address, value in coeffs.items():
         cell = cell_from_address(address)
@@ -428,26 +423,25 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
             raise ValueError(f"coefficient cell {address!r} lies below depth {depth}")
         a[cell.depth, cell.index] = Fraction(value)
 
-    packing = [[Q(0)] * len(level) for level in levels_mu]
+    packing = [[Q(0)] * len(level) for level in sums]
     for d in range(depth, -1, -1):
+        mu = Q(1, 3 ** d)
         for i in range(3 ** d):
-            own = a.get((d, i), 0) * levels_mu[d][i]
+            own = a.get((d, i), 0) * mu
             if own < 0:
                 raise ValueError("coefficients must be nonnegative")
             below = sum(packing[d + 1][3 * i:3 * i + 3], Q(0)) if d < depth else Q(0)
             packing[d][i] = own + below
-            if packing[d][i] > A * levels_mu[d][i]:
+            if packing[d][i] > A * mu:
                 return {"ok": False, "stage": "precondition",
                         "cell": cell_from_index(d, i).address,
-                        "lhs": packing[d][i], "rhs": A * levels_mu[d][i]}
+                        "lhs": packing[d][i], "rhs": A * mu}
     lhs = Q(0)
     for (d, i), aq in a.items():
-        if aq == 0 or levels_mu[d][i] == 0:
-            continue
-        avg = levels_fm[d][i] / levels_mu[d][i]
-        lhs += avg ** p * aq * levels_mu[d][i]
+        if aq != 0:
+            lhs += (sums[d][i] / 3 ** (depth - d)) ** p * aq * Q(1, 3 ** d)
     p_prime = Fraction(p, p - 1)
-    rhs = p_prime ** p * A * sum((fv ** p * mv for fv, mv in zip(f, mu)), Q(0))
+    rhs = p_prime ** p * A * sum((fv ** p for fv in f), Q(0)) / n
     return {"ok": lhs <= rhs, "stage": "embedding", "lhs": lhs, "rhs": rhs}
 
 
@@ -463,27 +457,26 @@ def _step_average(pieces: list[tuple[IntervalQ, Fraction]], window: IntervalQ) -
     return total / window.length
 
 
-def sparse_apply(family, pieces: list[tuple[IntervalQ, Fraction]], p: Fraction,
-                 x) -> tuple[float, Fraction]:
+def sparse_apply(family: SparseFamily, pieces: list[tuple[IntervalQ, Fraction]],
+                 p: Fraction, x) -> tuple[float, Fraction]:
     """Sparse p-function at a point: (float value, exact sum of p-th powers)."""
-    members = family.members if isinstance(family, SparseFamily) else tuple(family)
     p = Fraction(p)
     if p.denominator != 1:
         raise ValueError(f"sparse_apply needs an integer p for an exact sum, got {p}")
     x = Fraction(x)
     inner = Q(0)
-    for member in members:
+    for member in family.members:
         if member.contains_point(x):
             avg = _step_average(pieces, member)
             inner += avg ** p.numerator
     return float(inner) ** (1.0 / float(p)), inner
 
 
-def sparse_maximal(family, pieces: list[tuple[IntervalQ, Fraction]], x) -> Fraction:
-    members = family.members if isinstance(family, SparseFamily) else tuple(family)
+def sparse_maximal(family: SparseFamily, pieces: list[tuple[IntervalQ, Fraction]],
+                   x) -> Fraction:
     x = Fraction(x)
     best = Q(0)
-    for member in members:
+    for member in family.members:
         if member.contains_point(x):
             best = max(best, _step_average(pieces, member))
     return best

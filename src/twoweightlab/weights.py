@@ -111,14 +111,12 @@ class WeightModel:
         return self.kcell_count(gen - 1)
 
     def w_value(self, gen: int) -> Fraction:
-        """Constant value of w on generation-`gen` support cells."""
+        """w on generation-`gen` support cells, which is also w's average
+        over a generation-`gen` carrier."""
         return self.rho ** gen
 
     def sigma_value(self, gen: int) -> Enclosure:
         return self.b.pow_int(gen)
-
-    def wtilde_value(self, gen: int) -> Enclosure:
-        return self.scale * self.w_value(gen)
 
     def carrier_w_mass(self, gen: int) -> Fraction:
         return Q(1, (self.u + 1) ** gen)
@@ -166,12 +164,6 @@ class WeightModel:
 
     def carrier_sigma_mass(self, gen: int) -> Enclosure:
         return self.c * Q(1, 3 ** self.k) * self.b.pow_int(gen) * Q(1, 3 ** (gen * self.k))
-
-    def support_sigma_mass(self, gen: int) -> Enclosure:
-        return self.b.pow_int(gen) * Q(1, 3 ** (gen * self.k))
-
-    def avg_w_carrier(self, gen: int) -> Fraction:
-        return self.rho ** gen
 
     def avg_sigma_carrier(self, gen: int) -> Enclosure:
         return self.c * Q(1, 3 ** self.k) * self.b.pow_int(gen)
@@ -246,7 +238,6 @@ class WeightModel:
     def _materialize(self):
         cap = self.family_cap
         self.kcells: list[list[TriadicCell]] = []
-        self.jcells: dict[int, list[TriadicCell]] = {}
         for gen in range(self.depth + 1):
             branches = _even_sample(self.kcell_count(gen), cap)
             self.kcells.append([self.kcell(gen, i) for i in branches])
@@ -255,15 +246,12 @@ class WeightModel:
             branches = _even_sample(self.jcell_count(gen), cap)
             # one value per generation, shared by its (frozen) support cells
             w_value, sigma_value = self.w_value(gen), self.sigma_value(gen)
-            cells = []
             for i in branches:
                 core = self.jcell(gen, i)
-                cells.append(core)
                 placed, side = self.place_core(core, gen)
                 self.support.append(SupportCell(
                     gen=gen, core=core, cell=placed, side=side,
                     w_value=w_value, sigma_value=sigma_value))
-            self.jcells[gen] = cells
 
     def support_cells(self, gen: int | None = None) -> list[SupportCell]:
         if gen is None:
@@ -317,7 +305,7 @@ def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> C
         val = _value(model, which, gen + 1)
         return CellWeight("const", val, val * cell.length)
     if cell.contains(placed):
-        return CellWeight("unresolved", None, _support_mass(model, which, gen + 1))
+        return CellWeight("unresolved", None, _value(model, which, gen + 1) * placed.length)
     if core.contains(cell):
         # no tile of the core holds the cell, so it is a union of them
         count = 3 ** ((gen + 1) * model.k - cell.depth)
@@ -333,19 +321,12 @@ def _carrier_mass(model, which, gen) -> Enclosure:
     return model.scale * model.carrier_w_mass(gen)
 
 
-def _support_mass(model, which, gen) -> Enclosure:
-    # a support cell carries the w-mass of one carrier of its generation
-    if which == "sigma":
-        return model.support_sigma_mass(gen)
-    return _carrier_mass(model, which, gen)
-
-
 def _value(model, which, gen) -> Enclosure:
     if which == "w":
         return Enclosure.exact(model.w_value(gen))
     if which == "sigma":
         return model.sigma_value(gen)
-    return model.wtilde_value(gen)
+    return model.scale * model.w_value(gen)
 
 
 def _check_which(which: str):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoweightlab.enclosure import (add_bounds, log_abs_ratio_interval,
+from twoweightlab.enclosure import (add_bounds, log_abs_ratio_interval, log_bounds,
                                     log_ratio_bounds, mul_bounds, ratio_bounds,
                                     ratio_interval)
 
@@ -67,6 +67,29 @@ def test_log_ratio_bounds_contain_50_digit_log():
             assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (a, b)
             assert hi - lo <= 1e-13 * max(1.0, abs(lo)), (a, b)
     assert log_ratio_bounds(7 ** 40, 7 ** 40) == (0.0, 0.0)
+
+
+def _libm_log_inputs():
+    """10^4 seeded floats: subnormal to 1e308, 1 ± k·2^-52 and [0.5, 2]."""
+    rng = random.Random("libm-log")
+    xs = [5e-324, 2.2250738585072014e-308, 1e308]
+    xs += [math.ldexp(1 + rng.random(), rng.randrange(-1074, 1024)) for _ in range(3997)]
+    xs += [1 + s * k * 2.0 ** -52 for k in range(1, 1501) for s in (1, -1)]
+    xs += [rng.uniform(0.5, 2.0) for _ in range(3000)]
+    return xs
+
+
+def test_libm_log_is_within_2_ulp_and_log_bounds_enclose_it():
+    """The one float assumption: `math.log` is within 2 ulp of the true log."""
+    xs = _libm_log_inputs()
+    assert len(xs) == 10 ** 4 and all(x > 0 for x in xs)
+    with mp.workdps(50):
+        for x in xs:
+            exact = mpmath.log(mpmath.mpf(x))
+            err = abs(mpmath.mpf(math.log(x)) - exact) / math.ulp(float(exact))
+            assert err <= 2, (x, err)
+            lo, hi = log_bounds(x, x)
+            assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), x
 
 
 def test_interval_wrappers_are_the_primitives_on_fractions():

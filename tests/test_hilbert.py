@@ -16,7 +16,7 @@ from twoweightlab.enclosure import (FloatInterval, log_abs_ratio_interval,
 from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
                                   hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
-from twoweightlab.measures import MeasureQuery, mass, w_slabs
+from twoweightlab.measures import mass, w_slabs
 from twoweightlab.triadic import IntervalQ
 from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
 
@@ -100,6 +100,32 @@ def test_pointwise_report_widths_and_values():
         assert row["w"] == m.w_value(row["gen"])
         assert row["converged"]
     assert rep["min_ratio"] > 1
+
+
+def test_pointwise_report_walks_a_wide_point_again(monkeypatch):
+    """A first walk that converges wider than REL_WIDTH of |mid| is redone
+    with the budget 0.8 * REL_WIDTH * |mid|."""
+    m = model(k=4)
+    real = hilbert.hilbert_weight
+    walks = {}  # x -> [(tail_budget, returned value)]
+
+    def first_walk_wide(model_, x, tail_budget=1e-6, max_expansions=20000):
+        hv = real(model_, x, tail_budget, max_expansions)
+        if x not in walks:
+            half = 0.15 * abs(hv.value.mid)
+            hv = hilbert.HilbertValue(FloatInterval(hv.value.mid - half, hv.value.mid + half),
+                                      2 * half, hv.expansions, True)
+        walks.setdefault(x, []).append((tail_budget, hv))
+        return hv
+
+    monkeypatch.setattr(hilbert, "hilbert_weight", first_walk_wide)
+    rep = hilbert_pointwise_report(m, 2, cells_per_gen=3, seed=5)
+    assert len(walks) == len(rep["rows"]) == 4
+    assert all(len(calls) == 2 for calls in walks.values())
+    for (_, first), (second_budget, _) in walks.values():
+        assert first.value.mid != 0 and first.width > hilbert.REL_WIDTH * abs(first.value.mid)
+        assert second_budget == 0.8 * hilbert.REL_WIDTH * abs(first.value.mid)
+    assert rep["max_rel_width"] <= hilbert.REL_WIDTH
 
 
 def test_pointwise_report_depth_guard():
@@ -233,7 +259,7 @@ def _reference_maximal_at(model, x, extra_gens=2):
     for a, b in zip(cuts, cuts[1:]):
         if a >= b:
             continue
-        m = mass(model, MeasureQuery("w", IntervalQ(a, b), depth))
+        m = mass(model, "w", IntervalQ(a, b), depth)
         slabs.append({"a": a, "b": b, "mass": m})
     idx_x = next(i for i, s in enumerate(slabs) if s["a"] <= x < s["b"])
     n = len(slabs)
@@ -311,7 +337,7 @@ def test_w_slabs_match_mass(k, placement):
                                    den, max_depth)
             assert len(slabs) == len(cuts) - 1
             for (a, b), (lo, hi) in zip(zip(cuts, cuts[1:]), slabs):
-                want = mass(m, MeasureQuery("w", IntervalQ(a, b), max_depth))
+                want = mass(m, "w", IntervalQ(a, b), max_depth)
                 assert (Q(lo, scale), Q(hi, scale)) == (want.lo, want.hi), (a, b)
                 inexact += lo < hi
                 shared += lo == 0 < hi and a >= tile and b <= tile + Q(1, 97 * 3 ** (last * k))
@@ -333,7 +359,7 @@ def test_maximal_upper_bounds_window_averages(k):
                 a = max(Q(0), x - size * Q(rng.randrange(0, 64), 63))
                 b = min(Q(1), x + size * Q(rng.randrange(0, 64), 63))
                 if a < b:
-                    got = mass(m, MeasureQuery("w", IntervalQ(a, b)))
+                    got = mass(m, "w", IntervalQ(a, b))
                     assert got.lo / (b - a) <= res["upper"], (x, a, b)
 
 

@@ -68,7 +68,7 @@ def test_layer_cake_identity():
     for gen in (0, 1):
         cell = m.kcell(gen, 0)
         dist = distribution(m, cell, "w")
-        assert layer_cake(dist).contains(m.avg_w_carrier(gen))
+        assert layer_cake(dist).contains(m.w_value(gen))
         sig = distribution(m, cell, "sigma")
         enc = layer_cake(sig)
         want = m.avg_sigma_carrier(gen).lo
@@ -168,7 +168,7 @@ def test_luxemburg_norm_of_carrier_atoms_is_the_infimum(k):
 
             assert g(lux) <= 1.0 < g(lux * (1 - 1e-9)), (gen, which)
             avg = (m.avg_sigma_carrier(gen) if which == "w"
-                   else Enclosure.exact(m.avg_w_carrier(gen)))
+                   else Enclosure.exact(m.w_value(gen)))
             product = bump_product(m, cell, "orliczPhi", direction)
             assert 0 < product.lo and math.isfinite(float(product.hi))
             assert product.contains(Q(lux) * avg.lo) and product.contains(Q(lux) * avg.hi)

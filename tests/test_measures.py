@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoweightlab.enclosure import Enclosure
-from twoweightlab.measures import (MeasureQuery, ap_product, average, mass,
-                                   packing_partial, packing_sum, smallest_carrier)
+from twoweightlab.measures import (ap_product, average, mass, packing_partial,
+                                   packing_sum, smallest_carrier)
 from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import (ConstructionParams, WeightModel, _carrier_mass, _value,
                                   build_construction)
@@ -43,14 +43,14 @@ def test_sigma_mass_unit_interval_frozen():
     # geometric series in exact rationals: sum of 3^(l-1) 9^-l (4/9)^l = 4/69
     assert sigma_mass_series_oracle(2, 2) == Q(4, 69)
     m = model()
-    enc = mass(m, MeasureQuery("sigma", UNIT))
+    enc = mass(m, "sigma", UNIT)
     assert enc.is_exact and enc.lo == Q(4, 69)
 
 
 def test_w_mass_unit_and_vanishing_left_third():
     m = model()
-    assert mass(m, MeasureQuery("w", UNIT)).lo == 1
-    enc = mass(m, MeasureQuery("w", IntervalQ(Q(0), Q(1, 3))))
+    assert mass(m, "w", UNIT).lo == 1
+    enc = mass(m, "w", IntervalQ(Q(0), Q(1, 3)))
     assert enc.is_exact and enc.lo == 0
 
 
@@ -59,15 +59,15 @@ def test_carrier_averages_match_closed_forms():
         m = model(k=k, p=p, depth=2)
         for gen in range(3):
             cell = m.kcell(gen, 0)
-            aw = average(m, MeasureQuery("w", cell.interval(), 200))
+            aw = average(m, "w", cell.interval(), 200)
             assert aw.is_exact and aw.lo == m.rho ** gen
-            asig = average(m, MeasureQuery("sigma", cell.interval(), 200))
+            asig = average(m, "sigma", cell.interval(), 200)
             assert asig.is_exact and asig.lo == m.avg_sigma_carrier(gen).lo
 
 
 def test_gen1_average_is_nine_quarters():
     m = model()
-    enc = average(m, MeasureQuery("w", m.kcell(1, 0).interval()))
+    enc = average(m, "w", m.kcell(1, 0).interval())
     assert enc.lo == Q(9, 4)
 
 
@@ -98,7 +98,7 @@ def test_ap_products_at_a_non_integer_p(k):
 
 def test_wtilde_scale():
     m = model()
-    enc = mass(m, MeasureQuery("wTilde", UNIT))
+    enc = mass(m, "wTilde", UNIT)
     assert enc.encloses(m.scale)
     assert float(enc.width) < 1e-18
 
@@ -124,26 +124,38 @@ def test_packing_rejects_non_carrier():
         packing_sum(m, cell_from_address("0"), "w")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: mass(m, "W", UNIT), "which must be"),
+    (lambda m: average(m, "wtilde", UNIT, 5), "which must be"),
+    (lambda m: mass(m, "w", UNIT, -1), "max_depth must be >= 0"),
+    (lambda m: average(m, "sigma", UNIT, -1), "max_depth must be >= 0"),
+    (lambda m: packing_sum(m, cell_from_address(""), "tilde"), "which must be"),
+], ids=["mass-which", "average-which", "mass-depth", "average-depth", "packing-which"])
+def test_unknown_measures_and_negative_depths_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(model())
+
+
 def test_direct_sum_masses():
     from twoweightlab.weights import direct_sum
     models = [model(k=k, depth=2) for k in (4, 5)]
     comp = direct_sum(models, (4, 5))
     shift = 9 ** 4
-    enc = mass(comp, MeasureQuery("sigma", IntervalQ(Q(shift), Q(shift + 1))))
+    enc = mass(comp, "sigma", IntervalQ(Q(shift), Q(shift + 1)))
     want = models[0].c.lo * Q(1, 3 ** 4)
     assert enc.is_exact and enc.lo == want
-    wt = mass(comp, MeasureQuery("wTilde", IntervalQ(Q(shift), Q(shift + 1))))
+    wt = mass(comp, "wTilde", IntervalQ(Q(shift), Q(shift + 1)))
     assert wt.encloses(models[0].scale)
-    empty = mass(comp, MeasureQuery("sigma", IntervalQ(Q(1), Q(2))))
+    empty = mass(comp, "sigma", IntervalQ(Q(1), Q(2)))
     assert empty.lo == 0 and empty.hi == 0
 
 
 def test_enclosure_soundness_under_refinement():
     m = model()
     iv = IntervalQ(Q(0), Q(1, 2))
-    prev = mass(m, MeasureQuery("w", iv, 6))
+    prev = mass(m, "w", iv, 6)
     for depth in (10, 20, 40, 80):
-        cur = mass(m, MeasureQuery("w", iv, depth))
+        cur = mass(m, "w", iv, depth)
         assert prev.encloses(cur)
         prev = cur
     assert float(prev.width) < 1e-9
@@ -153,9 +165,9 @@ def test_recursion_guard_at_half():
     # 1/2 sits inside the active region at every generation; the budget stops
     # the descent with a certified enclosure instead of diverging
     m = model(depth=2)
-    enc = mass(m, MeasureQuery("w", IntervalQ(Q(1, 3), Q(1, 2)), 12))
+    enc = mass(m, "w", IntervalQ(Q(1, 3), Q(1, 2)), 12)
     assert enc.width > 0
-    finer = mass(m, MeasureQuery("w", IntervalQ(Q(1, 3), Q(1, 2)), 36))
+    finer = mass(m, "w", IntervalQ(Q(1, 3), Q(1, 2)), 36)
     assert enc.encloses(finer) and finer.width < enc.width
 
 
@@ -166,14 +178,14 @@ def test_policy_independence_mirror():
     for _ in range(40):
         a = Q(rng.randint(0, 3 ** 5 - 2), 3 ** 5)
         b = Q(rng.randint(int(a * 3 ** 5) + 1, 3 ** 5), 3 ** 5)
-        direct = mass(right, MeasureQuery("w", IntervalQ(a, b), 200))
-        mirror = mass(left, MeasureQuery("w", IntervalQ(1 - b, 1 - a), 200))
+        direct = mass(right, "w", IntervalQ(a, b), 200)
+        mirror = mass(left, "w", IntervalQ(1 - b, 1 - a), 200)
         assert direct.lo == mirror.lo and direct.hi == mirror.hi
     alternating = model(placement="alternating")
     for which in ("w", "sigma"):
-        total = mass(right, MeasureQuery(which, UNIT)).lo
-        assert mass(left, MeasureQuery(which, UNIT)).lo == total
-        assert mass(alternating, MeasureQuery(which, UNIT)).lo == total
+        total = mass(right, which, UNIT).lo
+        assert mass(left, which, UNIT).lo == total
+        assert mass(alternating, which, UNIT).lo == total
 
 
 def test_smallest_carrier():
@@ -216,15 +228,15 @@ def test_comparison_cases_over_random_intervals():
             b = Q(rng.randint(int(a * den) + 1, den), den)
             iv = IntervalQ(a, b)
             carrier, gen, core, placed, mc, ms = _case_of(m, iv)
-            aw = average(m, MeasureQuery("w", iv, 240))
-            asig = average(m, MeasureQuery("sigma", iv, 240))
+            aw = average(m, "w", iv, 240)
+            asig = average(m, "sigma", iv, 240)
             wval = m.w_value(gen + 1)
             sval = m.sigma_value(gen + 1).lo
             if not mc:
                 assert aw.hi <= wval
                 assert asig.hi <= sval
             elif mc and not ms:
-                cb = max(cb, float(aw.hi) / float(m.avg_w_carrier(gen)))
+                cb = max(cb, float(aw.hi) / float(m.w_value(gen)))
             else:
                 ratio = float(asig.hi) * float(iv.length) / \
                     (float(placed.length) * float(sval))
@@ -247,8 +259,8 @@ def test_endpoint_comparison_monotone():
             den = 3 ** rng.randint(1, 8) * 2 ** rng.randint(0, 3)
             b1 = Q(rng.randint(2, den), den)
             b2 = Q(rng.randint(1, int(b1 * den) - 1), den)
-            big = average(m, MeasureQuery("w", IntervalQ(Q(0), b1), 240))
-            small = average(m, MeasureQuery("w", IntervalQ(Q(0), b2), 240))
+            big = average(m, "w", IntervalQ(Q(0), b1), 240)
+            small = average(m, "w", IntervalQ(Q(0), b2), 240)
             if big.lo > 0:
                 worst = max(worst, float(small.hi) / float(big.lo))
         constants[k] = worst
@@ -353,7 +365,7 @@ def test_mass_matches_reference_recursion():
                 for iv in _identity_intervals(rng, m, 21):
                     for which in ("w", "sigma", "wTilde"):
                         for depth in (0, k, 2 * k + 1, 60, 400):
-                            got = mass(m, MeasureQuery(which, iv, depth))
+                            got = mass(m, which, iv, depth)
                             want = _reference_mass(m, which, iv.left, iv.right,
                                                    0, Q(0), depth)
                             assert (got.lo, got.hi) == (want.lo, want.hi), \
@@ -380,12 +392,12 @@ def test_mass_is_additive_and_refines(key, which, ends, max_depth):
     m = _PROPERTY_MODELS[key]
     a, b, c = sorted(ends)
     depth = {"0": 0, "k": m.k, "3k": 3 * m.k, "60": 60}[max_depth]
-    whole = mass(m, MeasureQuery(which, IntervalQ(a, c), depth))
-    parts = (mass(m, MeasureQuery(which, IntervalQ(a, b), depth))
-             + mass(m, MeasureQuery(which, IntervalQ(b, c), depth)))
+    whole = mass(m, which, IntervalQ(a, c), depth)
+    parts = (mass(m, which, IntervalQ(a, b), depth)
+             + mass(m, which, IntervalQ(b, c), depth))
     assert parts.encloses(whole)
     if whole.is_exact and parts.is_exact:
         assert whole.lo == parts.lo
     for iv in (IntervalQ(a, b), IntervalQ(b, c), IntervalQ(a, c)):
-        coarse = mass(m, MeasureQuery(which, iv, depth))
-        assert coarse.encloses(mass(m, MeasureQuery(which, iv, depth + 1)))
+        coarse = mass(m, which, iv, depth)
+        assert coarse.encloses(mass(m, which, iv, depth + 1))

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from twoweightlab.acceptance import _chain_length_oracle
-from twoweightlab.measures import MeasureQuery, mass
+from twoweightlab.measures import mass
 from twoweightlab.sparse import (FamilyError, SparseFamily, carleson_check,
                                  chain_decay_check, children_map,
                                  gen_adversarial, gen_random_martingale,
@@ -397,9 +397,9 @@ def test_composite_testing_uniform_over_copies():
     total = Q(0)
     p = Q(2)
     for member in fam.members:
-        aw = mass(comp, MeasureQuery("wTilde", member)) * (1 / member.length)
-        asig = mass(comp, MeasureQuery("sigma", member)) * (1 / member.length)
+        aw = mass(comp, "wTilde", member) * (1 / member.length)
+        asig = mass(comp, "sigma", member) * (1 / member.length)
         total += aw.hi ** 2 * asig.hi * member.length
-    wl = mass(comp, MeasureQuery("wTilde", big))
+    wl = mass(comp, "wTilde", big)
     ratio = total * Q(1, 2) / wl.lo
     assert ratio < 2

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from twoweightlab.hilbert import maximal_at
-from twoweightlab.measures import MeasureQuery, mass, smallest_carrier
+from twoweightlab.measures import mass, smallest_carrier
 from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import (PLACEMENTS, ConstructionParams, build_construction,
                                   direct_sum, weight_on_cell)
@@ -31,7 +31,8 @@ def test_counts_k2_depth1():
 def test_counts_k3_depth2():
     m = build_construction(ConstructionParams(k=3, depth=2))
     assert m.jcell_count(2) == 3 ** (3 - 1) == 9
-    assert all(c.length == Q(1, 81) for c in m.jcells[2])
+    cores = [s.core for s in m.support_cells(2)]
+    assert len(cores) == 9 and all(c.length == Q(1, 81) for c in cores)
 
 
 def test_right_placement_k2():
@@ -73,7 +74,7 @@ def test_support_geometry_agrees_across_modules(k, placement):
         assert cell.left == core.right or cell.right == core.left
         assert core.parent().contains(cell)
         assert weight_on_cell(m, cell).kind == "const"
-        got = mass(m, MeasureQuery("w", cell.interval()))
+        got = mass(m, "w", cell.interval())
         assert got.lo == got.hi == m.w_value(sc.gen) * cell.length
         x = cell.left + cell.length / 2
         chain = m.carriers_holding(x, x)
@@ -132,7 +133,7 @@ def test_weight_on_cell_matches_mass_on_every_cell(k, placement):
             cell = cell_from_index(depth, index)
             for which in ("w", "sigma", "wTilde"):
                 got = weight_on_cell(m, cell, which)
-                want = mass(m, MeasureQuery(which, cell.interval(), 400))
+                want = mass(m, which, cell.interval(), 400)
                 assert got.mass == want, (cell, which)
                 if got.kind == "const":
                     assert got.value * cell.length == want, (cell, which)
