@@ -24,7 +24,5 @@ from .lorentz import (DistributionSteps, QuasiConcaveFn, YoungFn, blowup_suite,
                       bump_product, distribution, fundamental_compare,
                       fundamental_of, llogl_young, lorentz_norm, luxemburg_norm,
                       phi0, phi_r_young, psi, series_ratio)
-from .acceptance import CRITERIA, run_criterion
-from .cli import SCENARIOS, main, run_scenario
 
 __version__ = "0.1.0"

@@ -49,16 +49,19 @@ class QuasiConcaveFn:
     G(u) = phi(exp(-u))*exp(u), needed for tails whose plateaus underflow
     floats; a gauge that has it must also have s -> phi(s/3)/phi(s)
     decreasing as s decreases (sampled at construction), which the
-    ratio-test tail needs.  `convex_log_form` asserts that G is
-    convex for u >= 0 (sampled at construction), which lets the tail sum
-    blocks of terms between a chord and a secant line.
+    ratio-test tail needs.  `log_form_derivs` is u -> (G'(u), G''(u)), with
+    G'' nan below some u where the gauge makes no claim; from the first u
+    where G'' is a number it asserts that G'' is positive and nonincreasing
+    (sampled at construction, with G' and G'' against differences of G and
+    G'), which lets the tail sum blocks of terms there by a second-order
+    Taylor bound.
     """
 
     name: str
     point_eval: Callable[[float], float]
     linear_log_form: tuple[Fraction, Fraction] | None = None
     log_form_eval: Callable[[float], float] | None = None
-    convex_log_form: bool = False
+    log_form_derivs: Callable[[float], tuple[float, float]] | None = None
 
     def __post_init__(self):
         self.validate()
@@ -104,16 +107,29 @@ class QuasiConcaveFn:
                 got = self.log_form_eval(math.log(1 / s))
                 if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                     raise ValueError(f"{self.name}: log_form_eval does not match evaluator")
-        if self.convex_log_form:
-            g = self.log_form_eval
+        if self.log_form_derivs is not None:
+            g, derivs = self.log_form_eval, self.log_form_derivs
             if g is None:
-                raise ValueError(f"{self.name}: convex_log_form needs log_form_eval")
-            # midpoints of [u, 3u + 2] for u up to 1e9, past the ~5e6 that a
-            # k = 12 tail reaches at 1e-9
-            for u in [0.0] + [10 ** (-2 + i / 2) for i in range(23)]:
-                left, mid, right = g(u), g(2 * u + 1), g(3 * u + 2)
-                if mid > (left + right) / 2 + 1e-9 * max(1.0, abs(right)):
-                    raise ValueError(f"{self.name}: G fails midpoint convexity near u={u}")
+                raise ValueError(f"{self.name}: log_form_derivs needs log_form_eval")
+            # u up to 1e12, past the ~3e10 that a k = 20 tail reaches at 1e-9.
+            # Over [u, u + h], a difference quotient of G lies between G'(u)
+            # and G'(u + h), and one of G' between G''(u + h) and G''(u).
+            prev_d2 = _INF
+            for u in [0.0] + [10 ** (-2 + i / 2) for i in range(29)]:
+                h = 1e-3 * (1.0 + u)
+                d1, d2 = derivs(u)
+                e1, e2 = derivs(u + h)
+                checks = [((g(u + h) - g(u)) / h, d1, e1)]
+                if not math.isnan(d2) or prev_d2 < _INF:
+                    if not (0 < e2 <= d2 * (1 + 1e-9) and d2 <= prev_d2 * (1 + 1e-9)):
+                        raise ValueError(f"{self.name}: G'' is not positive and "
+                                         f"nonincreasing near u={u}")
+                    checks.append(((e1 - d1) / h, e2, d2))
+                    prev_d2 = e2
+                for slope, lo, hi in checks:
+                    if not lo * (1 - 1e-6) <= slope <= hi * (1 + 1e-6):
+                        raise ValueError(f"{self.name}: log_form_derivs does not match "
+                                         f"log_form_eval near u={u}")
 
 
 # gauges are built and validated once; nothing mutates them after that
@@ -137,8 +153,18 @@ def psi(r: Fraction) -> QuasiConcaveFn:
         v = 12.0 + u
         return v * math.log(v) ** rf
 
-    # G'' = r L^(r-2) (L + r - 1) / v > 0 with L = log v >= log 12
-    return QuasiConcaveFn(f"psi[r={r}]", ev, log_form_eval=gev, convex_log_form=True)
+    # with L = log v >= log 12: G' = L^(r-1) (L + r), G'' = r L^(r-2) (L + r - 1) / v > 0
+    # and G''' = r L^(r-3) / v^2 ((r-1)(r-2) - L^2), which is negative once L^2 > (r-1)(r-2)
+    # (always when (r-1)(r-2) < (log 12)^2); below that G'' is left nan
+    l_peak = math.sqrt(max(float((r - 1) * (r - 2)), 0.0)) * (1 + 1e-9)
+
+    def dev(u: float) -> tuple[float, float]:
+        v = 12.0 + u
+        lg = math.log(v)
+        p = lg ** (rf - 2.0)
+        return p * lg * (lg + rf), rf * p * (lg + rf - 1.0) / v if lg > l_peak else math.nan
+
+    return QuasiConcaveFn(f"psi[r={r}]", ev, log_form_eval=gev, log_form_derivs=dev)
 
 
 def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
@@ -383,7 +409,7 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn, rel_tol: float = 
     """Enclosure of the Lorentz norm: integral of phi(N(t)) dt over the steps.
 
     A w tail without a closed form is summed in steps of one term or, for a
-    gauge with `convex_log_form`, of one block of terms, at most 400,000
+    gauge with `log_form_derivs`, of one block of terms, at most 400,000
     steps; ArithmeticError says when the tail did not close within them.
     """
     acc = FZERO
@@ -401,51 +427,63 @@ def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn, rel_tol: float = 
     return acc.to_enclosure()
 
 
-def _g_bound(v: float, toward: float) -> float:
-    # a value v of G padded toward -inf or +inf: 1e-12 relative, then 8 ulp;
+def _g_bound(v: float) -> tuple[float, float]:
+    # a value v of G, G' or G'' padded outward: 1e-12 relative, then 8 ulp;
     # nan, which no comparison accepts, stays nan
     pad = 1e-12 * abs(v) + 5e-324
-    x = v + pad if toward > 0 else v - pad
-    x = nextafter(nextafter(nextafter(nextafter(x, toward), toward), toward), toward)
-    return nextafter(nextafter(nextafter(nextafter(x, toward), toward), toward), toward)
+    lo = nextafter(nextafter(nextafter(nextafter(v - pad, _NINF), _NINF), _NINF), _NINF)
+    hi = nextafter(nextafter(nextafter(nextafter(v + pad, _INF), _INF), _INF), _INF)
+    return (nextafter(nextafter(nextafter(nextafter(lo, _NINF), _NINF), _NINF), _NINF),
+            nextafter(nextafter(nextafter(nextafter(hi, _INF), _INF), _INF), _INF))
 
 
-# (q^m, S0(m), S1(m)) with S0(m) = sum_{i<m} q^i and S1(m) = sum_{i<m} i q^i,
-# each a lo and a hi float: q_lo, q_hi, s0_lo, s0_hi, s1_lo, s1_hi
-_GeomRow = tuple[float, float, float, float, float, float]
+# h = log 3, the step of u between terms, and h^2/2
+_H_LO, _H_HI = LN3.lo, LN3.hi
+_HH_LO, _HH_HI = nextafter(_H_LO * _H_LO, _NINF) / 2, nextafter(_H_HI * _H_HI, _INF) / 2
+
+# (q^m, S0(m), S1(m), S2(m)) with Sj(m) = sum_{i<m} i^j q^i, each a lo and a
+# hi float: q_lo, q_hi, s0_lo, s0_hi, s1_lo, s1_hi, s2_lo, s2_hi
+_GeomRow = tuple[float, float, float, float, float, float, float, float]
 
 
 def _doubled(row: _GeomRow, m: int) -> _GeomRow:
     """The row of 2m from the row of m, one ulp outward per operation.
 
-    S0(2m) = S0(m)(1 + q^m) and S1(2m) = S1(m)(1 + q^m) + m q^m S0(m): every
-    term is positive, so lo combines with lo and hi with hi.
+    S0(2m) = S0(m)(1 + q^m), S1(2m) = S1(m)(1 + q^m) + m q^m S0(m) and
+    S2(2m) = S2(m)(1 + q^m) + m (2 q^m S1(m) + m q^m S0(m)): every term is
+    positive, so lo combines with lo and hi with hi.
     """
-    qm_lo, qm_hi, s0_lo, s0_hi, s1_lo, s1_hi = row
+    qm_lo, qm_hi, s0_lo, s0_hi, s1_lo, s1_hi, s2_lo, s2_hi = row
     f_lo = nextafter(1.0 + qm_lo, _NINF)
     f_hi = nextafter(1.0 + qm_hi, _INF)
     c_lo = nextafter(nextafter(m * qm_lo, _NINF) * s0_lo, _NINF)
     c_hi = nextafter(nextafter(m * qm_hi, _INF) * s0_hi, _INF)
+    d_lo = nextafter(m * nextafter(nextafter(2.0 * qm_lo * s1_lo, _NINF) + c_lo, _NINF), _NINF)
+    d_hi = nextafter(m * nextafter(nextafter(2.0 * qm_hi * s1_hi, _INF) + c_hi, _INF), _INF)
     return (nextafter(qm_lo * qm_lo, _NINF), nextafter(qm_hi * qm_hi, _INF),
             nextafter(s0_lo * f_lo, _NINF), nextafter(s0_hi * f_hi, _INF),
             nextafter(nextafter(s1_lo * f_lo, _NINF) + c_lo, _NINF),
-            nextafter(nextafter(s1_hi * f_hi, _INF) + c_hi, _INF))
+            nextafter(nextafter(s1_hi * f_hi, _INF) + c_hi, _INF),
+            nextafter(nextafter(s2_lo * f_lo, _NINF) + d_lo, _NINF),
+            nextafter(nextafter(s2_hi * f_hi, _INF) + d_hi, _INF))
 
 
-def _block_bounds(prev_hi: float, first_lo: float, first_hi: float, last_hi: float,
-                  m: int, row: _GeomRow) -> tuple[float, float]:
-    """Enclose sum_{i<m} q^i G_i for G convex and nondecreasing in i, m >= 2.
+def _taylor_block(g_lo: float, g_hi: float, d1_lo: float, d1_hi: float,
+                  d2_lo: float, d2_hi: float, row: _GeomRow) -> tuple[float, float]:
+    """Enclose sum_{i<m} q^i G(u + i h), h = log 3, for `row` the row of m.
 
-    G_i lies above the line through G_-1 and G_0, extended, and below the
-    chord from G_0 to G_(m-1); both slopes are clamped at 0, which G's
-    monotonicity allows.  `prev_hi`, `first_*` and `last_hi` bound G_-1,
-    G_0 and G_(m-1); `row` is the row of m from `_doubled`.
+    G(u + x) = G(u) + x G'(u) + (x^2/2) G''(xi) with xi in [u, u + x], and
+    G'' is nonincreasing, so G''(xi) lies between G'' at the block's last
+    term (`d2_lo`) and at its first (`d2_hi`).  `g_*` and `d1_*` bound G and
+    G' at u.  G, G' and G'' are nonnegative, so lo goes with lo.
     """
-    _, _, s0_lo, s0_hi, s1_lo, s1_hi = row
-    slope_lo = max(nextafter(first_lo - prev_hi, _NINF), 0.0)
-    slope_hi = max(nextafter(nextafter(last_hi - first_hi, _INF) / (m - 1), _INF), 0.0)
-    lo = nextafter(nextafter(first_lo * s0_lo, _NINF) + nextafter(slope_lo * s1_lo, _NINF), _NINF)
-    hi = nextafter(nextafter(first_hi * s0_hi, _INF) + nextafter(slope_hi * s1_hi, _INF), _INF)
+    _, _, s0_lo, s0_hi, s1_lo, s1_hi, s2_lo, s2_hi = row
+    lo = nextafter(g_lo * s0_lo, _NINF)
+    lo = nextafter(lo + nextafter(nextafter(_H_LO * d1_lo, _NINF) * s1_lo, _NINF), _NINF)
+    lo = nextafter(lo + nextafter(nextafter(_HH_LO * d2_lo, _NINF) * s2_lo, _NINF), _NINF)
+    hi = nextafter(g_hi * s0_hi, _INF)
+    hi = nextafter(hi + nextafter(nextafter(_H_HI * d1_hi, _INF) * s1_hi, _INF), _INF)
+    hi = nextafter(hi + nextafter(nextafter(_HH_HI * d2_hi, _INF) * s2_hi, _INF), _INF)
     return lo, hi
 
 
@@ -457,6 +495,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
     g = phi.log_form_eval
     if g is None:
         raise ValueError(f"{phi.name} cannot certify a geometric tail")
+    derivs = phi.log_form_derivs
     rho, coeff, l0 = tail.rho, tail.coeff, tail.l0
     q = rho / 3
     q_fi = FloatInterval.from_fraction(q)
@@ -469,31 +508,35 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
     # rounding of `add_bounds` and `mul_bounds` written out; every factor is
     # positive, so a product's least candidate is lo*lo and its greatest hi*hi.
     # A single term (e = 0) is (lead q^a) G(u_a); a block is (lead q^a) times
-    # `_block_bounds`.  Without `convex_log_form` every step is one term.  With
-    # it, e is the largest exponent, at most one above the last step's, whose
-    # block keeps its relative width within rel_tol/2.  The first try to grow
-    # e waits for term 32, so a block always follows a single term, and a try
-    # that fails waits for a to grow by a/8 + 32.
-    rows = [(q_lo, q_hi, 1.0, 1.0, 0.0, 0.0)]
+    # `_taylor_block`.  Without `log_form_derivs` every step is one term, and
+    # so is a step where G'' is nan: its block bounds are nan, which no width
+    # test accepts.  Otherwise e is the largest exponent, at most one above
+    # the last step's, whose block keeps its relative width within rel_tol/2.
+    # The first try to grow e waits for term 32, so a block always follows a
+    # single term, and a try that fails waits for a to grow by a/8 + 32.
+    rows = [(q_lo, q_hi, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
     budget = 0.5 * rel_tol
-    grow_at = 32 if phi.convex_log_form else _INF
-    acc_lo = acc_hi = prev_hi = 0.0
+    grow_at = 32 if derivs is not None else _INF
+    acc_lo = acc_hi = 0.0
     qp_lo = qp_hi = 1.0
     a = e = 0
     for _ in range(max_steps):
         u = u0 + a * ln3
         v = g(u)
-        g_lo, g_hi = _g_bound(v, _NINF), _g_bound(v, _INF)
+        g_lo, g_hi = _g_bound(v)
         if not g_lo <= g_hi:
             raise ValueError(f"{phi.name}: G({u!r}) = {v!r} is not a finite number")
         if e or a >= grow_at:
+            d1, d2 = derivs(u)
+            d1_lo, d1_hi = _g_bound(d1)
+            d2_hi = _g_bound(d2)[1]
             grow = a >= grow_at
             e += grow
             while e:
                 if e == len(rows):
                     rows.append(_doubled(rows[-1], 1 << (e - 1)))
-                last_hi = _g_bound(g(u0 + (a + (1 << e) - 1) * ln3), _INF)
-                b_lo, b_hi = _block_bounds(prev_hi, g_lo, g_hi, last_hi, 1 << e, rows[e])
+                d2_lo = _g_bound(derivs(u0 + (a + (1 << e) - 1) * ln3)[1])[0]
+                b_lo, b_hi = _taylor_block(g_lo, g_hi, d1_lo, d1_hi, d2_lo, d2_hi, rows[e])
                 if b_hi - b_lo <= budget * b_lo:
                     break
                 if grow:
@@ -509,7 +552,7 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
             # once per step that holds a term of index 31 mod 32: the term
             # ratio is q*G(u+log3)/G(u), at least q by quasiconcavity and
             # decreasing toward q (sampled by `validate`), so it caps all later ratios
-            kappa = q_hi * _g_bound(g(u + ln3), _INF) / g_lo
+            kappa = q_hi * _g_bound(g(u + ln3))[1] / g_lo
             if kappa < 1.0:
                 tail_lo = t_lo / (1.0 - q_lo)
                 tail_hi = t_hi / (1.0 - kappa)
@@ -518,9 +561,6 @@ def _wtail_norm(tail: WTail, phi: QuasiConcaveFn, rel_tol: float, max_steps: int
         if e:
             t_lo = nextafter(p_lo * b_lo, _NINF)
             t_hi = nextafter(p_hi * b_hi, _INF)
-            prev_hi = last_hi
-        else:
-            prev_hi = g_hi
         acc_lo = nextafter(acc_lo + t_lo, _NINF)
         acc_hi = nextafter(acc_hi + t_hi, _INF)
         q_m = rows[e]

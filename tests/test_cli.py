@@ -197,6 +197,15 @@ def test_lorentz_psi_command_closes_at_k10(tmp_path):
     assert (tmp_path / "lorentz.csv").read_text().count("\n") == 5  # header + 4 rows
 
 
+def test_lorentz_psi_command_closes_at_k15(tmp_path):
+    # the psi w tail closes at the default 1e-9 in ~6,700 steps, under the
+    # 400,000-step cap
+    rc = main(["lorentz", "--norm", "lorentzPsi", "--k", "15", "--depth", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "lorentz.csv").read_text().count("\n") == 5
+
+
 def test_bumps_command(tmp_path):
     rc = main(["bumps", "--k-min", "6", "--k-max", "8", "--out", str(tmp_path),
                "--format", "json"])

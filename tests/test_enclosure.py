@@ -80,7 +80,7 @@ def _libm_log_inputs():
 
 
 def test_libm_log_is_within_2_ulp_and_log_bounds_enclose_it():
-    """The one float assumption: `math.log` is within 2 ulp of the true log."""
+    """The first float assumption: `math.log` is within 2 ulp of the true log."""
     xs = _libm_log_inputs()
     assert len(xs) == 10 ** 4 and all(x > 0 for x in xs)
     with mp.workdps(50):

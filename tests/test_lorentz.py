@@ -295,13 +295,33 @@ def test_gauge_validation_rejects_bad_functions():
         QuasiConcaveFn("bad-convex", lambda s: s * s)
 
 
-def test_convex_log_form_is_sampled():
-    # G(u) = sqrt(5 + u) is concave, so the flag that allows blocks is refused
-    with pytest.raises(ValueError, match="convexity"):
-        sqrt_log_gauge(convex_log_form=True)
+def test_log_form_derivs_are_sampled():
+    # G(u) = sqrt(5 + u) is concave: its G'' is negative
+    with pytest.raises(ValueError, match="positive and nonincreasing"):
+        sqrt_log_gauge(derivs=True)
+    # G(u) = (5 + u)^3: its G'' = 6(5 + u) increases
+    with pytest.raises(ValueError, match="positive and nonincreasing"):
+        QuasiConcaveFn("cubelog", lambda s: s * (5.0 - math.log(s)) ** 3,
+                       log_form_eval=lambda u: (5.0 + u) ** 3,
+                       log_form_derivs=lambda u: (3 * (5.0 + u) ** 2, 6 * (5.0 + u)))
+    # psi's G with a G'' one percent low, then a G' one percent high
+    good = psi(Q(3, 2)).log_form_derivs
+    for wrong in (lambda u: (good(u)[0], 0.99 * good(u)[1]),
+                  lambda u: (1.01 * good(u)[0], good(u)[1])):
+        with pytest.raises(ValueError, match="does not match"):
+            QuasiConcaveFn("psi-wrong", psi(Q(3, 2)).point_eval,
+                           log_form_eval=psi(Q(3, 2)).log_form_eval, log_form_derivs=wrong)
+    # G'' may be nan only before it is a number
+    with pytest.raises(ValueError, match="positive and nonincreasing"):
+        QuasiConcaveFn("psi-late-nan", psi(Q(3, 2)).point_eval,
+                       log_form_eval=psi(Q(3, 2)).log_form_eval,
+                       log_form_derivs=lambda u: (good(u)[0], good(u)[1] if u < 100 else math.nan))
     with pytest.raises(ValueError, match="needs log_form_eval"):
-        QuasiConcaveFn("nolog", lambda s: s * (1.0 - math.log(s)), convex_log_form=True)
-    assert psi(Q(3, 2)).convex_log_form and not sqrt_log_gauge().convex_log_form
+        QuasiConcaveFn("nolog", lambda s: s * (1.0 - math.log(s)), log_form_derivs=good)
+    assert sqrt_log_gauge().log_form_derivs is None
+    # psi's G'' falls once log(12 + u)^2 > (r-1)(r-2), at u ~ 40.9 for r = 11/2
+    late = psi(Q(11, 2)).log_form_derivs
+    assert math.isnan(late(30.0)[1]) and late(50.0)[1] > 0
 
 
 def test_gauges_are_built_once():
@@ -361,12 +381,16 @@ def reference_wtail_norm(tail, phi, rel_tol, max_terms):
     raise ArithmeticError(f"Lorentz tail did not close within {max_terms} terms")
 
 
-def sqrt_log_gauge(cutoff=math.inf, convex_log_form=False):
-    """s*sqrt(5 + log(1/s)), with G(u) = sqrt(5 + u); G is nan beyond `cutoff`."""
+def sqrt_log_gauge(cutoff=math.inf, derivs=False):
+    """s*sqrt(5 + log(1/s)), with G(u) = sqrt(5 + u); G is nan beyond `cutoff`.
+
+    `derivs` supplies its true G' and G'', which is negative.
+    """
     return QuasiConcaveFn(
         "sqrtlog", lambda s: s * math.sqrt(5.0 - math.log(s)),
         log_form_eval=lambda u: math.sqrt(5.0 + u) if u <= cutoff else math.nan,
-        convex_log_form=convex_log_form)
+        log_form_derivs=(lambda u: (0.5 / math.sqrt(5.0 + u), -0.25 / (5.0 + u) ** 1.5))
+        if derivs else None)
 
 
 def _w_tail(k, gen):
@@ -403,12 +427,12 @@ def test_wtail_matches_reference_for_a_user_gauge():
 
 
 def test_wtail_fails_where_the_reference_fails():
-    # the cap counts steps: k = 9 closes at 1e-7 after ~7,000 steps (blocks
+    # the cap counts steps: k = 9 closes at 1e-7 after 942 steps (blocks
     # or single terms) here and ~128,000 terms in the reference
     tail = _w_tail(9, 0)
     for tail_sum in (lorentz._wtail_norm, reference_wtail_norm):
         with pytest.raises(ArithmeticError):
-            tail_sum(tail, psi(Q(3, 2)), 1e-7, 1000)
+            tail_sum(tail, psi(Q(3, 2)), 1e-7, 500)
         # G turns nan at u > 40, inside the k=2 tail's first 50 terms
         with pytest.raises(ValueError):
             tail_sum(_w_tail(2, 0), sqrt_log_gauge(cutoff=40.0), 1e-9, 1000)
@@ -416,12 +440,28 @@ def test_wtail_fails_where_the_reference_fails():
 
 def test_psi_tail_range():
     """At the default rel_tol 1e-9 the psi w tail closes for k = 10, 11, 12;
-    k = 12 sums its ~4.3M terms in ~82,000 steps, under the 400,000 cap."""
+    k = 12 sums its ~4.3M terms in ~5,100 steps, under the 400,000 cap."""
     gauge = psi(Q(3, 2))
     for k in (10, 11, 12):
         m = model(k=k, depth=1)
         enc = lorentz_norm(distribution(m, m.kcell(0, 0), "w"), gauge)
         assert 0 < enc.width <= Q(2, 10 ** 9) * enc.lo, k
+
+
+@pytest.mark.parametrize("p, r", [(Q(5, 4), Q(9, 2)), (Q(11, 10), Q(21, 2))])
+def test_psi_tail_starts_blocks_where_g2_falls(p, r):
+    """For r with (r-1)(r-2) > (log 12)^2, G'' rises up to u ~ 7 (r = 9/2) or
+    ~8,000 (r = 21/2) and psi leaves it nan there: the tail sums single terms
+    until G'' falls, meets the term-by-term reference, and closes at k = 10."""
+    gauge = psi(r)
+    for k in (4, 5, 10):
+        m = build_construction(ConstructionParams(k=k, p=p, r=r, depth=1))
+        tail = distribution(m, m.kcell(0, 0), "w").tail
+        got = lorentz._wtail_norm(tail, gauge, 1e-9, 400_000)
+        assert got.hi - got.lo <= 2e-9 * got.lo, k
+        if k < 10:
+            want = reference_wtail_norm(tail, gauge, 1e-9, 400_000)
+            assert got.lo <= want.hi and want.lo <= got.hi, k
 
 
 def test_psi_bump_product_closes_at_k10():
@@ -437,20 +477,22 @@ def _q_of(k):
 
 def _rows(q, e_max):
     q_fi = FloatInterval.from_fraction(q)
-    rows = [(q_fi.lo, q_fi.hi, 1.0, 1.0, 0.0, 0.0)]
+    rows = [(q_fi.lo, q_fi.hi, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
     for e in range(1, e_max + 1):
         rows.append(lorentz._doubled(rows[-1], 1 << (e - 1)))
     return rows
 
 
 def test_doubled_geometric_sums_contain_the_exact_sums():
-    """q^m, S0(m) = sum_{i<m} q^i and S1(m) = sum_{i<m} i q^i in closed form."""
+    """q^m and Sj(m) = sum_{i<m} i^j q^i, j = 0, 1, 2, in closed form."""
     for k in range(2, 13):
         q = _q_of(k)
         for e, row in enumerate(_rows(q, 12)):
             m = 1 << e
             qm = q ** m
-            exact = (qm, (1 - qm) / (1 - q), (q - m * qm + (m - 1) * qm * q) / (1 - q) ** 2)
+            exact = (qm, (1 - qm) / (1 - q), (q - m * qm + (m - 1) * qm * q) / (1 - q) ** 2,
+                     (q + q * q - m * m * qm + (2 * m * m - 2 * m - 1) * qm * q
+                      - (m - 1) ** 2 * qm * q * q) / (1 - q) ** 3)
             for i, want in enumerate(exact):
                 lo, hi = row[2 * i], row[2 * i + 1]
                 assert Q(lo) <= want <= Q(hi), (k, m, i)
@@ -459,29 +501,58 @@ def test_doubled_geometric_sums_contain_the_exact_sums():
 
 
 def test_blocks_contain_a_40_digit_sum_of_their_terms():
-    """Seeded blocks of psi's w tails, from the same padded G values the
-    tail reads, against sum_{i<m} q^i G(u_(a+i)) at the same float u."""
+    """Seeded Taylor blocks of psi's w tails, from G, G' and G'' padded as the
+    tail pads them, against sum_{i<m} q^i G(u_a + i log 3) at the same float u_a."""
     mpmath = pytest.importorskip("mpmath")
-    g = psi(Q(3, 2)).log_form_eval
+    gauge = psi(Q(3, 2))
+    g, derivs = gauge.log_form_eval, gauge.log_form_derivs
     ln3 = LN3.mid
     rng = random.Random(10)
     with mpmath.mp.workdps(40):
-        for _ in range(40):
-            k, gen, e = rng.randint(2, 12), rng.randint(0, 2), rng.randint(1, 10)
-            a = rng.choice((1, 2, rng.randint(3, 200), rng.randint(200, 100_000)))
+        mp_ln3 = mpmath.log(3)
+        for _ in range(60):
+            k, gen, e = rng.randint(2, 14), rng.randint(0, 2), rng.randint(1, 13)
+            a = rng.choice((1, 2, rng.randint(3, 200), rng.randint(200, 100_000),
+                            rng.randint(100_000, 10 ** 7)))
             m = 1 << e
             tail = WTail(gen + 1, 3 * _q_of(k), Q(3, 2 * 3 ** k) * 3 ** gen)
-            u0 = (-log_interval(tail.coeff)).mid + tail.l0 * ln3
-            us = [u0 + (a + i) * ln3 for i in range(-1, m)]
-            first = _ref_g_eval(g, us[1])
-            lo, hi = lorentz._block_bounds(_ref_g_eval(g, us[0]).hi, first.lo, first.hi,
-                                           _ref_g_eval(g, us[-1]).hi, m, _rows(tail.rho / 3, e)[e])
+            u_a = (-log_interval(tail.coeff)).mid + (tail.l0 + a) * ln3
+            g_a = _ref_g_eval(g, u_a)
+            d1 = _ref_g_eval(lambda u: derivs(u)[0], u_a)
+            d2_hi = _ref_g_eval(lambda u: derivs(u)[1], u_a).hi
+            d2_lo = _ref_g_eval(lambda u: derivs(u)[1], u_a + (m - 1) * ln3).lo
+            lo, hi = lorentz._taylor_block(g_a.lo, g_a.hi, d1.lo, d1.hi, d2_lo, d2_hi,
+                                           _rows(tail.rho / 3, e)[e])
             q = mpmath.mpf(tail.rho.numerator) / (3 * tail.rho.denominator)
-            total = mpmath.mpf(0)
-            for i, u in enumerate(us[1:]):
-                v = 12 + mpmath.mpf(u)
-                total += q ** i * v * mpmath.log(v) ** mpmath.mpf(1.5)
+            total, q_i, v = mpmath.mpf(0), mpmath.mpf(1), 12 + mpmath.mpf(u_a)
+            for _ in range(m):
+                total += q_i * v * mpmath.log(v) ** mpmath.mpf(1.5)
+                q_i *= q
+                v += mp_ln3
             assert lo <= total <= hi, (k, gen, a, m)
+
+
+def test_psi_log_form_and_its_derivatives_are_within_their_pad():
+    """psi's G, G' and G'' at seeded u in [0, 1e12] against 50-digit values:
+    the tail pads each by 1e-12 relative and 8 ulp (`_g_bound`), which holds
+    while libm's `log` and `**` are accurate to far less than that."""
+    mpmath = pytest.importorskip("mpmath")
+    gauge = psi(Q(3, 2))
+    rng = random.Random("psi-derivs")
+    us = [0.0] + [rng.uniform(0, 100) for _ in range(500)]
+    us += [10 ** rng.uniform(-3, 12) for _ in range(1500)]
+    with mpmath.mp.workdps(50):
+        for u in us:
+            v = 12 + mpmath.mpf(u)
+            lg = mpmath.log(v)
+            want = (v * lg ** mpmath.mpf(1.5), mpmath.sqrt(lg) * (lg + mpmath.mpf(1.5)),
+                    mpmath.mpf(1.5) * (lg + mpmath.mpf(0.5)) / (mpmath.sqrt(lg) * v))
+            got = (gauge.log_form_eval(u),) + gauge.log_form_derivs(u)
+            for x, y in zip(got, want):
+                lo, hi = lorentz._g_bound(x)
+                assert lo <= y <= hi, (u, x)
+                # the pad is loose: libm's error is about 1e-15 relative
+                assert abs(x - y) <= 1e-14 * y, (u, x)
 
 
 def _mp_w_norm(mpmath, dist, phi):
