@@ -141,19 +141,33 @@ def _edge_panels(a: Fraction, b: Fraction, levels: int) -> list[tuple[Fraction, 
     return left + right
 
 
+# the nodes as exact ratios nn/nd of integers
+_NODE_RATIOS = {n: tuple(xi.as_integer_ratio() for xi in xs) for n, (xs, _ws) in _GAUSS.items()}
+
+
 def _panel_sum(field: CellField, panels, p: float, nodes: int,
                scale: float) -> tuple[list[float], float]:
-    """Gauss terms of |Hw|^p over `panels` and the worst width/scale."""
-    xs, ws = _GAUSS[nodes]
+    """Gauss terms of |Hw|^p over `panels` and the worst width/scale.
+
+    The panels are in the field's coordinate u = (x - c)/R, which maps S
+    onto [-1, 1].  A panel with midpoint A = an/ad and half-width B = bn/bd
+    puts node xi = nn/nd at u = (an*bd*nd + bn*ad*nn) / (ad*bd*nd), all
+    integers, and its weight in x is B*R = bn/(bd*xd).
+    """
+    ws = _GAUSS[nodes][1]
+    ratios = _NODE_RATIOS[nodes]
     terms = []
     worst = 0.0
     for pa, pb in panels:
         half = (pb - pa) / 2
         mid = (pa + pb) / 2
-        for xi, wi in zip(xs, ws):
-            lo, hi = field.enclose(mid + half * Q(xi))
+        an, ad = mid.numerator, mid.denominator
+        bn, bd = half.numerator, half.denominator
+        width = bn / (bd * field.xd)
+        for (nn, nd), wi in zip(ratios, ws):
+            lo, hi = field.enclose_u(an * bd * nd + bn * ad * nn, ad * bd * nd)
             worst = max(worst, (hi - lo) / scale)
-            terms.append(wi * float(half) * abs(0.5 * (lo + hi)) ** p)
+            terms.append(wi * width * abs(0.5 * (lo + hi)) ** p)
     return terms, worst
 
 
@@ -177,11 +191,11 @@ def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
     `CellField` of the cell.
     """
     field = CellField(model, cell, budget)
-    fine_panels = _edge_panels(cell.left, cell.right, levels + 1)
+    # panels in the field's coordinate u, which maps S onto [-1, 1]
+    fine_panels = _edge_panels(Q(-1), Q(1), levels + 1)
     terms, worst = _panel_sum(field, fine_panels, p, nodes, scale)
-    h = (cell.right - cell.left) / 2
-    coarse_inner = [(cell.left, cell.left + h * Q(1, 3 ** levels)),
-                    (cell.right - h * Q(1, 3 ** levels), cell.right)]
+    edge = Q(1, 3 ** levels)
+    coarse_inner = [(Q(-1), edge - 1), (1 - edge, Q(1))]
     coarse_terms, w2 = _panel_sum(field, coarse_inner, p, nodes, scale)
     # the two innermost fine panels at each edge merge into the coarse ones;
     # their terms are reused from the fine pass

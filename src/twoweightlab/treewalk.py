@@ -10,13 +10,22 @@ order (a Riemann pair over its equal-mass tiles).  `CellField` encloses Hw
 on one support cell: one walk with the cell in place of the point builds a
 certified power series for all mass outside the cell, with the same
 brackets per coefficient, and each point then evaluates that polynomial and
-the cell's own indicator.  All coordinates are Python ints on a
-per-generation scale and all pending bounds are outward-rounded float pairs.
+the cell's own indicator.  A point of the cell comes as integers un/ud in
+the cell's coordinate u; Horner's rule then picks each product's ends by
+the signs of u and of the bounds, with the four products of `mul_bounds`
+only at u = 0.
+
+All coordinates are Python ints on a per-generation scale and all pending
+bounds are outward-rounded float pairs.  A generation's float bounds do
+not depend on the point, and a support cell's constants depend only on its
+depth, so the model keeps both (`_model_constants`); a walk builds only
+the integer parts for its point's denominator.
 """
 
 from __future__ import annotations
 
 import heapq
+from copy import copy
 from fractions import Fraction
 from math import fsum, nextafter
 
@@ -39,14 +48,40 @@ def _indicator_bounds(a: int, b: int, x: int) -> tuple[float, float]:
     return log_ratio_bounds(abs(x - a), abs(x - b))
 
 
+def _model_constants(model: WeightModel) -> dict:
+    """The walks' per-model constants, held in the model's own namespace so
+    that they live as long as the model does (as `carrier_moments` keeps
+    `_moments`): generation gen's float bounds under gen, and a support-cell
+    depth's `_CellConstants` under (gen, xd)."""
+    return vars(model).setdefault("_walk_constants", {})
+
+
+def _gen_floats(model: WeightModel, gen: int):
+    """(density, w_next, moments) of `_GenConstants`, which no point changes."""
+    cache = _model_constants(model)
+    floats = cache.get(gen)
+    if floats is None:
+        w_value = model.w_value(gen)
+        density = FloatInterval.from_fraction(w_value)
+        w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
+        _centroid, variance = model.carrier_moments(gen)
+        u = model.u
+        # var/L^2 is the same on every scale: L is 3u tiles
+        moments = (_bounds(w_value * variance / (9 * u * u)), _bounds(w_value / 12))
+        floats = cache[gen] = ((density.lo, density.hi), (w_next.lo, w_next.hi), moments)
+    return floats
+
+
 class _GenConstants:
-    """One generation of the walk for one point x = xn/xd, in integer units.
+    """One generation of the walks for points of denominator xd, in integer
+    units.
 
     Every block end, core third and support sliver of generation `gen` is a
     multiple of 3^-((gen+1)k), so coordinates are stored multiplied by
     den = xd * 3^((gen+1)k).  In these units a cell, its third and the
     sliver have the same lengths at every generation.  Float constants are
-    (lo, hi) bounds.
+    (lo, hi) bounds; they do not depend on xd and come from the model's
+    cache.  `at` places the point x = xn/xd on the scale.
 
     The second-order brackets read a carrier's centroid and variance
     (`WeightModel.carrier_moments`).  Offsets that need not be integers are
@@ -63,31 +98,24 @@ class _GenConstants:
                  "mass_num", "mass_den", "density", "w_next",
                  "q", "offsets", "moments")
 
-    def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
-        scale = 3 ** ((gen + 1) * model.k)
-        self.den = xd * scale
-        self.x = xn * scale
+    def __init__(self, model: WeightModel, gen: int, xd: int):
+        self.den = xd * 3 ** ((gen + 1) * model.k)
         self.slen = xd
         u = model.u
         self.third = xd * u
         self.length = length = 3 * self.third
-        cell_mass = model.carrier_w_mass(gen)
         # mass / (x - c) == mass_num / (mass_den * (X - C)), all integers
-        scaled = cell_mass * self.den
+        scaled = model.carrier_w_mass(gen) * self.den
         self.mass_num, self.mass_den = scaled.numerator, scaled.denominator
         # a carrier's mass over its length is the generation's w value
-        w_value = model.w_value(gen)
-        density = FloatInterval.from_fraction(w_value)
-        self.density = (density.lo, density.hi)
-        w_next = FloatInterval.from_fraction(model.w_value(gen + 1))
-        self.w_next = (w_next.lo, w_next.hi)
+        self.density, self.w_next, self.moments = _gen_floats(model, gen)
         # offsets from a cell's left end, where the core spans [u, 2u) slivers:
         # the support sliver, and the hull of core plus sliver where all of
         # the cell's mass lives
         off = model.support_offset(gen + 1)
         self.sliver = off * xd
         self.hull = (min(u, off) * xd, max(2 * u, off + 1) * xd)
-        centroid, variance = model.carrier_moments(gen)
+        centroid, _variance = model.carrier_moments(gen)
         cen = centroid * xd  # a tile is xd long
         self.q = q = cen.denominator * (1 + length * cen.denominator % 2)
         lq = length * q
@@ -95,8 +123,13 @@ class _GenConstants:
         shift = c - lq // 2
         r0, r1 = min(self.hull[0] * q, shift), max(self.hull[1] * q, shift + lq)
         self.offsets = {1: (c, shift, r0, r1), -1: (lq - c, -shift, lq - r1, lq - r0)}
-        # var/L^2 is the same on every scale: L is 3u tiles
-        self.moments = (_bounds(w_value * variance / (9 * u * u)), _bounds(w_value / 12))
+
+    def at(self, xn: int) -> "_GenConstants":
+        """Place x = xn/xd on the generation's scale, and return self.
+        `CellField` places a copy, so that its cells of one depth share the
+        rest."""
+        self.x = xn * (self.den // self.slen)
+        return self
 
 
 def _bounds(x: Fraction) -> tuple[float, float]:
@@ -253,7 +286,7 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
     pending_width = 0.0
     unresolved = 0
     gen = 0
-    gcs = [_GenConstants(model, gen, xn, xd)]  # indexed by generation
+    gcs = [_GenConstants(model, gen, xd).at(xn)]  # indexed by generation
     # each step pushes `runs` of generation `gen` (the first pushes the root
     # carrier), then pops and expands the widest block; all state is local to
     # this loop, so nothing refers back to it and the pending blocks are
@@ -293,7 +326,7 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
                 if gen > MAX_GENERATIONS:
                     raise ValueError(f"the carrier chain at {Fraction(xn, xd)} runs past "
                                      f"generation {MAX_GENERATIONS} without ending")
-                gcs.append(_GenConstants(model, gen, xn, xd))
+                gcs.append(_GenConstants(model, gen, xd).at(xn))
         expansions += 1
     if unresolved:
         return None, expansions
@@ -328,8 +361,8 @@ def _add_at(acc_lo: list, acc_hi: list, j: int, lo: float, hi: float) -> None:
 
 
 class _CellConstants(_GenConstants):
-    """`_GenConstants` plus what `CellField`'s series read, with the cell's
-    centre c in place of x.
+    """`_GenConstants` plus what `CellField`'s series read, for the support
+    cells of one depth, whose centres c all have the denominator xd.
 
     On the generation's scale R = r and a carrier has length L, mass M and
     variance var about its centroid.  The bounds are on M/R,
@@ -338,8 +371,8 @@ class _CellConstants(_GenConstants):
 
     __slots__ = ("r", "mass_r", "mv", "mw", "mvw", "mu")
 
-    def __init__(self, model: WeightModel, gen: int, xn: int, xd: int):
-        super().__init__(model, gen, xn, xd)
+    def __init__(self, model: WeightModel, gen: int, xd: int):
+        super().__init__(model, gen, xd)
         self.r = r = self.den // xd
         length = self.length
         mass_r = Fraction(self.mass_num, self.mass_den * r)
@@ -349,6 +382,16 @@ class _CellConstants(_GenConstants):
         mw = mass_r * Fraction(length * length, 24 * r * r)
         self.mv, self.mw, self.mvw = _bounds(mv), _bounds(mw), _bounds(mv - mw)
         self.mu = ratio_bounds(r, length)
+
+
+def _cell_constants(model: WeightModel, gen: int, xd: int) -> _CellConstants:
+    """The model's `_CellConstants` of generation gen for centres over xd,
+    built once."""
+    cache = _model_constants(model)
+    gc = cache.get((gen, xd))
+    if gc is None:
+        gc = cache[gen, xd] = _CellConstants(model, gen, xd)
+    return gc
 
 
 def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
@@ -404,11 +447,10 @@ def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
 
     Term j is density/j * (e_near^j - e_far^j), and density * ln(d_far/d_near)
     for j = 0; a cell of mass m moves it by at most (m/R) * the range of
-    e^(j+1) over the cell, which sums to the slack over the run.  This first
-    order is the bracket of a support cell (slack 0) and of a run whose
-    shifted cells come within R of c.
+    e^(j+1) over the cell, which sums to the slack over the run.  In
+    `CellField` this first order is the bracket of a support cell (slack 0).
 
-    Any other run gets its bracket from `second` = ((mv, mw, mvw, mu),
+    A run gets its bracket from `second` = ((mv, mw, mvw, mu),
     (a, b), (e_a, e_b), (e_p0, e_pl, e_q0, e_qe)), for its n carriers of
     mass M, length L and variance var.  Shift each cell to be centred on its
     carrier's centroid: the run then spans the distances a < b, and a
@@ -501,9 +543,25 @@ class CellField:
     then sums certified coefficients over the frontier, each series cut once
     its geometric tail is below an equal share of the rest.  A block's
     coefficients are bracketed to second order, from the exact mass,
-    centroid and variance of a carrier's mass; only a support cell, and a
-    run whose shifted cells come within R of c, take the first-order kernel
-    range.  `enclose` evaluates the polynomial and S's own indicator exactly.
+    centroid and variance of a carrier's mass; only a support cell takes the
+    first-order kernel range.  `enclose` evaluates the polynomial and S's own
+    indicator exactly.
+
+    No run comes within R of c, where its second-order bracket would fail
+    (see `_enclose_block`).  A carrier's hull lies inside it, and its
+    centroid lies within (2u/3 + 5/6)/(u + 1) < 1 support-cell length t of
+    its centre, by the recursion in `WeightModel.carrier_moments` with the
+    next generation's centroid in its hull.  So a run's regions reach less
+    than its cells' t past them.  A run is core tiles of one carrier K:
+      - K does not hold S: the core is K's middle third, |K|/3 from S, and
+        t = |K|/9^k;
+      - K is a chain carrier, the next one is T long and not the last: S lies
+        in its middle third, at least T/3 from the run, and t = T/3^k;
+      - the next one is the last: S is at least (u - 1)|S| from its ends,
+        t = |S| and u - 1 >= 2;
+      - K is the last chain carrier: the near tile, |S| long, lies between
+        the run and S, and t = |S|/3^k.
+    Halving a run keeps a subset of its regions.
     """
 
     def __init__(self, model: WeightModel, cell: TriadicCell, budget: float):
@@ -527,7 +585,7 @@ class CellField:
     def _consts(self, gen: int) -> _CellConstants:
         gc = self._gcs.get(gen)
         if gc is None:
-            gc = self._gcs[gen] = _CellConstants(self.model, gen, self.xn, self.xd)
+            gc = self._gcs[gen] = copy(_cell_constants(self.model, gen, self.xd)).at(self.xn)
         return gc
 
     def _width(self, gc: _CellConstants, left: int, count: int) -> float:
@@ -538,20 +596,17 @@ class CellField:
         to 2z^3 and (j+1) e^(j+2) to z^2, and a centred bracket is at most
         twice as wide as the one it centres: 4 mv (z_near^3 - z_far^3) for a
         carrier over its hull, and 2 (mv + mw) (2 z_p0^3 + (R/L) (z_p0^2 -
-        z_pl^2 - z_q0^2 + z_qe^2)) for a run whose regions stay farther
-        than R from c.  The first order of any other run is
-        2 (M/R) (z_near - z_far).
+        z_pl^2 - z_q0^2 + z_qe^2)) for a run, whose regions stay farther
+        than R from c.
         """
         r = gc.r
         side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
         if count == 1:
             z_near, z_far = r / (d_near - r), r / (d_far - r)
             return 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3)
-        points = _run_points(gc, side, left, count, gc.r * gc.q)
-        if points is None:
-            return 2 * gc.mass_num * (d_far - d_near) / (gc.mass_den * (d_near - r) * (d_far - r))
         rq = r * gc.q
-        z0, zl, zq, ze = (rq / (p - rq) for p in points[1])
+        _ends, lattice = _run_points(gc, side, left, count, rq)
+        z0, zl, zq, ze = (rq / (p - rq) for p in lattice)
         return 2 * (gc.mv[1] + gc.mw[1]) * (
             2 * z0 ** 3 + gc.mu[1] * (z0 * z0 - zl * zl - zq * zq + ze * ze))
 
@@ -573,16 +628,13 @@ class CellField:
             base, (cen, *_rest) = _near_first(gc, side, left, 1)
             return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, gc.mv,
                                 ratio_bounds(rq, base + cen), tol)
-        # a run shifted onto the centroids where its regions stay farther
-        # than R, else at the carriers' mean density, off by one cell's mass
-        points = _run_points(gc, side, left, count, gc.r * gc.q)
-        if points is not None:
-            ends, lattice = points
-            points = ((gc.mv, gc.mw, gc.mvw, gc.mu), ends,
-                      tuple(ratio_bounds(rq, d) for d in ends),
-                      tuple(ratio_bounds(rq, d) for d in lattice))
+        # a run shifted onto the centroids, whose regions stay farther than R
+        ends, lattice = _run_points(gc, side, left, count, rq)
+        second = ((gc.mv, gc.mw, gc.mvw, gc.mu), ends,
+                  tuple(ratio_bounds(rq, d) for d in ends),
+                  tuple(ratio_bounds(rq, d) for d in lattice))
         return _density_series(acc_lo, acc_hi, gc.density, gc.mass_r[1], d_near, d_far,
-                               e_near, e_far, tol, points)
+                               e_near, e_far, tol, second)
 
     def _descend(self):
         """Split the mass of S's carrier chain, root first.
@@ -666,12 +718,35 @@ class CellField:
         """Bounds (lo, hi) on Hw(x) for x inside S, within the budget unless
         the walk reached its expansion cap or a series its degree cap."""
         xn, xd = x.numerator, x.denominator
-        # u = d/xd; over xd * self.xd, x - a and x - b are d + xd and d - xd
-        d = self.xd * xn - self.xn * xd
-        u_lo, u_hi = ratio_bounds(d, xd)
-        lo, hi = self.coeffs[-1]
-        for c_lo, c_hi in reversed(self.coeffs[:-1]):
-            lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
+        # u = (x - c)/R = xd_S * x - xn_S, over xd
+        return self.enclose_u(self.xd * xn - self.xn * xd, xd)
+
+    def enclose_u(self, un: int, ud: int) -> tuple[float, float]:
+        """`enclose` at the point u = un/ud of S, where u = (x - c)/R: the
+        integers need not be reduced, and ud may be negative.
+
+        Horner's rule on the coefficients.  A step multiplies [lo, hi] by
+        [u_lo, u_hi] and rounds outward.  Where u has one sign, the sign of
+        each end picks the products that `mul_bounds` would pick from its
+        four candidates, so the bounds are the same; only at u = 0, the
+        centre of S, do the bounds on u straddle 0 and take all four.
+        """
+        u_lo, u_hi = ratio_bounds(un, ud)
+        coeffs = self.coeffs
+        lo, hi = coeffs[-1]
+        if u_lo > 0:
+            for c_lo, c_hi in coeffs[-2::-1]:
+                lo = nextafter(nextafter(lo * (u_lo if lo >= 0 else u_hi), -_INF) + c_lo, -_INF)
+                hi = nextafter(nextafter(hi * (u_hi if hi >= 0 else u_lo), _INF) + c_hi, _INF)
+        elif u_hi < 0:
+            for c_lo, c_hi in coeffs[-2::-1]:
+                lo, hi = (
+                    nextafter(nextafter(hi * (u_lo if hi >= 0 else u_hi), -_INF) + c_lo, -_INF),
+                    nextafter(nextafter(lo * (u_hi if lo >= 0 else u_lo), _INF) + c_hi, _INF))
+        else:
+            for c_lo, c_hi in coeffs[-2::-1]:
+                lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
         lo, hi = add_bounds(lo, hi, -self.tail, self.tail)
-        i_lo, i_hi = _indicator_bounds(-xd, xd, d)
+        # over ud, x - a and x - b are un + ud and un - ud
+        i_lo, i_hi = _indicator_bounds(-ud, ud, un)
         return add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *self.w))

@@ -1,5 +1,6 @@
 """Log-kernel transform and maximal function: identities and enclosures."""
 
+import copy
 import gc
 import heapq
 import inspect
@@ -11,8 +12,8 @@ from fractions import Fraction as Q
 import pytest
 
 from twoweightlab import hilbert, treewalk
-from twoweightlab.enclosure import (FloatInterval, log_abs_ratio_interval,
-                                    ratio_bounds, ratio_interval)
+from twoweightlab.enclosure import (FloatInterval, add_bounds, log_abs_ratio_interval,
+                                    mul_bounds, ratio_bounds, ratio_interval)
 from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
                                   hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
@@ -897,6 +898,153 @@ def test_cell_field_encloses_hilbert_weight(k, placement):
                 hv = hilbert_weight(m, x, tail_budget=budget)
                 assert lo <= hv.value.hi and hv.value.lo <= hi
                 assert hi - lo <= budget * (1 + 1e-9)
+
+
+# Reference copy of the quadrature before its nodes were integers: each node
+# a `Fraction` x, and `CellField.enclose` as Horner's rule with `mul_bounds`
+# and `add_bounds` at every step.  The library must give the same bits.
+
+def _reference_enclose(field, x):
+    xn, xd = x.numerator, x.denominator
+    # u = d/xd; over xd * field.xd, x - a and x - b are d + xd and d - xd
+    d = field.xd * xn - field.xn * xd
+    u_lo, u_hi = ratio_bounds(d, xd)
+    lo, hi = field.coeffs[-1]
+    for c_lo, c_hi in reversed(field.coeffs[:-1]):
+        lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
+    lo, hi = add_bounds(lo, hi, -field.tail, field.tail)
+    i_lo, i_hi = treewalk._indicator_bounds(-xd, xd, d)
+    return add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *field.w))
+
+
+def _reference_panel_sum(field, panels, p, nodes, scale):
+    xs, ws = hilbert._GAUSS[nodes]
+    terms = []
+    worst = 0.0
+    for pa, pb in panels:
+        half = (pb - pa) / 2
+        mid = (pa + pb) / 2
+        for xi, wi in zip(xs, ws):
+            lo, hi = _reference_enclose(field, mid + half * Q(xi))
+            worst = max(worst, (hi - lo) / scale)
+            terms.append(wi * float(half) * abs(0.5 * (lo + hi)) ** p)
+    return terms, worst
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k,levels", [(6, 3), (12, 1), (8, 2)])
+def test_panel_sums_match_fraction_nodes(k, levels, placement):
+    """The integer nodes in u give the terms and worst width of the
+    `Fraction` nodes in x bit for bit, on the fine panels and on the coarse
+    inner ones, on the first and last support cell of generations 1 and 2."""
+    m = model(k=k, placement=placement)
+    for gen in (1, 2):
+        scale = k * float(m.w_value(gen))
+        for branch in (0, m.jcell_count(gen) - 1):
+            cell = m.place_core(m.jcell(gen, branch), gen)[0]
+            field = treewalk.CellField(m, cell, 2e-3 * scale)
+            h, edge = cell.length / 2, Q(1, 3 ** levels)
+            cases = [(hilbert._edge_panels(cell.left, cell.right, levels + 1),
+                      hilbert._edge_panels(Q(-1), Q(1), levels + 1)),
+                     ([(cell.left, cell.left + h * edge), (cell.right - h * edge, cell.right)],
+                      [(Q(-1), edge - 1), (1 - edge, Q(1))])]
+            for x_panels, u_panels in cases:
+                assert (hilbert._panel_sum(field, u_panels, 2, 3, scale)
+                        == _reference_panel_sum(field, x_panels, 2, 3, scale))
+
+
+def _horner_points():
+    """Points u of S as (un, ud): both signs, the centre, next to both ends,
+    and unreduced or negative forms of the same ratios."""
+    near_end = 1 - Q(1, 3 ** 12)
+    us = [Q(1, 3), Q(-2, 7), Q(0), near_end, -near_end, Q(1, 10 ** 6), Q(-5, 9)]
+    points = [(u.numerator, u.denominator) for u in us]
+    points += [(6 * n, 6 * d) for n, d in points[:4]]
+    points += [(-n, -d) for n, d in points[:4]]
+    return points
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 6, 12])
+def test_sign_aware_horner_matches_mul_bounds(k, placement):
+    """`enclose_u` gives the bits of Horner's rule through `mul_bounds` and
+    `add_bounds`: at u > 0, u < 0 and u = 0 (the one point whose bounds on u
+    straddle 0), on the field's coefficients and on coefficients of mixed
+    signs, where each end of [lo, hi] takes either sign along the way."""
+    m = model(k=k, placement=placement)
+    cell = m.support_cells(2)[1].cell
+    field = treewalk.CellField(m, cell, 2e-3 * k * float(m.w_value(2)))
+    rng = random.Random(f"horner|{k}|{placement}")
+
+    def ends(size):
+        return tuple(sorted(rng.choice([0.0, -0.0, rng.uniform(-size, size)]) for _end in (0, 1)))
+
+    def with_coeffs(coeffs, tail):
+        other = copy.copy(field)
+        other.coeffs, other.tail = coeffs, tail
+        return other
+
+    # at u = 0 each product is below 1e-323 times [lo, hi], so only huge
+    # coefficients, a zero constant term and a zero tail keep the choice
+    # among the four products in the result
+    fields = (field, with_coeffs([ends(3) for _j in range(25)], field.tail),
+              with_coeffs([(0.0, 0.0)] + [ends(1e300) for _j in range(24)], 0.0))
+    branches = set()
+    for f in fields:
+        for un, ud in _horner_points():
+            u_lo, u_hi = ratio_bounds(un, ud)
+            branches.add(1 if u_lo > 0 else -1 if u_hi < 0 else 0)
+            x = Q(f.xn * ud + un, f.xd * ud)
+            assert f.enclose_u(un, ud) == _reference_enclose(f, x), (un, ud)
+            assert f.enclose(x) == _reference_enclose(f, x)
+    assert branches == {-1, 0, 1}
+    assert ratio_bounds(0, 7) == (-5e-324, 5e-324)
+
+
+def test_walk_constants_live_on_the_model():
+    """The walks keep a generation's float bounds on the model under gen and
+    a support-cell depth's constants under (gen, xd), built on first use;
+    point walks at many denominators add no entry keyed on xd."""
+    m = model(k=4)
+    assert "_walk_constants" not in vars(m)
+    probe, _x = probe_points(m, 2, 1, 1, 3)[0]
+    for den in range(50, 90):
+        hilbert_weight(m, probe.left + probe.length * Q(den // 2, den), tail_budget=1e-3)
+    cache = treewalk._model_constants(m)
+    assert cache is vars(m)["_walk_constants"]
+    assert 3 <= len(cache) <= 6 and all(isinstance(key, int) for key in cache)
+    hilbert.hilbert_norm_ratio(m, cells_per_gen=4, gen_cap=2, edge_levels=2, budget_rel=2e-3)
+    depths = {key for key in cache if not isinstance(key, int)}
+    # the support cells of generations 1 and 2, each walked to a few
+    # generations below its own
+    assert {xd for _gen, xd in depths} == {2 * 3 ** (4 * g) for g in (1, 2)}
+    assert len(cache) <= 15
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", range(2, 13))
+def test_cell_field_runs_stay_farther_than_r(k, placement):
+    """The two facts behind `CellField`'s second-order runs: a carrier's
+    centroid lies within (2u/3 + 5/6)/(u + 1) < 1 support-cell length of its
+    centre, and every run of the descent, on the first and last support cell
+    of generations 1 and 2, keeps its regions farther than R from c."""
+    m = model(k=k, depth=1, placement=placement)
+    u = m.u
+    for gen in range(4):
+        centroid, _variance = m.carrier_moments(gen)
+        assert abs(centroid - Q(3 * u, 2)) <= (Q(2 * u, 3) + Q(5, 6)) / (u + 1) < 1
+    for gen in (1, 2):
+        for branch in (0, m.jcell_count(gen) - 1):
+            field = treewalk.CellField(m, m.place_core(m.jcell(gen, branch), gen)[0], 1e-3)
+            runs, _slivers = field._descend()
+            for run_gen, left, count in runs:
+                if count == 1:
+                    continue  # a carrier's own bracket, as for the near tile
+                consts = field._consts(run_gen)
+                side, _near, _far = treewalk._distances(
+                    consts, *treewalk._mass_span(consts, left, count))
+                rq = consts.r * consts.q
+                assert treewalk._run_points(consts, side, left, count, rq) is not None
 
 
 # Reference copy of the descent that `CellField` ran before it read S's
