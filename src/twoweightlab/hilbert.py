@@ -17,24 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .enclosure import FloatInterval, Q, log_abs_ratio_interval
+from .enclosure import FloatInterval, Q
 from .measures import w_slabs
-from .treewalk import BoundaryError, CellField, walk
+from .treewalk import CellField, walk
 from .triadic import TriadicCell
 from .weights import WeightModel
 
 _INF = float("inf")
 REL_WIDTH = 0.01  # relative width of each point of `hilbert_pointwise_report`
-
-
-def hilbert_indicator(a, b, x) -> float:
-    """H of the indicator of [a, b) at x: log|x-a| - log|x-b| (p.v. inside)."""
-    a, b, x = Fraction(a), Fraction(b), Fraction(x)
-    if not a < b:
-        raise ValueError("need a < b")
-    if x == a or x == b:
-        raise BoundaryError("evaluation point is a kernel endpoint")
-    return log_abs_ratio_interval(x - a, x - b).mid
 
 
 @dataclass

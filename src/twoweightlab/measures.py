@@ -11,26 +11,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, enclosure_sum, pow_enclosure
-from .triadic import IntervalQ, TriadicCell, UNIT, cell_from_index
-from .weights import CompositeWeight, WeightModel, _carrier_mass, _check_which, _value
+from .triadic import IntervalQ, TriadicCell, UNIT
+from .weights import WeightModel, _carrier_mass, _check_which, _value
 
 DEFAULT_MAX_DEPTH = 60
 
 
-def mass(model, which: str, interval: IntervalQ,
+def mass(model: WeightModel, which: str, interval: IntervalQ,
          max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
     """Enclosure of the `which`-mass of the interval."""
     _check_which(which)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if isinstance(model, CompositeWeight):
-        return _composite_mass(model, which, interval, max_depth)
     if not UNIT.contains(interval):
         raise ValueError(f"interval {interval} outside the model domain [0,1)")
     return _interval_mass(model, which, interval.left, interval.right, max_depth)
 
 
-def average(model, which: str, interval: IntervalQ,
+def average(model: WeightModel, which: str, interval: IntervalQ,
             max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
     return mass(model, which, interval, max_depth) * (1 / interval.length)
 
@@ -75,16 +73,6 @@ def packing_partial(model: WeightModel, gen: int, upto_gen: int, which: str = "w
         count = 3 ** ((g - gen) * (model.k - 1))
         terms.append(_carrier_mass(model, which, g) * count)
     return enclosure_sum(terms)
-
-
-def smallest_carrier(model: WeightModel, interval: IntervalQ):
-    """Smallest carrier cell containing the interval, with its core and support."""
-    chain = model.carriers_holding(interval.left, interval.right)
-    gen = len(chain) - 1
-    carrier = cell_from_index(gen * model.k, chain[-1])
-    core = carrier.middle_child()
-    placed, _ = model.place_core(core, gen + 1)
-    return carrier, gen, core, placed
 
 
 def _interval_mass(model: WeightModel, which: str, a: Fraction, b: Fraction,
@@ -166,18 +154,3 @@ def w_slabs(model: WeightModel, ends: list[int], den: int, max_depth: int):
              else (gb - ga - (ta is not None) * den, gb - ga + (tb is not None) * den)
              for (ga, ta), (gb, tb) in zip(cuts, cuts[1:])]
     return slabs, den * (model.u + 1) ** (max_depth // model.k + 1)
-
-
-def _composite_mass(comp: CompositeWeight, which: str, interval: IntervalQ,
-                    max_depth: int) -> Enclosure:
-    if which == "w":
-        raise ValueError("composite weights expose wTilde and sigma only")
-    total = Enclosure.exact(0)
-    for copy in comp.copies:
-        lo = max(interval.left, Q(copy.shift))
-        hi = min(interval.right, Q(copy.shift + 1))
-        if lo >= hi:
-            continue
-        local = IntervalQ(lo - copy.shift, hi - copy.shift)
-        total = total + mass(copy.model, which, local, max_depth)
-    return total

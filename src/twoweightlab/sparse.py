@@ -1,10 +1,10 @@
 """Sparse interval families: validation, generation, testing sums, embedding.
 
-Families are finite tuples of half-open rational intervals.  A martingale
-family must satisfy nested-or-disjoint trichotomy plus the child-measure
-bound: the maximal strict members below any member R carry total length at
-most eps*|R|.  A weak family carries a witness of pairwise disjoint subsets
-E(I) with |E(I)| >= (1-eta)|I|.  All checks run in exact rationals.
+Families are finite tuples of half-open rational intervals.  Every family
+is martingale sparse: its members satisfy nested-or-disjoint trichotomy
+plus the child-measure bound, under which the maximal strict members below
+any member R carry total length at most eps*|R|.  All checks run in exact
+rationals.
 """
 
 from __future__ import annotations
@@ -24,20 +24,14 @@ class FamilyError(ValueError):
     pass
 
 
-class SplitError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class SparseFamily:
+    """A martingale family with sparseness eps in (0, 1)."""
+
     members: tuple[IntervalQ, ...]
-    kind: str  # "martingale" | "weak"
-    sparseness: Fraction  # eps for martingale, eta for weak
-    witness: tuple[tuple[IntervalQ, tuple[IntervalQ, ...]], ...] | None = None
+    sparseness: Fraction
 
     def __post_init__(self):
-        if self.kind not in ("martingale", "weak"):
-            raise FamilyError(f"unknown family kind {self.kind!r}")
         if not 0 < self.sparseness < 1:
             raise FamilyError(f"sparseness must lie in (0,1), got {self.sparseness}")
         if len(set(self.members)) != len(self.members):
@@ -47,22 +41,15 @@ class SparseFamily:
         return len(self.members)
 
     def serialize(self) -> dict:
-        out = {
-            "kind": self.kind,
+        return {
+            "kind": "martingale",  # the wire format keeps the one kind there is
             "sparseness": qstr(self.sparseness),
             "members": [[qstr(i.left), qstr(i.right)] for i in self.members],
         }
-        if self.witness is not None:
-            out["witness"] = [
-                {"member": [qstr(i.left), qstr(i.right)],
-                 "sets": [[qstr(e.left), qstr(e.right)] for e in es]}
-                for i, es in self.witness
-            ]
-        return out
 
 
-def family_from_cells(cells, kind: str, sparseness) -> SparseFamily:
-    return SparseFamily(tuple(c.interval() for c in cells), kind, Fraction(sparseness))
+def family_from_cells(cells, sparseness) -> SparseFamily:
+    return SparseFamily(tuple(c.interval() for c in cells), Fraction(sparseness))
 
 
 def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
@@ -76,7 +63,7 @@ def transplant_family(family: SparseFamily, cell: TriadicCell) -> SparseFamily:
         if sub is None:
             raise FamilyError("transplant needs triadic members")
         members.append(cell.descendant(sub.depth, sub.index).interval())
-    return SparseFamily(tuple(members), family.kind, family.sparseness)
+    return SparseFamily(tuple(members), family.sparseness)
 
 
 # ---------------------------------------------------------------------------
@@ -102,48 +89,20 @@ def children_map(members) -> dict[IntervalQ, list[IntervalQ]]:
     return out
 
 
-def is_martingale_sparse(family, eps=None) -> tuple[bool, dict]:
+def is_martingale_sparse(family: SparseFamily) -> tuple[bool, dict]:
     """Child-measure validation; raises on trichotomy violations.
 
     Returns (ok, report); on failure the report names the parent and the
     exact excess above eps*|R|.
     """
-    if isinstance(family, SparseFamily):
-        members = family.members
-        eps = Fraction(eps) if eps is not None else family.sparseness
-    else:
-        members = tuple(family)
-        eps = Fraction(eps)
-    for parent, kids in children_map(members).items():
+    eps = family.sparseness
+    for parent, kids in children_map(family.members).items():
         load = sum((k.length for k in kids), Q(0))
         if load > eps * parent.length:
             return False, {"parent": parent, "children_measure": load,
                            "budget": eps * parent.length,
                            "excess": load - eps * parent.length}
-    return True, {"parents": len(members)}
-
-
-def validate_weak_witness(family: SparseFamily) -> None:
-    if family.kind != "weak" or family.witness is None:
-        raise FamilyError("weak family with witness expected")
-    eta = family.sparseness
-    seen: list[IntervalQ] = []
-    by_member = dict(family.witness)
-    for member in family.members:
-        pieces = by_member.get(member)
-        if pieces is None:
-            raise FamilyError(f"missing witness for {member}")
-        total = Q(0)
-        for e in pieces:
-            if not member.contains(e):
-                raise FamilyError(f"witness piece {e} escapes {member}")
-            for s in seen:
-                if not e.is_disjoint(s):
-                    raise FamilyError(f"witness pieces {e} and {s} overlap")
-            total += e.length
-        if total < (1 - eta) * member.length:
-            raise FamilyError(f"witness of {member} too small: {total}")
-        seen.extend(pieces)
+    return True, {"parents": len(family.members)}
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +137,7 @@ def gen_random_martingale(grid_depth: int, eps, seed: int,
 
     if grid_depth >= 0 and rng.random() < 0.95:
         walk(TriadicCell(0, 0))
-    fam = family_from_cells(members, "martingale", eps) if members else \
-        SparseFamily(tuple(), "martingale", eps)
+    fam = family_from_cells(members, eps)
     if members:
         ok, report = is_martingale_sparse(fam)
         if not ok:
@@ -201,17 +159,16 @@ def gen_adversarial(model: WeightModel, kind: str, carrier: TriadicCell,
     placed, side = model.place_core(core, gen + 1)
     if kind == "chainToward_IJ":
         cells = _thin_chain(_ancestor_chain(carrier, placed), eps)
-        return family_from_cells(cells, "martingale", eps)
+        return family_from_cells(cells, eps)
     if kind == "S1":
         path = [core.descendant(t, 0) for t in range(model.k - 1)]
-        return family_from_cells(_thin_chain(path, eps), "martingale", eps)
+        return family_from_cells(_thin_chain(path, eps), eps)
     if kind == "S2":
         chain = _ancestor_chain(carrier, placed)[1:]  # strictly inside the side child
-        return family_from_cells(_thin_chain(chain, eps), "martingale", eps)
+        return family_from_cells(_thin_chain(chain, eps), eps)
     if kind in ("S3", "S4"):
         return SparseFamily(tuple(_boundary_chain(model, carrier, core, placed,
-                                                  side, eps, kind)),
-                            "martingale", eps)
+                                                  side, eps, kind)), eps)
     # boundaryChain: the carrier plus straddling chains in disjoint sibling tiles
     members: list[IntervalQ] = [carrier.interval()]
     tiles = _sample_tiles(model, core, count=4)
@@ -220,7 +177,7 @@ def gen_adversarial(model: WeightModel, kind: str, carrier: TriadicCell,
         tcore = tile.middle_child()
         tplaced, tside = model.place_core(tcore, tgen + 1)
         members.extend(_boundary_chain(model, tile, tcore, tplaced, tside, eps, "S3"))
-    fam = SparseFamily(tuple(members), "martingale", eps)
+    fam = SparseFamily(tuple(members), eps)
     ok, report = is_martingale_sparse(fam)
     if not ok:
         raise FamilyError(f"boundary chain postcondition failed: {report}")
@@ -443,163 +400,3 @@ def carleson_check(depth: int, coeffs: dict[str, Fraction], f_leaves: list,
     p_prime = Fraction(p, p - 1)
     rhs = p_prime ** p * A * sum((fv ** p for fv in f), Q(0)) / n
     return {"ok": lhs <= rhs, "stage": "embedding", "lhs": lhs, "rhs": rhs}
-
-
-# ---------------------------------------------------------------------------
-# Sparse operators applied to step functions.
-
-def _step_average(pieces: list[tuple[IntervalQ, Fraction]], window: IntervalQ) -> Fraction:
-    total = Q(0)
-    for iv, value in pieces:
-        ov = iv.intersect(window)
-        if ov is not None:
-            total += abs(Fraction(value)) * ov.length
-    return total / window.length
-
-
-def sparse_apply(family: SparseFamily, pieces: list[tuple[IntervalQ, Fraction]],
-                 p: Fraction, x) -> tuple[float, Fraction]:
-    """Sparse p-function at a point: (float value, exact sum of p-th powers)."""
-    p = Fraction(p)
-    if p.denominator != 1:
-        raise ValueError(f"sparse_apply needs an integer p for an exact sum, got {p}")
-    x = Fraction(x)
-    inner = Q(0)
-    for member in family.members:
-        if member.contains_point(x):
-            avg = _step_average(pieces, member)
-            inner += avg ** p.numerator
-    return float(inner) ** (1.0 / float(p)), inner
-
-
-def sparse_maximal(family: SparseFamily, pieces: list[tuple[IntervalQ, Fraction]],
-                   x) -> Fraction:
-    x = Fraction(x)
-    best = Q(0)
-    for member in family.members:
-        if member.contains_point(x):
-            best = max(best, _step_average(pieces, member))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Weak-to-martingale splitting.
-
-def split_parameters(eta: Fraction) -> tuple[int, Fraction]:
-    """Slot count m and derived eps for splitting a weak eta-sparse family."""
-    eta = Fraction(eta)
-    base = Q(6) / (1 - eta) - 1
-    m = max(3, math.floor(base) + 1)
-    lam = 1 + base / m
-    eps = lam - 1
-    if not 0 < eps < 1:
-        raise SplitError(f"derived eps {eps} outside (0,1)")
-    return m, eps
-
-
-def split_weak_to_martingale(family: SparseFamily) -> list[SparseFamily]:
-    """Partition a weak family into martingale eps-sparse families.
-
-    The slot assignment is greedy (largest first); the result is always
-    re-validated, and impossibility within 3*m slots is an explicit failure.
-    """
-    if family.witness is not None:
-        validate_weak_witness(family)
-    m, eps = split_parameters(family.sparseness)
-    try:
-        ok, _ = is_martingale_sparse(family.members, eps)
-    except FamilyError:
-        ok = False
-    if ok:
-        return [SparseFamily(family.members, "martingale", eps)]
-    slots: list[list[IntervalQ]] = []
-    order = sorted(family.members, key=lambda i: (-i.length, i.left, i.right))
-    for member in order:
-        for slot in slots:
-            try:
-                fits, _ = is_martingale_sparse(slot + [member], eps)
-            except FamilyError:
-                fits = False
-            if fits:
-                slot.append(member)
-                break
-        else:
-            if len(slots) >= 3 * m:
-                raise SplitError(
-                    f"no admissible slot for {member} within 3*m = {3 * m} families")
-            slots.append([member])
-    out = []
-    for slot in slots:
-        fam = SparseFamily(tuple(slot), "martingale", eps)
-        ok, report = is_martingale_sparse(fam)
-        if not ok:
-            raise SplitError(f"postcondition failed for a slot: {report}")
-        out.append(fam)
-    return out
-
-
-def gen_weak_family(seed: int, count: int = 50, eta=Q(1, 2)) -> SparseFamily:
-    """Seeded weak eta-sparse family with an explicit disjoint witness.
-
-    Greedy construction over dyadic-rational intervals: each accepted member
-    carves (1-eta) of its length out of the remaining free space, so the
-    witness is valid by construction.
-    """
-    eta = Fraction(eta)
-    rng = random.Random(f"weak|{count}|{eta}|{seed}")
-    free: list[IntervalQ] = [IntervalQ(Q(0), Q(1))]
-    members: list[IntervalQ] = []
-    witness: list[tuple[IntervalQ, tuple[IntervalQ, ...]]] = []
-    need = 1 - eta
-    for _ in range(4000):  # candidate members
-        if len(members) >= count:
-            break
-        scale = rng.randint(2, 9)
-        length = Q(1, 2 ** scale)
-        left = Q(rng.randint(0, 2 ** 12 - 1), 2 ** 12) * (1 - length)
-        member = IntervalQ(left, left + length)
-        if member in members:
-            continue
-        inside = _intersect_free(free, member)
-        avail = sum((p.length for p in inside), Q(0))
-        if avail < need * length:
-            continue
-        target = need * length
-        carved: list[IntervalQ] = []
-        for piece in inside:
-            if target <= 0:
-                break
-            take = min(piece.length, target)
-            carved.append(IntervalQ(piece.left, piece.left + take))
-            target -= take
-        free = _subtract_free(free, carved)
-        members.append(member)
-        witness.append((member, tuple(carved)))
-    fam = SparseFamily(tuple(members), "weak", eta, tuple(witness))
-    validate_weak_witness(fam)
-    return fam
-
-
-def _intersect_free(free: list[IntervalQ], window: IntervalQ) -> list[IntervalQ]:
-    out = []
-    for piece in free:
-        iv = piece.intersect(window)
-        if iv is not None:
-            out.append(iv)
-    return out
-
-
-def _subtract_free(free: list[IntervalQ], carved: list[IntervalQ]) -> list[IntervalQ]:
-    out = free
-    for cut in carved:
-        nxt = []
-        for piece in out:
-            if piece.is_disjoint(cut):
-                nxt.append(piece)
-                continue
-            if piece.left < cut.left:
-                nxt.append(IntervalQ(piece.left, cut.left))
-            if cut.right < piece.right:
-                nxt.append(IntervalQ(cut.right, piece.right))
-        out = nxt
-    return out

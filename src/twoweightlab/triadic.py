@@ -31,9 +31,6 @@ class IntervalQ:
     def length(self) -> Fraction:
         return self.right - self.left
 
-    def contains_point(self, x) -> bool:
-        return self.left <= Fraction(x) < self.right
-
     def contains(self, other: "IntervalQ") -> bool:
         return self.left <= other.left and other.right <= self.right
 
@@ -157,39 +154,4 @@ def cell_of(interval: IntervalQ) -> TriadicCell | None:
     return TriadicCell(depth, index.numerator)
 
 
-def middle_child(cell: TriadicCell) -> TriadicCell:
-    return cell.middle_child()
-
-
-def nested_or_disjoint(a: TriadicCell, b: TriadicCell) -> bool:
-    return a.contains(b) or b.contains(a) or a.interval().is_disjoint(b.interval())
-
-
 UNIT = IntervalQ(Q(0), Q(1))
-
-
-def triadic_cover(interval: IntervalQ, depth: int) -> list[TriadicCell]:
-    """Minimal disjoint cover of `interval` by cells of depth <= `depth`.
-
-    Cells deeper than the coarsest fit appear only where the interval's
-    endpoints cut cells; the depth cap forces partial cells to be included
-    whole once it is reached.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not UNIT.contains(interval):
-        raise ValueError(f"interval {interval} not contained in [0,1)")
-    out: list[TriadicCell] = []
-
-    def visit(cell: TriadicCell):
-        cv = cell.interval()
-        if cv.is_disjoint(interval) or cv.intersect(interval) is None:
-            return
-        if interval.contains(cv) or cell.depth == depth:
-            out.append(cell)
-            return
-        for d in range(3):
-            visit(cell.child(d))
-
-    visit(TriadicCell(0, 0))
-    return out

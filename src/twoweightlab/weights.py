@@ -11,11 +11,11 @@ values and averages at any generation come from exact formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import Enclosure, Q, pow_enclosure, qstr
-from .triadic import IntervalQ, TriadicCell, cell_from_index
+from .triadic import TriadicCell, cell_from_index
 
 PLACEMENTS = ("right", "left", "alternating")
 
@@ -65,15 +65,6 @@ class SupportCell:
     side: str
     w_value: Fraction
     sigma_value: Enclosure
-
-
-@dataclass(frozen=True)
-class CellWeight:
-    """Result of weight_on_cell: constant value, zero, or non-constant with exact mass."""
-
-    kind: str  # "const" | "zero" | "unresolved"
-    value: Enclosure | None
-    mass: Enclosure
 
 
 class WeightModel:
@@ -289,30 +280,6 @@ def build_construction(params: ConstructionParams, family_cap: int = FAMILY_CAP)
     return WeightModel(params, family_cap=family_cap)
 
 
-def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> CellWeight:
-    """Classify w (or sigma, wtilde) restricted to a triadic cell.
-
-    Constant exactly when the cell sits inside a support cell; zero on the
-    vanishing set; otherwise a marker with the cell's exact mass.
-    """
-    _check_which(which)
-    gen = len(model.carriers_holding(cell.left, cell.right)) - 1
-    if cell.depth == gen * model.k:
-        return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
-    core = cell.ancestor(gen * model.k).middle_child()
-    placed, _side = model.place_core(core, gen + 1)
-    if placed.contains(cell):
-        val = _value(model, which, gen + 1)
-        return CellWeight("const", val, val * cell.length)
-    if cell.contains(placed):
-        return CellWeight("unresolved", None, _value(model, which, gen + 1) * placed.length)
-    if core.contains(cell):
-        # no tile of the core holds the cell, so it is a union of them
-        count = 3 ** ((gen + 1) * model.k - cell.depth)
-        return CellWeight("unresolved", None, _carrier_mass(model, which, gen + 1) * count)
-    return CellWeight("zero", Enclosure.exact(0), Enclosure.exact(0))
-
-
 def _carrier_mass(model, which, gen) -> Enclosure:
     if which == "w":
         return Enclosure.exact(model.carrier_w_mass(gen))
@@ -332,45 +299,6 @@ def _value(model, which, gen) -> Enclosure:
 def _check_which(which: str):
     if which not in ("w", "sigma", "wTilde"):
         raise ValueError(f"which must be w|sigma|wTilde, got {which!r}")
-
-
-# ---------------------------------------------------------------------------
-# Direct sum of shifted, rescaled copies.
-
-@dataclass(frozen=True)
-class CompositeCopy:
-    k: int
-    shift: int  # 9**k
-    model: WeightModel
-    scale: Enclosure  # k**(-r)
-
-
-@dataclass(frozen=True)
-class CompositeWeight:
-    copies: tuple[CompositeCopy, ...] = field(default_factory=tuple)
-
-    def domain(self) -> list[IntervalQ]:
-        return [IntervalQ(Q(c.shift), Q(c.shift + 1)) for c in self.copies]
-
-
-def direct_sum(models: list[WeightModel], k_range: tuple[int, int] | None = None) -> CompositeWeight:
-    """Shifted sum: copy k sits on [9^k, 9^k+1) with w scaled by k^-r."""
-    if k_range is not None:
-        k0, k1 = k_range
-        if k0 < 2 or k1 < k0:
-            raise ValueError(f"bad k range [{k0}, {k1}]")
-        ks = [m.k for m in models]
-        if ks != list(range(k0, k1 + 1)):
-            raise ValueError(f"models' k values {ks} do not fill range [{k0}, {k1}]")
-    seen = set()
-    copies = []
-    for m in models:
-        shift = 9 ** m.k
-        if shift in seen:
-            raise ValueError(f"overlapping shift 9^{m.k}")
-        seen.add(shift)
-        copies.append(CompositeCopy(k=m.k, shift=shift, model=m, scale=m.scale))
-    return CompositeWeight(tuple(sorted(copies, key=lambda c: c.k)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""Oracles the tests share: the weight on one triadic cell and the smallest
+carrier of an interval, each read from the carrier chain and `place_core`
+alone, against which `mass`, the dual testing sum and the support geometry
+are checked."""
+
+from dataclasses import dataclass
+
+from twoweightlab.enclosure import Enclosure
+from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.weights import WeightModel, _carrier_mass, _check_which, _value
+
+
+@dataclass(frozen=True)
+class CellWeight:
+    """Result of weight_on_cell: constant value, zero, or non-constant with exact mass."""
+
+    kind: str  # "const" | "zero" | "unresolved"
+    value: Enclosure | None
+    mass: Enclosure
+
+
+def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> CellWeight:
+    """Classify w (or sigma, wtilde) restricted to a triadic cell.
+
+    Constant exactly when the cell sits inside a support cell; zero on the
+    vanishing set; otherwise a marker with the cell's exact mass.
+    """
+    _check_which(which)
+    gen = len(model.carriers_holding(cell.left, cell.right)) - 1
+    if cell.depth == gen * model.k:
+        return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
+    core = cell.ancestor(gen * model.k).middle_child()
+    placed, _side = model.place_core(core, gen + 1)
+    if placed.contains(cell):
+        val = _value(model, which, gen + 1)
+        return CellWeight("const", val, val * cell.length)
+    if cell.contains(placed):
+        return CellWeight("unresolved", None, _value(model, which, gen + 1) * placed.length)
+    if core.contains(cell):
+        # no tile of the core holds the cell, so it is a union of them
+        count = 3 ** ((gen + 1) * model.k - cell.depth)
+        return CellWeight("unresolved", None, _carrier_mass(model, which, gen + 1) * count)
+    return CellWeight("zero", Enclosure.exact(0), Enclosure.exact(0))
+
+
+def smallest_carrier(model: WeightModel, interval: IntervalQ):
+    """Smallest carrier cell containing the interval, with its core and support."""
+    chain = model.carriers_holding(interval.left, interval.right)
+    gen = len(chain) - 1
+    carrier = cell_from_index(gen * model.k, chain[-1])
+    core = carrier.middle_child()
+    placed, _ = model.place_core(core, gen + 1)
+    return carrier, gen, core, placed

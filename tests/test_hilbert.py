@@ -14,10 +14,10 @@ import pytest
 from twoweightlab import hilbert, treewalk
 from twoweightlab.enclosure import (FloatInterval, add_bounds, log_abs_ratio_interval,
                                     mul_bounds, ratio_bounds, ratio_interval)
-from twoweightlab.hilbert import (BoundaryError, hilbert_indicator, hilbert_weight,
-                                  hilbert_pointwise_report, maximal_at,
+from twoweightlab.hilbert import (hilbert_weight, hilbert_pointwise_report, maximal_at,
                                   maximal_report, probe_points)
 from twoweightlab.measures import mass, w_slabs
+from twoweightlab.treewalk import BoundaryError
 from twoweightlab.triadic import IntervalQ
 from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
 
@@ -27,24 +27,39 @@ def model(k=4, depth=2, placement="right"):
         ConstructionParams(k=k, depth=depth, placement=placement))
 
 
+# the walks' log kernel takes a, b and x as integers on one scale; every
+# point of the indicator tests below is a multiple of 1/SCALE
+SCALE = 84
+
+
+def indicator(a, b, x) -> tuple[float, float]:
+    """Bounds on log|x - a| - log|x - b| from `treewalk._indicator_bounds`."""
+    ints = [Q(v) * SCALE for v in (a, b, x)]
+    assert all(v.denominator == 1 for v in ints)
+    return treewalk._indicator_bounds(*(v.numerator for v in ints))
+
+
 def test_indicator_closed_forms():
-    assert abs(hilbert_indicator(0, 1, 2) - math.log(2)) < 1e-12
-    assert hilbert_indicator(Q(1, 4), Q(3, 4), Q(1, 2)) == 0.0
-    assert abs(hilbert_indicator(0, 1, Q(1, 3)) + math.log(2)) < 1e-12
+    for (a, b, x), want in (((0, 1, 2), math.log(2)),
+                            ((Q(1, 4), Q(3, 4), Q(1, 2)), 0.0),
+                            ((0, 1, Q(1, 3)), -math.log(2))):
+        lo, hi = indicator(a, b, x)
+        assert lo <= want <= hi and hi - lo < 1e-12, (a, b, x)
 
 
 def test_indicator_endpoint_rejection():
     with pytest.raises(BoundaryError):
-        hilbert_indicator(0, 1, 1)
+        indicator(0, 1, 1)
     with pytest.raises(BoundaryError):
-        hilbert_indicator(0, 1, 0)
+        indicator(0, 1, 0)
 
 
 def test_indicator_additivity():
     a, b, c, x = Q(0), Q(2, 7), Q(1), Q(5, 3)
-    whole = hilbert_indicator(a, c, x)
-    parts = hilbert_indicator(a, b, x) + hilbert_indicator(b, c, x)
-    assert abs(whole - parts) < 1e-12
+    whole = indicator(a, c, x)
+    parts = add_bounds(*indicator(a, b, x), *indicator(b, c, x))
+    assert whole[0] <= parts[1] and parts[0] <= whole[1]
+    assert whole[1] - whole[0] < 1e-12 and parts[1] - parts[0] < 1e-12
 
 
 def test_far_field_enclosure():

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoweightlab.enclosure import Enclosure
-from twoweightlab.measures import (ap_product, average, mass, packing_partial,
-                                   packing_sum, smallest_carrier)
+from twoweightlab.measures import ap_product, average, mass, packing_partial, packing_sum
 from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
 from twoweightlab.weights import (ConstructionParams, WeightModel, _carrier_mass, _value,
                                   build_construction)
+
+from oracles import smallest_carrier
 
 UNIT = IntervalQ(Q(0), Q(1))
 
@@ -134,20 +135,6 @@ def test_packing_rejects_non_carrier():
 def test_unknown_measures_and_negative_depths_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call(model())
-
-
-def test_direct_sum_masses():
-    from twoweightlab.weights import direct_sum
-    models = [model(k=k, depth=2) for k in (4, 5)]
-    comp = direct_sum(models, (4, 5))
-    shift = 9 ** 4
-    enc = mass(comp, "sigma", IntervalQ(Q(shift), Q(shift + 1)))
-    want = models[0].c.lo * Q(1, 3 ** 4)
-    assert enc.is_exact and enc.lo == want
-    wt = mass(comp, "wTilde", IntervalQ(Q(shift), Q(shift + 1)))
-    assert wt.encloses(models[0].scale)
-    empty = mass(comp, "sigma", IntervalQ(Q(1), Q(2)))
-    assert empty.lo == 0 and empty.hi == 0
 
 
 def test_enclosure_soundness_under_refinement():

@@ -7,21 +7,18 @@ from fractions import Fraction as Q
 import pytest
 
 from twoweightlab.acceptance import _chain_length_oracle
-from twoweightlab.measures import mass
 from twoweightlab.sparse import (FamilyError, SparseFamily, carleson_check,
                                  chain_decay_check, children_map,
                                  gen_adversarial, gen_random_martingale,
-                                 gen_weak_family, is_martingale_sparse,
-                                 restricted_packing_check, sparse_apply,
-                                 sparse_maximal, sparse_packing_check,
-                                 split_parameters, split_weak_to_martingale,
-                                 transplant_family, validate_weak_witness)
+                                 is_martingale_sparse, restricted_packing_check,
+                                 sparse_packing_check, transplant_family)
 from twoweightlab.sparse import testing_report as run_testing_report
 from twoweightlab.sparse import testing_sum as run_testing_sum
 from twoweightlab.triadic import (AddressError, IntervalQ, cell_from_address, cell_from_index,
                                   cell_of)
-from twoweightlab.weights import (ConstructionParams, build_construction, direct_sum,
-                                  weight_on_cell)
+from twoweightlab.weights import ConstructionParams, build_construction
+
+from oracles import weight_on_cell
 
 UNIT = IntervalQ(Q(0), Q(1))
 
@@ -34,20 +31,24 @@ def iv(a, b):
     return IntervalQ(Q(a), Q(b))
 
 
+def family(members, eps):
+    return SparseFamily(tuple(members), Q(eps))
+
+
 def test_martingale_validator_trivial_cases():
-    ok, _ = is_martingale_sparse([iv(0, 1), IntervalQ(Q(0), Q(1, 3))], Q(1, 3))
+    ok, _ = is_martingale_sparse(family([iv(0, 1), IntervalQ(Q(0), Q(1, 3))], Q(1, 3)))
     assert ok
-    ok, report = is_martingale_sparse(
-        [iv(0, 1), IntervalQ(Q(0), Q(1, 3)), IntervalQ(Q(1, 3), Q(2, 3))], Q(1, 3))
+    ok, report = is_martingale_sparse(family(
+        [iv(0, 1), IntervalQ(Q(0), Q(1, 3)), IntervalQ(Q(1, 3), Q(2, 3))], Q(1, 3)))
     assert not ok and report["excess"] == Q(1, 3)
     chain = [IntervalQ(Q(0), Q(1, 3 ** i)) for i in range(4)]
-    ok, _ = is_martingale_sparse(chain, Q(1, 3))
+    ok, _ = is_martingale_sparse(family(chain, Q(1, 3)))
     assert ok
 
 
 def test_validator_rejects_overlap():
     with pytest.raises(FamilyError, match="overlap"):
-        is_martingale_sparse([iv(0, Q(2, 3)), iv(Q(1, 3), 1)], Q(1, 2))
+        is_martingale_sparse(family([iv(0, Q(2, 3)), iv(Q(1, 3), 1)], Q(1, 2)))
 
 
 def test_children_map_forest():
@@ -92,7 +93,7 @@ def test_children_map_rejects_overlap_after_a_popped_sibling():
     with pytest.raises(FamilyError, match="overlap without nesting"):
         children_map(members)
     with pytest.raises(FamilyError, match="overlap without nesting"):
-        is_martingale_sparse(members, Q(1, 2))
+        is_martingale_sparse(family(members, Q(1, 2)))
 
 
 def test_random_generator_validates_and_is_deterministic():
@@ -184,18 +185,18 @@ def test_singleton_budget_chain():
 
 def test_testing_sum_frozen_values():
     m = model()
-    fam = SparseFamily((UNIT,), "martingale", Q(1, 2))
+    fam = SparseFamily((UNIT,), Q(1, 2))
     enc = run_testing_sum(m, fam, UNIT)
     assert enc.is_exact and enc.lo == Q(4, 69)
-    assert run_testing_sum(m, SparseFamily((iv(0, Q(1, 3)),), "martingale", Q(1, 2)),
+    assert run_testing_sum(m, SparseFamily((iv(0, Q(1, 3)),), Q(1, 2)),
                        UNIT).lo == 0  # vanishing region: zero averages
-    empty = run_testing_sum(m, SparseFamily(tuple(), "martingale", Q(1, 2)), UNIT)
+    empty = run_testing_sum(m, SparseFamily(tuple(), Q(1, 2)), UNIT)
     assert empty.lo == 0 and empty.hi == 0
 
 
 def test_testing_report_ratio_example():
     m = model()
-    fam = SparseFamily((UNIT,), "martingale", Q(1, 2))
+    fam = SparseFamily((UNIT,), Q(1, 2))
     rep = run_testing_report(m, fam, UNIT)
     assert abs(rep.ratio - 1 / 69) < 1e-12
     assert rep.kfree_ratio is not None
@@ -204,7 +205,7 @@ def test_testing_report_ratio_example():
 
 def test_testing_report_flags_zero_mass_violation():
     m = model()
-    fam = SparseFamily((iv(0, Q(1, 3)),), "martingale", Q(1, 2))
+    fam = SparseFamily((iv(0, Q(1, 3)),), Q(1, 2))
     rep = run_testing_report(m, fam, iv(0, Q(1, 3)))
     assert rep.ratio == 0.0
 
@@ -251,7 +252,7 @@ def test_transplant_preserves_sparseness():
 
 def test_transplant_rejects_off_grid_members():
     # triadic length, but the left end is off the grid of its length
-    fam = SparseFamily((iv(Q(1, 18), Q(1, 6)),), "martingale", Q(1, 3))
+    fam = SparseFamily((iv(Q(1, 18), Q(1, 6)),), Q(1, 3))
     with pytest.raises(FamilyError, match="transplant needs triadic members"):
         transplant_family(fam, cell_from_address(""))
 
@@ -313,93 +314,3 @@ def test_carleson_reproduces_restricted_packing():
         assert res["ok"]
         rp = restricted_packing_check(fam, pieces, UNIT, 2)
         assert rp["ok"]
-
-
-def test_sparse_apply_and_maximal():
-    f = [(UNIT, Q(1))]
-    fam = SparseFamily((UNIT, IntervalQ(Q(0), Q(1, 3))), "martingale", Q(1, 2))
-    val, inner = sparse_apply(fam, f, 2, Q(1, 6))
-    assert inner == 2 and abs(val - math.sqrt(2)) < 1e-12
-    assert sparse_apply(fam, f, 2, Q(5, 6))[1] == 1
-    assert sparse_apply(fam, f, 2, Q(3, 2))[1] == 0  # outside every member
-    assert sparse_maximal(fam, f, Q(1, 6)) == 1
-    # two nested intervals with averages a, b -> sqrt(a^2 + b^2)
-    g = [(IntervalQ(Q(0), Q(1, 2)), Q(2))]
-    val, inner = sparse_apply(fam, g, 2, Q(1, 6))
-    assert inner == Q(1) + Q(4)  # averages 1 and 2
-    assert abs(val - math.sqrt(5)) < 1e-12
-    # p = 1 degenerates to the plain sparse operator (sum of averages)
-    val1, inner1 = sparse_apply(fam, g, 1, Q(1, 6))
-    assert inner1 == 3 and abs(val1 - 3.0) < 1e-12
-    # a non-integer p has no exact sum of p-th powers
-    with pytest.raises(ValueError, match="integer p"):
-        sparse_apply(fam, g, Q(3, 2), Q(1, 6))
-
-
-def test_split_parameters_match_the_reduction():
-    m, eps = split_parameters(Q(1, 2))
-    assert m == 12 and eps == Q(11, 12)
-    m, eps = split_parameters(Q(3, 4))
-    assert 0 < eps < 1
-
-
-def test_split_already_martingale_unchanged():
-    members = (UNIT, IntervalQ(Q(0), Q(1, 3)))
-    fam = SparseFamily(members, "weak", Q(1, 2))
-    out = split_weak_to_martingale(fam)
-    assert len(out) == 1 and out[0].members == members
-    # two disjoint intervals are already a valid martingale family
-    fam2 = SparseFamily((iv(0, Q(1, 3)), iv(Q(2, 3), 1)), "weak", Q(1, 2))
-    out2 = split_weak_to_martingale(fam2)
-    assert len(out2) == 1
-    assert sorted(out2[0].members, key=lambda i: i.left) == sorted(
-        fam2.members, key=lambda i: i.left)
-
-
-def test_split_random_weak_families():
-    for seed in (1, 2, 3):
-        fam = gen_weak_family(seed, count=50, eta=Q(1, 2))
-        assert len(fam.members) == 50
-        validate_weak_witness(fam)
-        out = split_weak_to_martingale(fam)
-        m, eps = split_parameters(Q(1, 2))
-        assert len(out) <= 3 * m
-        total = sum(len(f.members) for f in out)
-        assert total == len(fam.members)
-        seen = set()
-        for piece in out:
-            ok, report = is_martingale_sparse(piece)
-            assert ok, report
-            for member in piece.members:
-                assert member not in seen
-                seen.add(member)
-
-
-def test_weak_witness_validation_catches_bad_sets():
-    fam = SparseFamily((UNIT,), "weak", Q(1, 2),
-                       witness=((UNIT, (IntervalQ(Q(0), Q(1, 4)),)),))
-    with pytest.raises(FamilyError, match="too small"):
-        validate_weak_witness(fam)
-
-
-def test_composite_testing_uniform_over_copies():
-    """Testing ratios over the shifted direct sum stay bounded."""
-    models = [model(k=k, depth=2) for k in (4, 5)]
-    comp = direct_sum(models, (4, 5))
-    members = []
-    for k in (4, 5):
-        shift = 9 ** k
-        members.append(IntervalQ(Q(shift), Q(shift + 1)))
-        members.append(IntervalQ(Q(shift), Q(shift) + Q(1, 3)))
-    members.append(IntervalQ(Q(9 ** 4), Q(9 ** 5 + 1)))
-    fam = SparseFamily(tuple(members), "martingale", Q(1, 2))
-    big = IntervalQ(Q(0), Q(9 ** 5 + 2))
-    total = Q(0)
-    p = Q(2)
-    for member in fam.members:
-        aw = mass(comp, "wTilde", member) * (1 / member.length)
-        asig = mass(comp, "sigma", member) * (1 / member.length)
-        total += aw.hi ** 2 * asig.hi * member.length
-    wl = mass(comp, "wTilde", big)
-    ratio = total * Q(1, 2) / wl.lo
-    assert ratio < 2

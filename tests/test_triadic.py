@@ -1,4 +1,4 @@
-"""Triadic lattice: addresses, endpoints, covers, trichotomy."""
+"""Triadic lattice: addresses, endpoints, trichotomy."""
 
 from fractions import Fraction as Q
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoweightlab.triadic import (AddressError, IntervalQ, TriadicCell,
-                                  cell_from_address, cell_from_index, cell_of,
-                                  middle_child, nested_or_disjoint, triadic_cover)
+                                  cell_from_address, cell_from_index, cell_of)
 
 addresses = st.text(alphabet="012", min_size=0, max_size=5)
 
@@ -36,13 +35,13 @@ def test_root_cell():
 
 def test_middle_child_of_root():
     assert cell_from_address("1").interval() == IntervalQ(Q(1, 3), Q(2, 3))
-    assert middle_child(cell_from_address("")).address == "1"
+    assert cell_from_address("").middle_child().address == "1"
 
 
 def test_positional_arithmetic():
     cell = cell_from_address("102")
     assert cell.left == Q(11, 27) and cell.right == Q(12, 27)
-    assert middle_child(cell).interval() == IntervalQ(Q(34, 81), Q(35, 81))
+    assert cell.middle_child().interval() == IntervalQ(Q(34, 81), Q(35, 81))
 
 
 def test_invalid_digit_reports_position():
@@ -120,12 +119,6 @@ def test_length_times_power_is_one(addr):
     assert cell.length * 3 ** cell.depth == 1
 
 
-@given(addresses, addresses)
-@settings(max_examples=300)
-def test_nested_or_disjoint_trichotomy(a, b):
-    assert nested_or_disjoint(cell_from_address(a), cell_from_address(b))
-
-
 def test_trichotomy_exhaustive_to_depth_five():
     cells = [cell_from_index(d, i) for d in range(6) for i in range(3 ** d)]
     intervals = [(c.left, c.right) for c in cells]
@@ -136,40 +129,3 @@ def test_trichotomy_exhaustive_to_depth_five():
             assert nested or disjoint
 
 
-def test_cover_exact_alignment():
-    out = triadic_cover(IntervalQ(Q(0), Q(1, 3)), 1)
-    assert [c.address for c in out] == ["0"]
-
-
-def test_cover_cut_point():
-    out = triadic_cover(IntervalQ(Q(0), Q(1, 2)), 2)
-    assert [c.address for c in out] == ["0", "10", "11"]
-
-
-def test_cover_depth_cap_forces_root():
-    out = triadic_cover(IntervalQ(Q(1, 9), Q(2, 9)), 0)
-    assert [c.address for c in out] == [""]
-
-
-def test_cover_rejects_outside_unit():
-    with pytest.raises(ValueError):
-        triadic_cover(IntervalQ(Q(-1, 2), Q(1, 2)), 2)
-
-
-@given(st.integers(0, 80), st.integers(1, 81), st.integers(0, 3))
-@settings(max_examples=200)
-def test_cover_disjoint_and_covers(a, span, depth):
-    left = Q(a, 81)
-    right = min(Q(1), left + Q(span, 81))
-    if left >= right:
-        return
-    iv = IntervalQ(left, right)
-    cover = triadic_cover(iv, depth)
-    for i, c in enumerate(cover):
-        for d in cover[i + 1:]:
-            assert c.interval().is_disjoint(d.interval())
-    total = sum((c.length for c in cover), Q(0))
-    covered_left = min(c.left for c in cover)
-    covered_right = max(c.right for c in cover)
-    assert covered_left <= iv.left and iv.right <= covered_right
-    assert total >= iv.length

@@ -1,14 +1,15 @@
-"""Construction: family counts, placements, cell classification, direct sums."""
+"""Construction: family counts, placements, cell classification."""
 
 from fractions import Fraction as Q
 
 import pytest
 
 from twoweightlab.hilbert import maximal_at
-from twoweightlab.measures import mass, smallest_carrier
+from twoweightlab.measures import mass
 from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
-from twoweightlab.weights import (PLACEMENTS, ConstructionParams, build_construction,
-                                  direct_sum, weight_on_cell)
+from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
+
+from oracles import smallest_carrier, weight_on_cell
 
 
 def test_parameter_validation():
@@ -146,17 +147,6 @@ def test_serialization_wire_format():
     assert payload["family_counts"]["K"]["1"] == 3
     entry = payload["support"][0]
     assert entry["cell"] == "20" and entry["w_value"] == "9/4"
-
-
-def test_direct_sum_shifts_and_validation():
-    models = [build_construction(ConstructionParams(k=k, depth=1)) for k in (4, 5)]
-    comp = direct_sum(models, (4, 5))
-    assert [c.shift for c in comp.copies] == [9 ** 4, 9 ** 5]
-    with pytest.raises(ValueError):
-        direct_sum(models, (4, 6))
-    with pytest.raises(ValueError):
-        direct_sum([models[0], models[0]])
-    assert direct_sum([], None).copies == ()
 
 
 def test_implicit_family_indexing_matches_lists():
