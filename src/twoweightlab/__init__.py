@@ -8,7 +8,7 @@ pinning every desk-scale estimate.
 """
 
 from .enclosure import Enclosure, FloatInterval, parse_q, qstr
-from .triadic import IntervalQ, TriadicCell, cell_from_address, cell_from_index
+from .triadic import IntervalQ, TriadicCell, cell_from_index
 from .weights import ConstructionParams, SupportCell, WeightModel, build_construction
 from .measures import ap_product, average, carrier_generation, mass, packing_sum
 from .sparse import (SparseFamily, carleson_check, gen_adversarial,

@@ -303,7 +303,7 @@ def c08_exact_inequalities(seeds=200, eps=Q(1, 2), p=2, depth=4):
         if not rk["ok"]:
             violations.append(("restricted-packing", s))
         cp_measured = max(cp_measured, rk["measured_constant"])
-        coeffs = {cell_of(member).address: Q(1) for member in fam.members}
+        coeffs = {cell_of(member): Q(1) for member in fam.members}
         f_leaves = [Q(rng.randint(0, 5)) for _ in range(3 ** depth)]
         res = carleson_check(depth, coeffs, f_leaves, p, 1 / (1 - eps))
         if not res["ok"]:

@@ -83,9 +83,6 @@ class Enclosure:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         cands = (self.lo * other.lo, self.lo * other.hi,
@@ -115,10 +112,6 @@ class Enclosure:
         for _ in range(n):
             out = out * self
         return out
-
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
 
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -270,10 +263,6 @@ class FloatInterval:
             raise ValueError(f"empty float interval: {self.lo} > {self.hi}")
 
     @staticmethod
-    def point(x: float) -> "FloatInterval":
-        return FloatInterval(x, x)
-
-    @staticmethod
     def from_fraction(x: Fraction) -> "FloatInterval":
         f = float(x)
         if math.isinf(f):
@@ -286,30 +275,17 @@ class FloatInterval:
         return FloatInterval(nextafter(f, -INF), f)
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def __add__(self, other):
-        other = _fcoerce(other)
+    def __add__(self, other: "FloatInterval") -> "FloatInterval":
         return FloatInterval(*add_bounds(self.lo, self.hi, other.lo, other.hi))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return FloatInterval(-self.hi, -self.lo)
 
-    def __sub__(self, other):
-        return self + (-_fcoerce(other))
-
-    def __mul__(self, other):
-        other = _fcoerce(other)
+    def __mul__(self, other: "FloatInterval") -> "FloatInterval":
         return FloatInterval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
-
-    __rmul__ = __mul__
 
     def abs(self) -> "FloatInterval":
         if self.lo >= 0:
@@ -323,14 +299,6 @@ class FloatInterval:
 
     def __str__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def _fcoerce(x) -> FloatInterval:
-    if isinstance(x, FloatInterval):
-        return x
-    if isinstance(x, Fraction):
-        return FloatInterval.from_fraction(x)
-    return FloatInterval.point(float(x))
 
 
 FZERO = FloatInterval(0.0, 0.0)

@@ -700,9 +700,9 @@ def series_ratio(r: Fraction, x: float, mode: str = "first", tol: float = 1e-9) 
 # ---------------------------------------------------------------------------
 # Bump products and the blow-up sweep.
 
-def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entropyPhi0",
+def bump_product(model: WeightModel, cell: TriadicCell, norm: str = "entropyPhi0",
                  direction: str = "forward") -> Enclosure:
-    """Bumped two-weight product over a carrier cell or the probe window "Rk".
+    """Bumped two-weight product over a carrier cell.
 
     forward: ||w||_{norm} * <sigma>; dual: ||sigma||_{norm} * <w>.
     """
@@ -716,17 +716,13 @@ def bump_product(model: WeightModel, cell: TriadicCell | str, norm: str = "entro
         gauge = None
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    if cell == "Rk":
-        if direction == "dual":
-            raise ValueError("the probe window ships the forward product only")
-        dist = blowup_distribution(model)
-        other_avg = blowup_sigma_average(model)
+    gen = carrier_generation(model, cell)
+    if direction == "forward":
+        dist = distribution(model, cell, "w")
+        other_avg = model.avg_sigma_carrier(gen)
     else:
-        gen = carrier_generation(model, cell)
-        which, other = ("w", "sigma") if direction == "forward" else ("sigma", "w")
-        dist = distribution(model, cell, which)
-        other_avg = (model.avg_sigma_carrier(gen) if other == "sigma"
-                     else Enclosure.exact(model.w_value(gen)))
+        dist = distribution(model, cell, "sigma")
+        other_avg = Enclosure.exact(model.w_value(gen))
     if gauge is not None:
         norm_enc = lorentz_norm(dist, gauge)
     else:
@@ -762,7 +758,6 @@ def blowup_suite(models: list[WeightModel]) -> list[dict]:
             "ap_R": ap,
             "B_k": bk,
             "halving_ok": norm_r.hi * 2 >= norm_k1.lo,
-            "entropy_ratio_R": float(norm_r.mid) / (3 ** m.k * float(avg_w)),
         })
     return rows
 

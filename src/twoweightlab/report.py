@@ -12,22 +12,16 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .enclosure import Enclosure, qstr
+from .enclosure import qstr
 
 
 def fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Enclosure):
-        if value.is_exact:
-            return qstr(value.lo)
-        return f"{qstr(value.lo)}..{qstr(value.hi)}"
     if isinstance(value, Fraction):
         return qstr(value)
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, bool):
-        return str(value)
     return str(value)
 
 
@@ -79,12 +73,8 @@ def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
 
     def default(obj):
-        if isinstance(obj, Enclosure):
-            return {"lo": qstr(obj.lo), "hi": qstr(obj.hi)}
         if isinstance(obj, Fraction):
             return qstr(obj)
-        if isinstance(obj, Path):
-            return str(obj)
         raise TypeError(f"cannot serialize {type(obj)}")
 
     with open(path, "w") as fh:

@@ -544,7 +544,7 @@ class CellField:
     its geometric tail is below an equal share of the rest.  A block's
     coefficients are bracketed to second order, from the exact mass,
     centroid and variance of a carrier's mass; only a support cell takes the
-    first-order kernel range.  `enclose` evaluates the polynomial and S's own
+    first-order kernel range.  `enclose_u` evaluates the polynomial and S's own
     indicator exactly.
 
     No run comes within R of c, where its second-order bracket would fail
@@ -714,16 +714,11 @@ class CellField:
             coeffs.append(add_bounds(*left, *right))
         return coeffs, tail
 
-    def enclose(self, x: Fraction) -> tuple[float, float]:
-        """Bounds (lo, hi) on Hw(x) for x inside S, within the budget unless
-        the walk reached its expansion cap or a series its degree cap."""
-        xn, xd = x.numerator, x.denominator
-        # u = (x - c)/R = xd_S * x - xn_S, over xd
-        return self.enclose_u(self.xd * xn - self.xn * xd, xd)
-
     def enclose_u(self, un: int, ud: int) -> tuple[float, float]:
-        """`enclose` at the point u = un/ud of S, where u = (x - c)/R: the
-        integers need not be reduced, and ud may be negative.
+        """Bounds (lo, hi) on Hw(x) at the point u = un/ud of S, where
+        u = (x - c)/R, within the budget unless the walk reached its
+        expansion cap or a series its degree cap.  The integers need not be
+        reduced, and ud may be negative; x = (xn + u)/xd.
 
         Horner's rule on the coefficients.  A step multiplies [lo, hi] by
         [u_lo, u_hi] and rounds outward.  Where u has one sign, the sign of

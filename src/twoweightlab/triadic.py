@@ -41,9 +41,6 @@ class IntervalQ:
             return None
         return IntervalQ(lo, hi)
 
-    def is_disjoint(self, other: "IntervalQ") -> bool:
-        return self.right <= other.left or other.right <= self.left
-
     def __str__(self):
         return f"[{self.left}, {self.right})"
 
@@ -54,7 +51,7 @@ class TriadicCell:
 
     Cells are integer pairs throughout.  Base-3 addresses, the cell's digits
     most significant first (the empty string for the root), exist only where
-    cells are printed (`address`) or parsed (`cell_from_address`).
+    cells are printed (`address`).
     """
 
     depth: int
@@ -106,33 +103,8 @@ class TriadicCell:
     def middle_child(self) -> "TriadicCell":
         return self.descendant(1, 1)
 
-    def parent(self) -> "TriadicCell":
-        return self.ancestor(self.depth - 1)
-
-    def contains(self, other: "TriadicCell") -> bool:
-        return (other.depth >= self.depth
-                and other.index // 3 ** (other.depth - self.depth) == self.index)
-
-    def contains_point(self, x) -> bool:
-        return self.left <= Fraction(x) < self.right
-
     def __str__(self):
         return self.address or "<root>"
-
-
-def cell_from_address(address: str) -> TriadicCell:
-    """The cell with base-3 digits `address`; the one parser of addresses.
-
-    The digits are read one by one, since `int(address, 3)` refuses strings
-    longer than Python's 4300-digit limit and carriers reach depth 400·k.
-    """
-    index = 0
-    for pos, ch in enumerate(address):
-        if ch not in _DIGITS:
-            raise AddressError(
-                f"invalid digit {ch!r} at position {pos} in address {address!r}")
-        index = 3 * index + int(ch)
-    return TriadicCell(len(address), index)
 
 
 def cell_from_index(depth: int, index: int) -> TriadicCell:

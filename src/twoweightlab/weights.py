@@ -57,14 +57,12 @@ class ConstructionParams:
 
 @dataclass(frozen=True)
 class SupportCell:
-    """One materialized support cell: w == w_value and sigma == sigma_value on it."""
+    """One materialized support cell of generation `gen`, beside its core;
+    w and sigma on it are `WeightModel.w_value(gen)` and `sigma_value(gen)`."""
 
     gen: int
     core: TriadicCell
     cell: TriadicCell
-    side: str
-    w_value: Fraction
-    sigma_value: Enclosure
 
 
 class WeightModel:
@@ -234,25 +232,22 @@ class WeightModel:
             self.kcells.append([self.kcell(gen, i) for i in branches])
         self.support: list[SupportCell] = []
         for gen in range(1, self.depth + 1):
-            branches = _even_sample(self.jcell_count(gen), cap)
-            # one value per generation, shared by its (frozen) support cells
-            w_value, sigma_value = self.w_value(gen), self.sigma_value(gen)
-            for i in branches:
+            for i in _even_sample(self.jcell_count(gen), cap):
                 core = self.jcell(gen, i)
-                placed, side = self.place_core(core, gen)
-                self.support.append(SupportCell(
-                    gen=gen, core=core, cell=placed, side=side,
-                    w_value=w_value, sigma_value=sigma_value))
+                self.support.append(SupportCell(gen, core, self.place_core(core, gen)[0]))
 
-    def support_cells(self, gen: int | None = None) -> list[SupportCell]:
-        if gen is None:
-            return list(self.support)
+    def support_cells(self, gen: int) -> list[SupportCell]:
         return [s for s in self.support if s.gen == gen]
 
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> dict:
         p = self.params
+        values = {}  # a generation's support cells share its side and values
+        for gen in range(1, self.depth + 1):
+            sigma = self.sigma_value(gen)
+            values[gen] = {"side": self.side_for(gen), "w_value": qstr(self.w_value(gen)),
+                           "sigma_value": [qstr(sigma.lo), qstr(sigma.hi)]}
         return {
             "params": {"k": p.k, "p": qstr(p.p), "r": qstr(p.r),
                        "placement": p.placement, "depth": p.depth},
@@ -262,8 +257,7 @@ class WeightModel:
             },
             "support": [
                 {"gen": s.gen, "core": s.core.address, "cell": s.cell.address,
-                 "side": s.side, "w_value": qstr(s.w_value),
-                 "sigma_value": [qstr(s.sigma_value.lo), qstr(s.sigma_value.hi)]}
+                 **values[s.gen]}
                 for s in self.support
             ],
             "unresolved": {

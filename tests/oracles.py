@@ -1,12 +1,13 @@
 """Oracles the tests share: the weight on one triadic cell and the smallest
 carrier of an interval, each read from the carrier chain and `place_core`
 alone, against which `mass`, the dual testing sum and the support geometry
-are checked."""
+are checked; and the parser of base-3 addresses with the nesting of cells,
+against which `TriadicCell.address` and `ancestor` are checked."""
 
 from dataclasses import dataclass
 
 from twoweightlab.enclosure import Enclosure
-from twoweightlab.triadic import IntervalQ, TriadicCell, cell_from_index
+from twoweightlab.triadic import AddressError, IntervalQ, TriadicCell, cell_from_index
 from twoweightlab.weights import WeightModel, _carrier_mass, _check_which, _value
 
 
@@ -31,12 +32,12 @@ def weight_on_cell(model: WeightModel, cell: TriadicCell, which: str = "w") -> C
         return CellWeight("unresolved", None, _carrier_mass(model, which, gen))
     core = cell.ancestor(gen * model.k).middle_child()
     placed, _side = model.place_core(core, gen + 1)
-    if placed.contains(cell):
+    if cell_contains(placed, cell):
         val = _value(model, which, gen + 1)
         return CellWeight("const", val, val * cell.length)
-    if cell.contains(placed):
+    if cell_contains(cell, placed):
         return CellWeight("unresolved", None, _value(model, which, gen + 1) * placed.length)
-    if core.contains(cell):
+    if cell_contains(core, cell):
         # no tile of the core holds the cell, so it is a union of them
         count = 3 ** ((gen + 1) * model.k - cell.depth)
         return CellWeight("unresolved", None, _carrier_mass(model, which, gen + 1) * count)
@@ -51,3 +52,24 @@ def smallest_carrier(model: WeightModel, interval: IntervalQ):
     core = carrier.middle_child()
     placed, _ = model.place_core(core, gen + 1)
     return carrier, gen, core, placed
+
+
+def cell_from_address(address: str) -> TriadicCell:
+    """The cell with base-3 digits `address`, most significant first.
+
+    The digits are read one by one, since `int(address, 3)` refuses strings
+    longer than Python's 4300-digit limit and carriers reach depth 400·k.
+    """
+    index = 0
+    for pos, ch in enumerate(address):
+        if ch not in "012":
+            raise AddressError(
+                f"invalid digit {ch!r} at position {pos} in address {address!r}")
+        index = 3 * index + int(ch)
+    return TriadicCell(len(address), index)
+
+
+def cell_contains(outer: TriadicCell, inner: TriadicCell) -> bool:
+    """Whether `inner` lies in `outer`: the lattice's nesting, on integers."""
+    return (inner.depth >= outer.depth
+            and inner.index // 3 ** (inner.depth - outer.depth) == outer.index)

@@ -6,10 +6,10 @@ import pytest
 
 from twoweightlab.hilbert import maximal_at
 from twoweightlab.measures import mass
-from twoweightlab.triadic import IntervalQ, cell_from_address, cell_from_index
+from twoweightlab.triadic import IntervalQ, cell_from_index
 from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
 
-from oracles import smallest_carrier, weight_on_cell
+from oracles import cell_contains, cell_from_address, smallest_carrier, weight_on_cell
 
 
 def test_parameter_validation():
@@ -41,7 +41,7 @@ def test_right_placement_k2():
     sc = m.support_cells(1)[0]
     assert sc.core.interval() == IntervalQ(Q(1, 3), Q(2, 3))
     assert sc.cell.interval() == IntervalQ(Q(2, 3), Q(7, 9))
-    assert sc.side == "right"
+    assert m.side_for(sc.gen) == "right"
 
 
 def test_left_and_alternating_placements():
@@ -49,8 +49,8 @@ def test_left_and_alternating_placements():
     sc = left.support_cells(1)[0]
     assert sc.cell.interval() == IntervalQ(Q(2, 9), Q(1, 3))
     alt = build_construction(ConstructionParams(k=2, depth=2, placement="alternating"))
-    assert alt.support_cells(1)[0].side == "right"
-    assert all(s.side == "left" for s in alt.support_cells(2))
+    assert alt.side_for(alt.support_cells(1)[0].gen) == "right"
+    assert all(alt.side_for(s.gen) == "left" for s in alt.support_cells(2))
 
 
 def test_adjacency_and_length_invariant():
@@ -61,7 +61,7 @@ def test_adjacency_and_length_invariant():
             touching = (sc.cell.left == sc.core.right
                         or sc.cell.right == sc.core.left)
             assert touching
-            assert sc.core.parent().contains(sc.cell)
+            assert cell_contains(sc.core.ancestor(sc.core.depth - 1), sc.cell)
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -73,15 +73,16 @@ def test_support_geometry_agrees_across_modules(k, placement):
     for sc in m.support:
         cell, core = sc.cell, sc.core
         assert cell.left == core.right or cell.right == core.left
-        assert core.parent().contains(cell)
+        carrier = core.ancestor(core.depth - 1)
+        assert cell_contains(carrier, cell)
         assert weight_on_cell(m, cell).kind == "const"
         got = mass(m, "w", cell.interval())
         assert got.lo == got.hi == m.w_value(sc.gen) * cell.length
         x = cell.left + cell.length / 2
         chain = m.carriers_holding(x, x)
-        assert (len(chain), chain[-1]) == (sc.gen, core.parent().index)
-        carrier, _, _, placed = smallest_carrier(m, cell.interval())
-        assert carrier == core.parent() and placed == cell
+        assert (len(chain), chain[-1]) == (sc.gen, carrier.index)
+        smallest, _, _, placed = smallest_carrier(m, cell.interval())
+        assert smallest == carrier and placed == cell
     # maximal_at takes about a millisecond a point, so it sees every sampled
     # support cell up to k = 4 (757 of them); at k = 5 (2,130 cells) it sees
     # every 8th cell of each generation and that generation's last cell
@@ -104,8 +105,8 @@ def test_place_core_rejects_a_core_that_is_not_a_middle_child():
 def test_support_values():
     m = build_construction(ConstructionParams(k=2, p=2, depth=2))
     sc = m.support_cells(1)[0]
-    assert sc.w_value == Q(9, 4)
-    assert sc.sigma_value.is_exact and sc.sigma_value.lo == Q(4, 9)
+    assert m.w_value(sc.gen) == Q(9, 4)
+    assert m.sigma_value(sc.gen).is_exact and m.sigma_value(sc.gen).lo == Q(4, 9)
 
 
 def test_weight_on_cell_constant_zero_unresolved():
