@@ -29,10 +29,6 @@ def qstr(x: Fraction) -> str:
 
 def parse_q(text) -> Fraction:
     """Parse "num/den", integer or decimal strings into an exact rational."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
     if isinstance(text, float):
         raise TypeError(f"refusing float {text!r}; pass a 'num/den' string")
     return Fraction(str(text).strip())

@@ -15,11 +15,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
-from .enclosure import FloatInterval, Q
+from .enclosure import FloatInterval, Q, ratio_bounds
 from .measures import w_slabs
-from .treewalk import CellField, walk
+from .treewalk import CellField, _indicator_bounds, walk
 from .triadic import TriadicCell
 from .weights import WeightModel
 
@@ -131,31 +132,45 @@ def _edge_panels(a: Fraction, b: Fraction, levels: int) -> list[tuple[Fraction, 
     return left + right
 
 
-# the nodes as exact ratios nn/nd of integers
-_NODE_RATIOS = {n: tuple(xi.as_integer_ratio() for xi in xs) for n, (xs, _ws) in _GAUSS.items()}
-
-
-def _panel_sum(field: CellField, panels, p: float, nodes: int,
-               scale: float) -> tuple[list[float], float]:
-    """Gauss terms of |Hw|^p over `panels` and the worst width/scale.
-
-    The panels are in the field's coordinate u = (x - c)/R, which maps S
-    onto [-1, 1].  A panel with midpoint A = an/ad and half-width B = bn/bd
-    puts node xi = nn/nd at u = (an*bd*nd + bn*ad*nn) / (ad*bd*nd), all
-    integers, and its weight in x is B*R = bn/(bd*xd).
+@lru_cache(maxsize=16)
+def _quadrature_plan(levels: int, nodes: int):
+    """The fine panels of [-1, 1] (levels+1 geometric edge panels per side)
+    and the coarse inner ones (the two innermost fine panels per side,
+    merged), built once and shared by every field.  A panel is (bn, bd,
+    points), B = bn/bd its half-width, and per Gauss node (weight, un, ud,
+    point): u = un/ud and the bounds there that `CellField.enclose_u` reads.
     """
-    ws = _GAUSS[nodes][1]
-    ratios = _NODE_RATIOS[nodes]
+    xs, ws = _GAUSS[nodes]
+    edge = Q(1, 3 ** levels)
+    plan = []
+    for panels in (_edge_panels(Q(-1), Q(1), levels + 1), [(Q(-1), edge - 1), (1 - edge, Q(1))]):
+        part = []
+        for pa, pb in panels:
+            # with midpoint A = an/ad, node xi = nn/nd lies at u = un/ud
+            (an, ad), (bn, bd) = Q(pa + pb, 2).as_integer_ratio(), Q(pb - pa, 2).as_integer_ratio()
+            points = []
+            for wi, (nn, nd) in zip(ws, (xi.as_integer_ratio() for xi in xs)):
+                un, ud = an * bd * nd + bn * ad * nn, ad * bd * nd
+                # over ud, x - a and x - b are un + ud and un - ud
+                bounds = (*ratio_bounds(un, ud), *_indicator_bounds(-ud, ud, un))
+                points.append((wi, un, ud, bounds))
+            part.append((bn, bd, tuple(points)))
+        plan.append(tuple(part))
+    return tuple(plan)
+
+
+def _panel_sum(field: CellField, panels, p: float,
+               scale: float) -> tuple[list[float], float]:
+    """Gauss terms of |Hw|^p over panels of `_quadrature_plan`, which are in
+    the field's coordinate u = (x - c)/R, and the worst width/scale.  A
+    panel's weight in x is B*R = bn/(bd*xd)."""
+    enclose, xd = field.enclose_u, field.xd
     terms = []
     worst = 0.0
-    for pa, pb in panels:
-        half = (pb - pa) / 2
-        mid = (pa + pb) / 2
-        an, ad = mid.numerator, mid.denominator
-        bn, bd = half.numerator, half.denominator
-        width = bn / (bd * field.xd)
-        for (nn, nd), wi in zip(ratios, ws):
-            lo, hi = field.enclose_u(an * bd * nd + bn * ad * nn, ad * bd * nd)
+    for bn, bd, points in panels:
+        width = bn / (bd * xd)
+        for wi, _un, _ud, point in points:
+            lo, hi = enclose(point)
             worst = max(worst, (hi - lo) / scale)
             terms.append(wi * width * abs(0.5 * (lo + hi)) ** p)
     return terms, worst
@@ -181,12 +196,9 @@ def _cell_integral(model: WeightModel, cell: TriadicCell, p: float,
     `CellField` of the cell.
     """
     field = CellField(model, cell, budget)
-    # panels in the field's coordinate u, which maps S onto [-1, 1]
-    fine_panels = _edge_panels(Q(-1), Q(1), levels + 1)
-    terms, worst = _panel_sum(field, fine_panels, p, nodes, scale)
-    edge = Q(1, 3 ** levels)
-    coarse_inner = [(Q(-1), edge - 1), (1 - edge, Q(1))]
-    coarse_terms, w2 = _panel_sum(field, coarse_inner, p, nodes, scale)
+    fine_panels, coarse_inner = _quadrature_plan(levels, nodes)
+    terms, worst = _panel_sum(field, fine_panels, p, scale)
+    coarse_terms, w2 = _panel_sum(field, coarse_inner, p, scale)
     # the two innermost fine panels at each edge merge into the coarse ones;
     # their terms are reused from the fine pass
     edge = 2 * nodes

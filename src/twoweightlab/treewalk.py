@@ -9,11 +9,12 @@ whose cells, shifted onto the centroids, reach x falls back to the first
 order (a Riemann pair over its equal-mass tiles).  `CellField` encloses Hw
 on one support cell: one walk with the cell in place of the point builds a
 certified power series for all mass outside the cell, with the same
-brackets per coefficient, and each point then evaluates that polynomial and
-the cell's own indicator.  A point of the cell comes as integers un/ud in
-the cell's coordinate u; Horner's rule then picks each product's ends by
-the signs of u and of the bounds, with the four products of `mul_bounds`
-only at u = 0.
+brackets per coefficient: a carrier's from `_cell_series`, a run's from
+`_run_series` and a support cell's, exact at its density, from
+`_support_series`, each one flat loop over j.  A point then comes as
+bounds on its u and on the cell's own indicator, and Horner's rule picks
+each product's ends by the signs of u and of the bounds, with the four
+products of `mul_bounds` only at u = 0.
 
 All coordinates are Python ints on a per-generation scale and all pending
 bounds are outward-rounded float pairs.  A generation's float bounds do
@@ -157,9 +158,7 @@ def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int
 
 
 def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
-    """Where the block's mass lies; count 0 is a support cell."""
-    if count == 0:
-        return left, left + gc.slen
+    """Where the mass of a carrier or a run lies."""
     if count == 1:
         return left + gc.hull[0], left + gc.hull[1]
     return left, left + count * gc.length
@@ -343,21 +342,14 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
 _TAIL_SHARE = 1 / 16  # of the walk's budget, for the cut power series
 _MAX_DEGREE = 60
 _MAX_EXPANSIONS = 20000  # as in hilbert_weight
+_PAD = nextafter(0.0, _INF)  # the least float, which pads a support cell's terms and tail
 
 
-def _geometric_tail(e_hi: float, top: float) -> float:
-    """Upper bound on top * (1 + e + e^2 + ...) for 0 <= e <= e_hi < 1."""
+def _tail_divisor(e_hi: float) -> float:
+    """1 - e_hi from below, as top * (1 + e + e^2 + ...) <= top / (1 - e_hi)."""
     if not e_hi < 1.0:
         raise ValueError(f"series ratio bound {e_hi} is not below 1")
-    return nextafter(top / nextafter(1.0 - e_hi, -_INF), _INF)
-
-
-def _add_at(acc_lo: list, acc_hi: list, j: int, lo: float, hi: float) -> None:
-    if j == len(acc_lo):
-        acc_lo.append(0.0)
-        acc_hi.append(0.0)
-    acc_lo[j] = nextafter(acc_lo[j] + lo, -_INF)
-    acc_hi[j] = nextafter(acc_hi[j] + hi, _INF)
+    return nextafter(1.0 - e_hi, -_INF)
 
 
 class _CellConstants(_GenConstants):
@@ -384,16 +376,6 @@ class _CellConstants(_GenConstants):
         self.mu = ratio_bounds(r, length)
 
 
-def _cell_constants(model: WeightModel, gen: int, xd: int) -> _CellConstants:
-    """The model's `_CellConstants` of generation gen for centres over xd,
-    built once."""
-    cache = _model_constants(model)
-    gc = cache.get((gen, xd))
-    if gc is None:
-        gc = cache[gen, xd] = _CellConstants(model, gen, xd)
-    return gc
-
-
 def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
                  e_near: tuple[float, float], e_far: tuple[float, float],
                  mv: tuple[float, float], e_bar: tuple[float, float], tol: float) -> float:
@@ -409,122 +391,138 @@ def _cell_series(acc_lo: list, acc_hi: list, mass_r: tuple[float, float],
     with the half-width that covers both ends.  Term j is at most
     (M/R) * e_near^(j+1), which bounds the rest by a geometric tail.
     """
+    nxt, up, down = nextafter, _INF, -_INF
     m_lo, m_hi = mass_r
     f_lo, n_hi = e_far[0], e_near[1]
     (mv_lo, mv_hi), (b_lo, b_hi) = mv, e_bar
-    p_lo, p_hi = f_lo, n_hi  # e_far^(j+1) from below, e_near^(j+1) from above
-    n2, f2 = nextafter(n_hi * n_hi, _INF), nextafter(f_lo * f_lo, -_INF)
-    b2_lo, b2_hi = nextafter(b_lo * b_lo, -_INF), nextafter(b_hi * b_hi, _INF)
-    e_lo, e_hi = b_lo, b_hi  # e_bar^(j+1)
-    j = 0
+    div = _tail_divisor(n_hi)
+    # e_far^(j+1) from below, e_near^(j+1) from above and e_bar^(j+1)
+    p_lo, p_hi, e_lo, e_hi = f_lo, n_hi, b_lo, b_hi
+    n2, f2 = nxt(n_hi * n_hi, up), nxt(f_lo * f_lo, down)
+    b2_lo, b2_hi = nxt(b_lo * b_lo, down), nxt(b_hi * b_hi, up)
+    size, j = len(acc_lo), 0
     while True:
         c = (j + 1) * (j + 2)
-        c_lo, c_hi = nextafter(mv_lo * c, -_INF), nextafter(mv_hi * c, _INF)
-        q_lo = nextafter(c_lo * nextafter(e_lo * b2_lo, -_INF), -_INF)
-        q_hi = nextafter(c_hi * nextafter(e_hi * b2_hi, _INF), _INF)
-        q_near = nextafter(c_hi * nextafter(p_hi * n2, _INF), _INF)
-        q_far = nextafter(c_lo * nextafter(p_lo * f2, -_INF), -_INF)
-        half = nextafter(max(q_near - q_lo, q_hi - q_far), _INF)
-        mid_lo = nextafter(nextafter(m_lo * e_lo, -_INF) + q_lo, -_INF)
-        mid_hi = nextafter(nextafter(m_hi * e_hi, _INF) + q_hi, _INF)
-        _add_at(acc_lo, acc_hi, j, nextafter(mid_lo - half, -_INF), nextafter(mid_hi + half, _INF))
-        e_lo, e_hi = nextafter(e_lo * b_lo, -_INF), nextafter(e_hi * b_hi, _INF)
-        p_hi = nextafter(p_hi * n_hi, _INF)
-        tail = _geometric_tail(n_hi, nextafter(m_hi * p_hi, _INF))
+        c_lo, c_hi = nxt(mv_lo * c, down), nxt(mv_hi * c, up)
+        q_lo = nxt(c_lo * nxt(e_lo * b2_lo, down), down)
+        q_hi = nxt(c_hi * nxt(e_hi * b2_hi, up), up)
+        q_near = nxt(c_hi * nxt(p_hi * n2, up), up)
+        q_far = nxt(c_lo * nxt(p_lo * f2, down), down)
+        half = nxt(max(q_near - q_lo, q_hi - q_far), up)
+        lo = nxt(nxt(nxt(m_lo * e_lo, down) + q_lo, down) - half, down)
+        hi = nxt(nxt(nxt(m_hi * e_hi, up) + q_hi, up) + half, up)
+        if j >= size:
+            acc_lo.append(0.0)
+            acc_hi.append(0.0)
+        acc_lo[j], acc_hi[j] = nxt(acc_lo[j] + lo, down), nxt(acc_hi[j] + hi, up)
+        e_lo, e_hi = nxt(e_lo * b_lo, down), nxt(e_hi * b_hi, up)
+        p_hi = nxt(p_hi * n_hi, up)
+        tail = nxt(nxt(m_hi * p_hi, up) / div, up)
         if tail <= tol or j == _MAX_DEGREE:
             return tail
-        p_lo = nextafter(p_lo * f_lo, -_INF)
+        p_lo = nxt(p_lo * f_lo, down)
         j += 1
 
 
-def _density_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
-                    slack_r: float, d_near: int, d_far: int,
-                    e_near: tuple[float, float], e_far: tuple[float, float],
-                    tol: float, second=None) -> float:
-    """As `_cell_series`, for mass spread at `density` between the distances
-    d_near < d_far from c (e = R/d), widened by `slack_r` * (e_near^(j+1) -
-    e_far^(j+1)) for a run of equal cells whose mass need not be uniform.
-
-    Term j is density/j * (e_near^j - e_far^j), and density * ln(d_far/d_near)
-    for j = 0; a cell of mass m moves it by at most (m/R) * the range of
-    e^(j+1) over the cell, which sums to the slack over the run.  In
-    `CellField` this first order is the bracket of a support cell (slack 0).
-
-    A run gets its bracket from `second` = ((mv, mw, mvw, mu),
-    (a, b), (e_a, e_b), (e_p0, e_pl, e_q0, e_qe)), for its n carriers of
-    mass M, length L and variance var.  Shift each cell to be centred on its
-    carrier's centroid: the run then spans the distances a < b, and a
-    carrier differs from uniform mass on its shifted cell by
-    (M/2) * (var * g'' - L^2/12 * g'') at points of the cell's region, with
-    g = e^(j+1)/R.  g'' > 0 falls with the distance, so over the regions'
-    near ends p_0 < .. < p_(n-1) and far ends q_i, L apart,
-        sum g''(p_i) <= g''(p_0) + (|g'(p_0)| - |g'(p_(n-1))|) / L,
-        sum g''(q_i) >= (|g'(q_0)| - |g'(q_(n-1) + L)|) / L = D,
-    and the first bound, U, and D bracket I = (|g'(a)| - |g'(b)|) / L.  So
-    term j is the uniform term at a, b plus (M/2) * (var - L^2/12) * I, to
-    within (M/2) * max(var(U - I) + L^2/12 (I - D), var(I - D) + L^2/12 (U - I)).
-    e_pl and e_qe are at p_(n-1) and q_(n-1) + L.  Either way the rest is
-    bounded by the first order's tail.
-    """
+def _support_series(acc_lo: list, acc_hi: list, density: tuple[float, float],
+                    d_near: int, d_far: int, e_near: tuple[float, float],
+                    e_far: tuple[float, float], tol: float) -> float:
+    """As `_cell_series`, for a support cell: mass at `density` between the
+    distances d_near < d_far from c (e = R/d).  Term j is density/j *
+    (e_near^j - e_far^j), and density * ln(d_far/d_near) for j = 0; it is
+    at most density/j * e_near^j, which bounds the rest."""
+    nxt, up, down = nextafter, _INF, -_INF
     d_lo, d_hi = density
-    en_hi = e_near[1]
-    if second is None:
-        (ea_lo, ea_hi), (eb_lo, eb_hi) = e_near, e_far
-        l_lo, l_hi = log_ratio_bounds(d_far, d_near)
-    else:
-        ((mv, mw, mvw, (mu_lo, mu_hi)), (a, b), ((ea_lo, ea_hi), (eb_lo, eb_hi)),
-         (ep0, epl, eq0, eqe)) = second
-        mv_hi, mw_hi = mv[1], mw[1]
-        l_lo, l_hi = log_ratio_bounds(b, a)
-        # e^(j+2) at p_0 (above), p_(n-1) and q_0 (below) and q_(n-1) + L (above)
-        p0_e, pl_e, q0_e, qe_e = ep0[1], epl[0], eq0[0], eqe[1]
-        p0 = nextafter(p0_e * p0_e, _INF)
-        pl = nextafter(pl_e * pl_e, -_INF)
-        q0 = nextafter(q0_e * q0_e, -_INF)
-        qe = nextafter(qe_e * qe_e, _INF)
-    # the uniform term j, and e^(j+1) at the uniform mass's near and far ends
-    part_lo, part_hi = nextafter(d_lo * l_lo, -_INF), nextafter(d_hi * l_hi, _INF)
-    a_lo, a_hi, b_lo, b_hi = ea_lo, ea_hi, eb_lo, eb_hi
-    n_hi = en_hi  # e_near^(j+1), for the tail
-    j = 0
+    (a_lo, a_hi), (b_lo, b_hi) = e_near, e_far
+    ea_lo, ea_hi, eb_lo, eb_hi = a_lo, a_hi, b_lo, b_hi
+    l_lo, l_hi = log_ratio_bounds(d_far, d_near)
+    part_lo, part_hi = nxt(d_lo * l_lo, down), nxt(d_hi * l_hi, up)
+    div, n_hi = _tail_divisor(ea_hi), ea_hi  # n_hi: e_near^(j+1), for the tail
+    size, j = len(acc_lo), 0
     while True:
-        diff_hi = nextafter(a_hi - b_lo, _INF)
-        if second is None:
-            slack = nextafter(slack_r * diff_hi, _INF)
-            lo, hi = nextafter(part_lo - slack, -_INF), nextafter(part_hi + slack, _INF)
-        else:
-            # R^2 |g'|/L = (j+1) (R/L) e^(j+2) and R^2 g'' = (j+1)(j+2) e^(j+3)
-            jm_lo, jm_hi = nextafter((j + 1) * mu_lo, -_INF), nextafter((j + 1) * mu_hi, _INF)
-            a2_lo = nextafter(jm_lo * nextafter(a_lo * ea_lo, -_INF), -_INF)
-            a2_hi = nextafter(jm_hi * nextafter(a_hi * ea_hi, _INF), _INF)
-            b2_lo = nextafter(jm_lo * nextafter(b_lo * eb_lo, -_INF), -_INF)
-            b2_hi = nextafter(jm_hi * nextafter(b_hi * eb_hi, _INF), _INF)
-            i_lo, i_hi = nextafter(a2_lo - b2_hi, -_INF), nextafter(a2_hi - b2_lo, _INF)
-            u_hi = nextafter(nextafter((j + 1) * (j + 2) * p0, _INF) * p0_e, _INF)
-            u_hi = nextafter(u_hi + nextafter(jm_hi * p0, _INF), _INF)
-            u_hi = nextafter(u_hi - nextafter(jm_lo * pl, -_INF), _INF)
-            dq_lo = nextafter(nextafter(jm_lo * q0, -_INF) - nextafter(jm_hi * qe, _INF), -_INF)
-            ga, gb = nextafter(u_hi - i_lo, _INF), nextafter(i_hi - dq_lo, _INF)
-            half = max(nextafter(nextafter(mv_hi * ga, _INF) + nextafter(mw_hi * gb, _INF), _INF),
-                       nextafter(nextafter(mv_hi * gb, _INF) + nextafter(mw_hi * ga, _INF), _INF))
-            est_lo, est_hi = mul_bounds(*mvw, i_lo, i_hi)
-            lo = nextafter(nextafter(part_lo + est_lo, -_INF) - half, -_INF)
-            hi = nextafter(nextafter(part_hi + est_hi, _INF) + half, _INF)
-            p0, pl = nextafter(p0 * p0_e, _INF), nextafter(pl * pl_e, -_INF)
-            q0, qe = nextafter(q0 * q0_e, -_INF), nextafter(qe * qe_e, _INF)
-        _add_at(acc_lo, acc_hi, j, lo, hi)
+        lo, hi = nxt(part_lo - _PAD, down), nxt(part_hi + _PAD, up)
+        if j >= size:
+            acc_lo.append(0.0)
+            acc_hi.append(0.0)
+        acc_lo[j], acc_hi[j] = nxt(acc_lo[j] + lo, down), nxt(acc_hi[j] + hi, up)
         j += 1
-        top = nextafter(nextafter(d_hi * n_hi, _INF) / j, _INF)
-        n_hi = nextafter(n_hi * en_hi, _INF)
-        top = nextafter(top + nextafter(slack_r * n_hi, _INF), _INF)
-        tail = _geometric_tail(en_hi, top)
+        top = nxt(nxt(d_hi * n_hi, up) / j, up)
+        n_hi = nxt(n_hi * ea_hi, up)
+        tail = nxt(nxt(top + _PAD, up) / div, up)
         if tail <= tol or j > _MAX_DEGREE:
             return tail
-        diff_lo = max(0.0, nextafter(a_lo - b_hi, -_INF))
-        part_lo = nextafter(nextafter(d_lo * diff_lo, -_INF) / j, -_INF)
-        part_hi = nextafter(nextafter(d_hi * diff_hi, _INF) / j, _INF)
-        a_lo, a_hi = nextafter(a_lo * ea_lo, -_INF), nextafter(a_hi * ea_hi, _INF)
-        b_lo, b_hi = nextafter(b_lo * eb_lo, -_INF), nextafter(b_hi * eb_hi, _INF)
+        diff_lo, diff_hi = max(0.0, nxt(a_lo - b_hi, down)), nxt(a_hi - b_lo, up)
+        part_lo = nxt(nxt(d_lo * diff_lo, down) / j, down)
+        part_hi = nxt(nxt(d_hi * diff_hi, up) / j, up)
+        a_lo, a_hi = nxt(a_lo * ea_lo, down), nxt(a_hi * ea_hi, up)
+        b_lo, b_hi = nxt(b_lo * eb_lo, down), nxt(b_hi * eb_hi, up)
+
+
+def _run_series(acc_lo: list, acc_hi: list, gc: _CellConstants, en_hi: float,
+                points, tol: float) -> float:
+    """As `_cell_series`, for a run of gc's carriers (mass M, length L,
+    variance var, density rho) with `_run_points` `points`; en_hi bounds R/d
+    at its near end.  As in `_enclose_block`, with g = e^(j+1)/R, a carrier
+    differs from uniform mass on its cell shifted onto the centroid by
+    (M/2) * (var - L^2/12) * g'' at points of the cell's region, and
+        sum g''(p_i) <= g''(p_0) + (|g'(p_0)| - |g'(p_(n-1))|) / L = U,
+        sum g''(q_i) >= (|g'(q_0)| - |g'(q_(n-1) + L)|) / L = D
+    bracket I = (|g'(a)| - |g'(b)|) / L.  So term j is the uniform term at
+    a, b plus (M/2) * (var - L^2/12) * I, to within (M/2) *
+    max(var(U - I) + L^2/12 (I - D), var(I - D) + L^2/12 (U - I)), and at
+    most rho/j * e_near^j + (M/R) * e_near^(j+1), which bounds the rest.
+    """
+    nxt, up, down = nextafter, _INF, -_INF
+    (a, b), (p0_d, pl_d, q0_d, qe_d) = points
+    rq, (d_lo, d_hi), (w_lo, w_hi), (mu_lo, mu_hi) = gc.r * gc.q, gc.density, gc.mvw, gc.mu
+    m_hi, mv_hi, mw_hi = gc.mass_r[1], gc.mv[1], gc.mw[1]
+    (ea_lo, ea_hi), (eb_lo, eb_hi) = ratio_bounds(rq, a), ratio_bounds(rq, b)
+    l_lo, l_hi = log_ratio_bounds(b, a)
+    # e^(j+2) at p_0 (above), p_(n-1) and q_0 (below) and q_(n-1) + L (above)
+    p0_e, pl_e = nxt(rq / p0_d, up), nxt(rq / pl_d, down)
+    q0_e, qe_e = nxt(rq / q0_d, down), nxt(rq / qe_d, up)
+    p0, pl = nxt(p0_e * p0_e, up), nxt(pl_e * pl_e, down)
+    q0, qe = nxt(q0_e * q0_e, down), nxt(qe_e * qe_e, up)
+    # the uniform term j, and e^(j+1) at the shifted run's near and far ends
+    part_lo, part_hi = nxt(d_lo * l_lo, down), nxt(d_hi * l_hi, up)
+    a_lo, a_hi, b_lo, b_hi = ea_lo, ea_hi, eb_lo, eb_hi
+    div, n_hi = _tail_divisor(en_hi), en_hi  # n_hi: e_near^(j+1), for the tail
+    size, j = len(acc_lo), 0
+    while True:
+        # R^2 |g'|/L = (j+1) (R/L) e^(j+2) and R^2 g'' = (j+1)(j+2) e^(j+3)
+        jm_lo, jm_hi = nxt((j + 1) * mu_lo, down), nxt((j + 1) * mu_hi, up)
+        i_lo = nxt(nxt(jm_lo * nxt(a_lo * ea_lo, down), down)
+                   - nxt(jm_hi * nxt(b_hi * eb_hi, up), up), down)
+        i_hi = nxt(nxt(jm_hi * nxt(a_hi * ea_hi, up), up)
+                   - nxt(jm_lo * nxt(b_lo * eb_lo, down), down), up)
+        u_hi = nxt(nxt((j + 1) * (j + 2) * p0, up) * p0_e, up)
+        u_hi = nxt(u_hi + nxt(jm_hi * p0, up), up)
+        u_hi = nxt(u_hi - nxt(jm_lo * pl, down), up)
+        dq_lo = nxt(nxt(jm_lo * q0, down) - nxt(jm_hi * qe, up), down)
+        ga, gb = nxt(u_hi - i_lo, up), nxt(i_hi - dq_lo, up)
+        half = max(nxt(nxt(mv_hi * ga, up) + nxt(mw_hi * gb, up), up),
+                   nxt(nxt(mv_hi * gb, up) + nxt(mw_hi * ga, up), up))
+        # (mv - mw) * I, as `mul_bounds`
+        c1, c2, c3, c4 = w_lo * i_lo, w_lo * i_hi, w_hi * i_lo, w_hi * i_hi
+        lo = nxt(nxt(part_lo + nxt(min(c1, c2, c3, c4), down), down) - half, down)
+        hi = nxt(nxt(part_hi + nxt(max(c1, c2, c3, c4), up), up) + half, up)
+        p0, pl = nxt(p0 * p0_e, up), nxt(pl * pl_e, down)
+        q0, qe = nxt(q0 * q0_e, down), nxt(qe * qe_e, up)
+        if j >= size:
+            acc_lo.append(0.0)
+            acc_hi.append(0.0)
+        acc_lo[j], acc_hi[j] = nxt(acc_lo[j] + lo, down), nxt(acc_hi[j] + hi, up)
+        j += 1
+        top = nxt(nxt(d_hi * n_hi, up) / j, up)
+        n_hi = nxt(n_hi * en_hi, up)
+        tail = nxt(nxt(top + nxt(m_hi * n_hi, up), up) / div, up)
+        if tail <= tol or j > _MAX_DEGREE:
+            return tail
+        diff_lo, diff_hi = max(0.0, nxt(a_lo - b_hi, down)), nxt(a_hi - b_lo, up)
+        part_lo = nxt(nxt(d_lo * diff_lo, down) / j, down)
+        part_hi = nxt(nxt(d_hi * diff_hi, up) / j, up)
+        a_lo, a_hi = nxt(a_lo * ea_lo, down), nxt(a_hi * ea_hi, up)
+        b_lo, b_hi = nxt(b_lo * eb_lo, down), nxt(b_hi * eb_hi, up)
 
 
 class CellField:
@@ -585,12 +583,16 @@ class CellField:
     def _consts(self, gen: int) -> _CellConstants:
         gc = self._gcs.get(gen)
         if gc is None:
-            gc = self._gcs[gen] = copy(_cell_constants(self.model, gen, self.xd)).at(self.xn)
+            cache = _model_constants(self.model)
+            if (gen, self.xd) not in cache:
+                cache[gen, self.xd] = _CellConstants(self.model, gen, self.xd)
+            gc = self._gcs[gen] = copy(cache[gen, self.xd]).at(self.xn)
         return gc
 
-    def _width(self, gc: _CellConstants, left: int, count: int) -> float:
-        """Width over S of the block's bracket: its coefficients' widths
-        summed over j.
+    def _width(self, gc: _CellConstants, left: int, count: int):
+        """Width over S of a carrier's or run's bracket (its coefficients'
+        widths summed over j), and its geometry: side of c, nearest and
+        farthest distance of its mass from c, and a run's `_run_points`.
 
         With z = R/(d - R) = sum over j of e^(j+1), (j+1)(j+2) e^(j+3) sums
         to 2z^3 and (j+1) e^(j+2) to z^2, and a centred bracket is at most
@@ -603,38 +605,25 @@ class CellField:
         side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
         if count == 1:
             z_near, z_far = r / (d_near - r), r / (d_far - r)
-            return 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3)
+            return 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3), (side, d_near, d_far, None)
         rq = r * gc.q
-        _ends, lattice = _run_points(gc, side, left, count, rq)
-        z0, zl, zq, ze = (rq / (p - rq) for p in lattice)
-        return 2 * (gc.mv[1] + gc.mw[1]) * (
+        points = _run_points(gc, side, left, count, rq)
+        z0, zl, zq, ze = (rq / (p - rq) for p in points[1])
+        width = 2 * (gc.mv[1] + gc.mw[1]) * (
             2 * z0 ** 3 + gc.mu[1] * (z0 * z0 - zl * zl - zq * zq + ze * ze))
+        return width, (side, d_near, d_far, points)
 
-    def _block_series(self, sums: dict, gen: int, left: int, count: int,
-                      tol: float) -> float:
-        """Add the block's coefficient magnitudes to `sums[side]` and return
-        the tail of its cut series; count 0 is an expanded carrier's support
-        cell, at its own density."""
-        gc = self._consts(gen)
-        r = gc.r
-        side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
-        e_near, e_far = ratio_bounds(r, d_near), ratio_bounds(r, d_far)
-        acc_lo, acc_hi = sums[side]
-        if count == 0:
-            return _density_series(acc_lo, acc_hi, gc.w_next, 0.0, d_near, d_far,
-                                   e_near, e_far, tol)
-        rq = r * gc.q
+    def _block_series(self, sums: dict, gc: _CellConstants, left: int, count: int,
+                      geometry, tol: float) -> float:
+        """Add a carrier's or run's coefficient magnitudes to `sums[side]`
+        and return the tail of its cut series; `_width` gives `geometry`."""
+        r, (side, d_near, d_far, points) = gc.r, geometry
         if count == 1:
             base, (cen, *_rest) = _near_first(gc, side, left, 1)
-            return _cell_series(acc_lo, acc_hi, gc.mass_r, e_near, e_far, gc.mv,
-                                ratio_bounds(rq, base + cen), tol)
-        # a run shifted onto the centroids, whose regions stay farther than R
-        ends, lattice = _run_points(gc, side, left, count, rq)
-        second = ((gc.mv, gc.mw, gc.mvw, gc.mu), ends,
-                  tuple(ratio_bounds(rq, d) for d in ends),
-                  tuple(ratio_bounds(rq, d) for d in lattice))
-        return _density_series(acc_lo, acc_hi, gc.density, gc.mass_r[1], d_near, d_far,
-                               e_near, e_far, tol, second)
+            return _cell_series(*sums[side], gc.mass_r, ratio_bounds(r, d_near),
+                                ratio_bounds(r, d_far), gc.mv,
+                                ratio_bounds(r * gc.q, base + cen), tol)
+        return _run_series(*sums[side], gc, ratio_bounds(r, d_near)[1], points, tol)
 
     def _descend(self):
         """Split the mass of S's carrier chain, root first.
@@ -665,11 +654,12 @@ class CellField:
     def _expand(self, runs, slivers, budget: float):
         """Expand the block that is least certain over S until the sum fits
         `budget`; returns the frontier, as heap entries (-width, push index,
-        gen, left, count), and the expansion count.
+        gen, left, count, geometry), and the expansion count.
 
         A block's width is `_width`, which bounds the sum of its
         coefficients' widths, so the frontier's widths bound the field's
-        over S.  Expanded carriers leave their support cells in `slivers`.
+        over S; the geometry it returns goes on to `_sum_series`.  Expanded
+        carriers leave their support cells in `slivers`.
         """
         u = self.model.u
         heap: list[tuple] = []
@@ -677,13 +667,13 @@ class CellField:
         pushed = expansions = 0
         while True:
             for gen, left, count in runs:
-                width = self._width(self._consts(gen), left, count)
+                width, geometry = self._width(self._consts(gen), left, count)
                 pending += width
-                heapq.heappush(heap, (-width, pushed, gen, left, count))
+                heapq.heappush(heap, (-width, pushed, gen, left, count, geometry))
                 pushed += 1
             if pending <= budget or not heap or expansions >= _MAX_EXPANSIONS:
                 return heap, expansions
-            neg_width, _ident, gen, left, count = heapq.heappop(heap)
+            neg_width, _ident, gen, left, count, _geometry = heapq.heappop(heap)
             pending += neg_width
             sliver, pieces = _open_block(self._consts(gen), left, count, u)
             if sliver is not None:
@@ -695,30 +685,34 @@ class CellField:
     def _sum_series(self, frontier, slivers, budget: float):
         """Certified coefficients (lo, hi) of the field's series in u and
         a bound on what the cut series leave out, for |u| <= 1."""
-        blocks = [(gen, left, count) for *_key, gen, left, count in frontier]
-        blocks += [(gen, sl, 0) for gen, sl in slivers]
-        tol = _TAIL_SHARE * budget / (2 * max(1, len(blocks)))
+        tol = _TAIL_SHARE * budget / (2 * max(1, len(frontier) + len(slivers)))
         # magnitudes of the terms left and right of c: left of c, term j
         # enters with sign (-1)^j, right of c with sign -1
         sums = {-1: ([], []), 1: ([], [])}
         tail = 0.0
-        for gen, left, count in blocks:
-            tail = nextafter(tail + self._block_series(sums, gen, left, count, tol), _INF)
+        for *_key, gen, left, count, geometry in frontier:
+            block_tail = self._block_series(sums, self._consts(gen), left, count, geometry, tol)
+            tail = nextafter(tail + block_tail, _INF)
+        for gen, left in slivers:  # expanded carriers' support cells
+            gc = self._consts(gen)
+            side, d_near, d_far = _distances(gc, left, left + gc.slen)
+            block_tail = _support_series(*sums[side], gc.w_next, d_near, d_far,
+                                         ratio_bounds(gc.r, d_near), ratio_bounds(gc.r, d_far), tol)
+            tail = nextafter(tail + block_tail, _INF)
         (l_lo, l_hi), (r_lo, r_hi) = sums[-1], sums[1]
-        coeffs = []
-        for j in range(max(len(l_lo), len(r_lo), 1)):
-            left = (l_lo[j], l_hi[j]) if j < len(l_lo) else (0.0, 0.0)
-            if j % 2:
-                left = (-left[1], -left[0])
-            right = (-r_hi[j], -r_lo[j]) if j < len(r_lo) else (0.0, 0.0)
-            coeffs.append(add_bounds(*left, *right))
-        return coeffs, tail
+        size = max(len(l_lo), len(r_lo), 1)
+        # pad the shorter side with zero terms: negated, a 0.0 term adds as
+        # the 0.0 it stands for would, once rounded outward
+        for acc in (l_lo, l_hi, r_lo, r_hi):
+            acc += [0.0] * (size - len(acc))
+        return [add_bounds(*((-l_hi[j], -l_lo[j]) if j % 2 else (l_lo[j], l_hi[j])),
+                           -r_hi[j], -r_lo[j]) for j in range(size)], tail
 
-    def enclose_u(self, un: int, ud: int) -> tuple[float, float]:
-        """Bounds (lo, hi) on Hw(x) at the point u = un/ud of S, where
-        u = (x - c)/R, within the budget unless the walk reached its
-        expansion cap or a series its degree cap.  The integers need not be
-        reduced, and ud may be negative; x = (xn + u)/xd.
+    def enclose_u(self, point: tuple[float, float, float, float]) -> tuple[float, float]:
+        """Bounds (lo, hi) on Hw(x) at the point u = (x - c)/R of S, given as
+        bounds (u_lo, u_hi, i_lo, i_hi) on u and on S's indicator kernel
+        ln|(u + 1)/(u - 1)|, within the budget unless the walk reached its
+        expansion cap or a series its degree cap.
 
         Horner's rule on the coefficients.  A step multiplies [lo, hi] by
         [u_lo, u_hi] and rounds outward.  Where u has one sign, the sign of
@@ -726,22 +720,20 @@ class CellField:
         four candidates, so the bounds are the same; only at u = 0, the
         centre of S, do the bounds on u straddle 0 and take all four.
         """
-        u_lo, u_hi = ratio_bounds(un, ud)
+        nxt, up, down = nextafter, _INF, -_INF
+        u_lo, u_hi, i_lo, i_hi = point
         coeffs = self.coeffs
         lo, hi = coeffs[-1]
         if u_lo > 0:
             for c_lo, c_hi in coeffs[-2::-1]:
-                lo = nextafter(nextafter(lo * (u_lo if lo >= 0 else u_hi), -_INF) + c_lo, -_INF)
-                hi = nextafter(nextafter(hi * (u_hi if hi >= 0 else u_lo), _INF) + c_hi, _INF)
+                lo = nxt(nxt(lo * (u_lo if lo >= 0 else u_hi), down) + c_lo, down)
+                hi = nxt(nxt(hi * (u_hi if hi >= 0 else u_lo), up) + c_hi, up)
         elif u_hi < 0:
             for c_lo, c_hi in coeffs[-2::-1]:
-                lo, hi = (
-                    nextafter(nextafter(hi * (u_lo if hi >= 0 else u_hi), -_INF) + c_lo, -_INF),
-                    nextafter(nextafter(lo * (u_hi if lo >= 0 else u_lo), _INF) + c_hi, _INF))
+                lo, hi = (nxt(nxt(hi * (u_lo if hi >= 0 else u_hi), down) + c_lo, down),
+                          nxt(nxt(lo * (u_hi if lo >= 0 else u_lo), up) + c_hi, up))
         else:
             for c_lo, c_hi in coeffs[-2::-1]:
                 lo, hi = add_bounds(*mul_bounds(lo, hi, u_lo, u_hi), c_lo, c_hi)
         lo, hi = add_bounds(lo, hi, -self.tail, self.tail)
-        # over ud, x - a and x - b are un + ud and un - ud
-        i_lo, i_hi = _indicator_bounds(-ud, ud, un)
         return add_bounds(lo, hi, *mul_bounds(i_lo, i_hi, *self.w))

@@ -17,6 +17,17 @@ from twoweightlab.hilbert import hilbert_norm_ratio
 from twoweightlab.weights import ConstructionParams, build_construction
 
 
+def test_parse_q_reads_rationals_through_their_strings():
+    """`parse_q` reads every value as its string: a `Fraction` and an int
+    give themselves, and a padded, unreduced "num/den" is reduced; a float
+    is refused, so no binary approximation enters an exact parameter."""
+    assert twoweightlab.parse_q(Fraction(1, 3)) == Fraction(1, 3)
+    assert twoweightlab.parse_q(7) == 7
+    assert twoweightlab.parse_q(" 2/4 ") == Fraction(1, 2)
+    with pytest.raises(TypeError, match="refusing float"):
+        twoweightlab.parse_q(0.5)
+
+
 def test_construct_writes_json(tmp_path, capsys):
     rc = main(["construct", "--k", "2", "--depth", "1", "--out", str(tmp_path)])
     assert rc == 0

@@ -814,6 +814,40 @@ def test_hilbert_weight_is_pinned(k, placement, x, rel, expected):
     assert (hv.value.lo, hv.value.hi, hv.expansions) == expected
 
 
+# hilbert_norm_ratio at the benchmark's task shapes (k, edge_levels, seed),
+# one cell per generation, gen_cap 2, budget_rel 2e-3: ratio, indicator,
+# per_gen, worst_point_rel_width and expansions, bit for bit.
+
+_PINNED_NORMS = [
+    (6, 3, 0, 1.5714397939572615, 0.00024109289324591827,
+     [0.16484092154965702, 0.1480660545721504], 0.0010298632298628135, 38),
+    (6, 3, 1, 1.714258864568425, 0.00020259042026876035,
+     [0.16484092154965702, 0.17633118424857314], 0.0008759114035272172, 37),
+    (6, 3, 2, 1.8304325092398614, 0.0001776886148892229,
+     [0.16484092154965702, 0.2011352624635698], 0.0007801220567545433, 36),
+    (6, 3, 3, 1.7062855374768275, 0.00020448839521526404,
+     [0.16484092154965702, 0.17468843278713012], 0.0008808489619960642, 37),
+    (12, 1, 0, 1.9461515535439005, 0.0003370080375135832,
+     [0.0009335197380631409, 0.0008887637956569756], 0.0009128593802873483, 73),
+    (12, 1, 1, 1.989037295973313, 0.00032263008638282626,
+     [0.0009335197380631409, 0.0009283655228250774], 0.0009891483600988986, 73),
+    (12, 1, 2, 1.9576988423791033, 0.00033304354150384994,
+     [0.0009335197380631409, 0.0008993419234853551], 0.0009116911271787892, 73),
+    (12, 1, 3, 1.7829220276049287, 0.00040155207432449036,
+     [0.0009335197380631409, 0.0007459285823413035], 0.0009068810841703445, 70),
+]
+
+
+@pytest.mark.parametrize("k,levels,seed,ratio,indicator,per_gen,worst,expansions",
+                         _PINNED_NORMS)
+def test_norm_ratio_is_pinned(k, levels, seed, ratio, indicator, per_gen, worst, expansions):
+    m = model(k=k, depth=2)
+    res = hilbert.hilbert_norm_ratio(m, p=2, nodes=3, edge_levels=levels, cells_per_gen=1,
+                                     gen_cap=2, seed=seed, budget_rel=2e-3)
+    assert (res["ratio"], res["indicator"], res["per_gen"], res["worst_point_rel_width"],
+            res["expansions"]) == (ratio, indicator, per_gen, worst, expansions)
+
+
 @pytest.mark.parametrize("gen", range(4))
 def test_walk_returns_the_width_it_stopped_on(gen):
     # at 1e-10 * k * w_gen the walk runs at float precision: its stopping sum
@@ -914,11 +948,18 @@ def test_cell_field_encloses_hilbert_weight(k, placement):
                 points += [mid + half * Q(xi) for xi in hilbert._GAUSS[2][0]]
             for x in points:
                 # u = (x - c)/R = xd_S * x - xn_S, over x's denominator
-                lo, hi = field.enclose_u(field.xd * x.numerator - field.xn * x.denominator,
-                                         x.denominator)
+                lo, hi = field.enclose_u(_point(field.xd * x.numerator - field.xn * x.denominator,
+                                                x.denominator))
                 hv = hilbert_weight(m, x, tail_budget=budget)
                 assert lo <= hv.value.hi and hv.value.lo <= hi
                 assert hi - lo <= budget * (1 + 1e-9)
+
+
+def _point(un, ud):
+    """The bounds `CellField.enclose_u` reads at u = un/ud: on u, and on the
+    log kernel of S's indicator, where x - a and x - b are un + ud and
+    un - ud over ud."""
+    return (*ratio_bounds(un, ud), *treewalk._indicator_bounds(-ud, ud, un))
 
 
 # Reference copy of the quadrature before its nodes were integers: each node
@@ -965,13 +1006,35 @@ def test_panel_sums_match_fraction_nodes(k, levels, placement):
             cell = m.place_core(m.jcell(gen, branch), gen)[0]
             field = treewalk.CellField(m, cell, 2e-3 * scale)
             h, edge = cell.length / 2, Q(1, 3 ** levels)
-            cases = [(hilbert._edge_panels(cell.left, cell.right, levels + 1),
-                      hilbert._edge_panels(Q(-1), Q(1), levels + 1)),
-                     ([(cell.left, cell.left + h * edge), (cell.right - h * edge, cell.right)],
-                      [(Q(-1), edge - 1), (1 - edge, Q(1))])]
-            for x_panels, u_panels in cases:
-                assert (hilbert._panel_sum(field, u_panels, 2, 3, scale)
+            cases = [hilbert._edge_panels(cell.left, cell.right, levels + 1),
+                     [(cell.left, cell.left + h * edge), (cell.right - h * edge, cell.right)]]
+            for x_panels, u_panels in zip(cases, hilbert._quadrature_plan(levels, 3)):
+                assert (hilbert._panel_sum(field, u_panels, 2, scale)
                         == _reference_panel_sum(field, x_panels, 2, 3, scale))
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+@pytest.mark.parametrize("levels", range(9))
+def test_quadrature_plan_matches_fraction_nodes(levels, nodes):
+    """Every node of the plan is the `Fraction` node mid + half * xi of its
+    panel, on the fine edge panels of [-1, 1] and on the coarse inner ones,
+    with the panel's half-width and the Gauss weight, and carries the
+    bounds that `enclose_u` reads there."""
+    xs, ws = hilbert._GAUSS[nodes]
+    edge = Q(1, 3 ** levels)
+    cases = [hilbert._edge_panels(Q(-1), Q(1), levels + 1), [(Q(-1), edge - 1), (1 - edge, Q(1))]]
+    plan = hilbert._quadrature_plan(levels, nodes)
+    assert len(plan) == len(cases)
+    for panels, planned in zip(cases, plan):
+        assert len(planned) == len(panels)
+        for (pa, pb), (bn, bd, points) in zip(panels, planned):
+            half, mid = (pb - pa) / 2, (pa + pb) / 2
+            assert Q(bn, bd) == half
+            assert [(wi, Q(un, ud)) for wi, un, ud, _bounds in points] == [
+                (wi, mid + half * Q(xi)) for xi, wi in zip(xs, ws)]
+            for _wi, un, ud, bounds in points:
+                assert ud > 0 and bounds == _point(un, ud)
+    assert hilbert._quadrature_plan(levels, nodes) is plan
 
 
 def _horner_points():
@@ -1016,7 +1079,7 @@ def test_sign_aware_horner_matches_mul_bounds(k, placement):
             u_lo, u_hi = ratio_bounds(un, ud)
             branches.add(1 if u_lo > 0 else -1 if u_hi < 0 else 0)
             x = Q(f.xn * ud + un, f.xd * ud)
-            assert f.enclose_u(un, ud) == _reference_enclose(f, x), (un, ud)
+            assert f.enclose_u(_point(un, ud)) == _reference_enclose(f, x), (un, ud)
     assert branches == {-1, 0, 1}
     assert ratio_bounds(0, 7) == (-5e-324, 5e-324)
 
@@ -1258,7 +1321,9 @@ def test_moment_brackets_hold_exact_coefficients(placement, kind, count):
             for gap in (0 if count == 1 else field.xd, length, 5 * length):
                 left = gc.x + r + gap if side == 1 else gc.x - r - gap - count * length
                 sums = {-1: ([], []), 1: ([], [])}
-                tail = field._block_series(sums, gen, left, count, 1e-12 * float(mass_r))
+                width, geometry = field._width(gc, left, count)
+                tail = field._block_series(sums, gc, left, count, geometry,
+                                           1e-12 * float(mass_r))
                 lo, hi = sums[side]
                 assert not sums[-side][0]
                 terms = len(lo) + (120 if kind == "two" else 0)
@@ -1267,7 +1332,6 @@ def test_moment_brackets_hold_exact_coefficients(placement, kind, count):
                     assert Q(lo[j]) <= exact[j][0] and exact[j][1] <= Q(hi[j]), (gen, side, gap, j)
                 if kind == "two":
                     assert sum(t_hi for _t_lo, t_hi in exact[len(lo):]) <= Q(tail)
-                width = field._width(gc, left, count)
                 assert sum(h - l for l, h in zip(lo, hi)) <= width * (1 + 1e-9)
                 span = treewalk._mass_span(gc, left, count)
                 _side, d_near, d_far = treewalk._distances(gc, *span)
@@ -1307,7 +1371,7 @@ def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
     # uniform density 2 over distances [d_near, d_far]: term j >= 1 is
     # 2/j * (e_near^j - e_far^j), term 0 is 2 * ln(d_far/d_near)
     lo, hi = [], []
-    tail = treewalk._density_series(lo, hi, (2.0, 2.0), 0.0, d_near, d_far, *bounds, tol)
+    tail = treewalk._support_series(lo, hi, (2.0, 2.0), d_near, d_far, *bounds, tol)
     assert 0 <= tail <= tol
     assert lo[0] <= 2 * math.log(d_far / d_near) <= hi[0]
 
@@ -1317,27 +1381,21 @@ def test_far_series_hold_exact_terms_and_tails(d_near, d_far):
         assert _inside(uniform(j), lo[j], hi[j])
     assert sum(uniform(j) for j in range(len(lo), len(lo) + 200)) <= Q(tail)
 
-    # the same mass in d_far - d_near equal cells of mass 2, each gathered at
-    # one end of its cell: off the uniform terms by at most the slack
-    lo, hi = [], []
-    treewalk._density_series(lo, hi, (2.0, 2.0), 2.0, d_near, d_far, *bounds, tol)
-    for end in (0, 1):
-        def cells(j):
-            return sum(2 * Q(1, d) ** (j + 1) for d in range(d_near + end, d_far + end))
-        for j in range(len(lo)):
-            assert _inside(cells(j), lo[j], hi[j])
-
 
 @pytest.mark.parametrize("e_hi", [1.0, 1.5])
 def test_series_reject_a_ratio_bound_not_below_one(e_hi):
     """A geometric tail at ratio >= 1 has no finite bound; the series raise
     instead of returning a negative tail.  The carrier's mass sits at e_far,
-    so its variance is 0."""
+    so its variance is 0; the run is any run of a field's constants."""
     e_near, e_far = (e_hi, e_hi), (0.25, 0.25)
     with pytest.raises(ValueError, match="not below 1"):
         treewalk._cell_series([], [], (0.5, 0.5), e_near, e_far, (0.0, 0.0), e_far, 1e-9)
     with pytest.raises(ValueError, match="not below 1"):
-        treewalk._density_series([], [], (2.0, 2.0), 0.0, 1, 4, e_near, e_far, 1e-9)
+        treewalk._support_series([], [], (2.0, 2.0), 1, 4, e_near, e_far, 1e-9)
+    m = model(k=3)
+    gc = treewalk.CellField(m, m.support_cells(2)[4].cell, 1e-3)._consts(2)
+    with pytest.raises(ValueError, match="not below 1"):
+        treewalk._run_series([], [], gc, e_hi, ((2, 3), (1, 2, 2, 3)), 1e-9)
 
 
 @pytest.mark.parametrize("k,levels", [(6, 3), (12, 1)])
