@@ -36,17 +36,14 @@ class HilbertValue:
     converged: bool
 
 
-def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6,
-                   max_expansions: int = 20000) -> HilbertValue:
-    """Adaptive enclosure of Hw(x); reports the achieved width if the budget
-    cannot be met within the expansion cap."""
+def hilbert_weight(model: WeightModel, x, tail_budget: float = 1e-6) -> HilbertValue:
+    """Adaptive enclosure of Hw(x) for x in a support cell; reports the
+    achieved width if the budget cannot be met within the expansion cap.
+    Raises ValueError off the support, as `maximal_at` does."""
     x = Fraction(x)
-    bounds, expansions = walk(model, x.numerator, x.denominator, tail_budget, max_expansions)
-    if bounds is None:
-        return HilbertValue(FloatInterval(-_INF, _INF), _INF, expansions, False)
-    width = bounds[1] - bounds[0]
-    return HilbertValue(FloatInterval(*bounds), width, expansions,
-                        width <= tail_budget * (1 + 1e-9) + 1e-300)
+    (lo, hi), expansions = walk(model, x.numerator, x.denominator, tail_budget)
+    return HilbertValue(FloatInterval(lo, hi), hi - lo, expansions,
+                        hi - lo <= tail_budget * (1 + 1e-9) + 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,7 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
     if extra_gens < 0:
         raise ValueError(f"extra_gens must be >= 0, got {extra_gens}")
     x = Fraction(x)
-    chain = model.carriers_holding(x, x)
+    chain, _index = model.support_chain(x)
     home_gen = len(chain)
     k = model.k
     # one integer scale for x and every cut: a home support cell spans
@@ -317,8 +314,6 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
         hl = (index * 3 ** k + model.support_offset(gen + 1)) * lam
         points.update({index * size, (index + 1) * size, core_l, core_r, hl, hl + lam})
     hr = hl + lam
-    if not hl <= at_x < hr:
-        raise ValueError(f"x={x} lies outside the support of w")
     # geometric breakpoints around x keep every window's end slab short
     # relative to its distance, so full-slab numerators stay proportionate
     d = lam // 16

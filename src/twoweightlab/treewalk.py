@@ -1,20 +1,21 @@
-"""Walks over the implicit carrier tree that enclose the Hilbert field of w.
+"""Walks over the implicit carrier tree that enclose the Hilbert field of w
+on a support cell S.
 
-`walk` encloses Hw at one point: it keeps whole subtrees as interval
-contributions and always expands the widest pending block, so precision is
-budget-driven and never requires enumerating a generation.  A block has one
-bracket, second order, from the exact mass, centroid and variance of a
-carrier's mass (`WeightModel.carrier_moments`).  Only a run of carriers
-whose cells, shifted onto the centroids, reach x falls back to the first
-order (a Riemann pair over its equal-mass tiles).  `CellField` encloses Hw
-on one support cell: one walk with the cell in place of the point builds a
-certified power series for all mass outside the cell, with the same
-brackets per coefficient: a carrier's from `_cell_series`, a run's from
-`_run_series` and a support cell's, exact at its density, from
-`_support_series`, each one flat loop over j.  A point then comes as
-bounds on its u and on the cell's own indicator, and Horner's rule picks
-each product's ends by the signs of u and of the bounds, with the four
-products of `mul_bounds` only at u = 0.
+Both walks start from one descent of S's carrier chain (`_descend`): the
+chain's support cells, and runs of core tiles that keep their mass clear of
+S, with the core tile next to S as a carrier of its own.  Each then expands
+the pending block that is least certain, so precision is budget-driven and
+never requires enumerating a generation.  A block has one bracket, second
+order, from the exact mass, centroid and variance of a carrier's mass
+(`WeightModel.carrier_moments`).  `walk` encloses Hw at one point x of S:
+the support cells add their exact log terms and each pending block an
+interval.  `CellField` encloses Hw on all of S: it builds a certified power
+series for all mass outside S, with the same brackets per coefficient: a
+carrier's from `_cell_series`, a run's from `_run_series` and a support
+cell's, exact at its density, from `_support_series`, each one flat loop
+over j.  A point then comes as bounds on its u and on S's own indicator,
+and Horner's rule picks each product's ends by the signs of u and of the
+bounds, with the four products of `mul_bounds` only at u = 0.
 
 All coordinates are Python ints on a per-generation scale and all pending
 bounds are outward-rounded float pairs.  A generation's float bounds do
@@ -33,13 +34,10 @@ from math import fsum, nextafter
 from .enclosure import (FloatInterval, add_bounds, log_ratio_bounds, mul_bounds,
                         ratio_bounds)
 from .triadic import TriadicCell
-from .weights import MAX_GENERATIONS, WeightModel
+from .weights import BoundaryError, WeightModel
 
 _INF = float("inf")
-
-
-class BoundaryError(ValueError):
-    """Evaluation point sits on a support-cell endpoint (log singularity)."""
+_MAX_EXPANSIONS = 20000  # of either walk
 
 
 def _indicator_bounds(a: int, b: int, x: int) -> tuple[float, float]:
@@ -143,20 +141,6 @@ def _cube(lo: float, hi: float) -> tuple[float, float]:
             nextafter(nextafter(hi * hi, _INF) * hi, _INF))
 
 
-def _split_at_x(gc: _GenConstants, left: int, count: int) -> list[tuple[int, int]]:
-    """The run as (left, count) pieces to push: split around the cell whose
-    closure holds x when x lies strictly inside the run."""
-    x, length = gc.x, gc.length
-    if count == 1 or not left < x < left + count * length:
-        return [(left, count)]
-    t = min(count - 1, (x - left) // length)
-    pieces = [(left, t)] if t > 0 else []
-    pieces.append((left + t * length, 1))
-    if t + 1 < count:
-        pieces.append((left + (t + 1) * length, count - t - 1))
-    return pieces
-
-
 def _mass_span(gc: _GenConstants, left: int, count: int) -> tuple[int, int]:
     """Where the mass of a carrier or a run lies."""
     if count == 1:
@@ -180,34 +164,59 @@ def _near_first(gc: _GenConstants, side: int, left: int, count: int):
     return (gc.x - left - count * gc.length) * gc.q, gc.offsets[-1]
 
 
-def _run_points(gc: _GenConstants, side: int, left: int, count: int, clearance: int):
+def _run_points(gc: _GenConstants, side: int, left: int, count: int):
     """Distances from x, times q, of the shifted run's ends a < b and of its
-    regions' near ends p_0 and p_(n-1) and far ends q_0 and q_(n-1) + L;
-    None unless every region stays farther than `clearance`/q from x."""
+    regions' near ends p_0 and p_(n-1) and far ends q_0 and q_(n-1) + L."""
     base, (_cen, shift, r0, r1) = _near_first(gc, side, left, count)
-    if base + r0 <= clearance:
-        return None
     lq = gc.length * gc.q
     a = base + shift
     return (a, a + count * lq), (base + r0, base + r0 + (count - 1) * lq,
                                  base + r1, base + r1 + count * lq)
 
 
-def _open_block(gc: _GenConstants, left: int, count: int, u: int):
-    """Split a pending block: halve a run, or open a carrier into its
-    support cell and its core's u = 3^(k-1) tiles, a run of the next
-    generation's carriers.  Returns the support cell's left end (None for a
-    run) and the new runs as (left, count)."""
+def _open_block(gc: _GenConstants, gen: int, left: int, count: int, u: int):
+    """Split a pending block of generation gen: halve a run, or open a
+    carrier into its support cell and its core's u = 3^(k-1) tiles, a run
+    of the next generation's carriers.  Returns the support cell as (gen,
+    left), None for a run, and the new runs as (gen, left, count)."""
     if count > 1:
         # the x-side half concentrates the kernel range, so widths decay
         # geometrically under repeated splitting
         cut = count // 2
-        return None, ((left, cut), (left + cut * gc.length, count - cut))
-    return left + gc.sliver, (((left + gc.third) * 3 * u, u),)
+        return None, ((gen, left, cut), (gen, left + cut * gc.length, count - cut))
+    return (gen, left + gc.sliver), ((gen + 1, (left + gc.third) * 3 * u, u),)
 
 
-def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float] | None:
-    """Bounds (lo, hi) on the block's kernel integral; None forces expansion.
+def _descend(model: WeightModel, chain: list[int], xd: int):
+    """Split the mass of the carrier chain of a support cell S, root first,
+    on the scale of the denominator xd.
+
+    Returns the runs as (gen, left, count) and the support cells as (gen,
+    left), on each generation's scale.  Each chain carrier's core tiles
+    are cut at the next chain carrier, and the last one's at the core
+    tile next to S, which comes last as a run of its own; the support
+    cells are those of every chain carrier but the last, whose support
+    cell is S.  No run's mass, nor a region of its second-order bracket,
+    comes within |S|/2 of S's centre (see `CellField`).
+    """
+    up, u = 3 ** model.k, model.u
+    last = len(chain) - 1
+    near = chain[-1] * up + min(max(model.support_offset(last + 1), u), 2 * u - 1)
+    runs, slivers = [], []
+    for gen, (carrier, cut) in enumerate(zip(chain, chain[1:] + [near])):
+        if gen < last:
+            slivers.append((gen, (carrier * up + model.support_offset(gen + 1)) * xd))
+        first, end = carrier * up + u, carrier * up + 2 * u
+        if cut > first:
+            runs.append((gen + 1, first * up * xd, cut - first))
+        if end > cut + 1:
+            runs.append((gen + 1, (cut + 1) * up * xd, end - cut - 1))
+    runs.append((last + 1, near * up * xd, 1))
+    return runs, slivers
+
+
+def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, float]:
+    """Bounds (lo, hi) on the block's kernel integral at x.
 
     With d = |x - t|, the kernel integral of the mass is -side times its
     integral of 1/d, so the brackets below are on the latter.  They are
@@ -228,19 +237,12 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
     and the run lies in rho * ln(b/a) + M * [var * D - L^2/12 * U,
     var * U - L^2/12 * D].  With e = L/d, M * var * U = rho * var/L^2 *
     (e_p0^3 + (e_p0^2 - e_pl^2)/2), and so on.  The shifted cells may reach
-    past the run, and e_p0^3 grows without bound as a region nears x.  So a
-    run whose regions come within L/4 of x falls back to the first order:
-    the uniform log integral, off by at most one cell's mass times the
-    kernel range over the run, M * (d_far - d_near)/(d_near * d_far).  (On
-    sampled points for k = 2..12, the first order is the narrower at both
-    ends only below 0.16 L from x, and the second order only above 0.31 L.)
-    All integers are on the walk's scale.
+    past the run, and e_p0^3 grows without bound as a region nears x; but
+    the runs of `_descend`, and every run cut from them, keep their regions
+    clear of x's support cell.  All integers are on the walk's scale.
     """
-    if left <= gc.x <= left + count * gc.length:
-        return None
     side, d_near, d_far = _distances(gc, *_mass_span(gc, left, count))
     (v_lo, v_hi), (l_lo, l_hi) = gc.moments  # rho * var/L^2, rho * (L^2/12)/L^2
-    points = None if count == 1 else _run_points(gc, side, left, count, gc.length * gc.q // 4)
     if count == 1:
         base, (cen, *_ends) = _near_first(gc, side, left, 1)
         c_lo, c_hi = ratio_bounds(gc.mass_num * gc.q, gc.mass_den * (base + cen))
@@ -248,13 +250,8 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
         t_hi = _cube(*ratio_bounds(gc.length, d_near))[1]
         lo = nextafter(c_lo + nextafter(v_lo * t_lo, -_INF), -_INF)
         hi = nextafter(c_hi + nextafter(v_hi * t_hi, _INF), _INF)
-    elif points is None:
-        i_lo, i_hi = log_ratio_bounds(d_far, d_near)
-        base_lo, base_hi = mul_bounds(i_lo, i_hi, *gc.density)
-        slack = ratio_bounds(gc.mass_num * count * gc.length, gc.mass_den * d_near * d_far)[1]
-        lo, hi = nextafter(base_lo - slack, -_INF), nextafter(base_hi + slack, _INF)
     else:
-        (a, b), (p0, pl, q0, qe) = points
+        (a, b), (p0, pl, q0, qe) = _run_points(gc, side, left, count)
         lq = gc.length * gc.q
         s_lo, s_hi = mul_bounds(*log_ratio_bounds(b, a), *gc.density)
         ep0 = ratio_bounds(lq, p0)[1]
@@ -271,69 +268,52 @@ def _enclose_block(gc: _GenConstants, left: int, count: int) -> tuple[float, flo
     return (-hi, -lo) if side == 1 else (lo, hi)
 
 
-def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
-         max_expansions: int) -> tuple[tuple[float, float] | None, int]:
+def walk(model: WeightModel, xn: int, xd: int, tail_budget: float):
     """Adaptive bounds (lo, hi) on Hw at x = xn/xd, and the number of
-    expansions; None if a block holding x is left pending.
-
-    Raises ValueError if x lies in nested cores past `MAX_GENERATIONS`, as
-    `WeightModel.carriers_holding` does."""
+    expansions, each carrier of x's chain counting as one; ValueError
+    unless a support cell holds x (`WeightModel.support_chain`)."""
+    chain, index = model.support_chain(Fraction(xn, xd))
+    gcs = [_GenConstants(model, gen, xd).at(xn) for gen in range(len(chain) + 1)]
+    runs, slivers = _descend(model, chain, xd)
+    slivers.append((len(chain) - 1, index * xd))
     acc_lo = acc_hi = 0.0
-    # pending blocks: (-width, push index, gen, left, count, (lo, hi) or None)
+    # pending blocks: (-width, push index, gen, left, count, (lo, hi))
     heap: list[tuple] = []
     pushed = 0
     pending_width = 0.0
-    unresolved = 0
-    gen = 0
-    gcs = [_GenConstants(model, gen, xd).at(xn)]  # indexed by generation
-    # each step pushes `runs` of generation `gen` (the first pushes the root
-    # carrier), then pops and expands the widest block; all state is local to
-    # this loop, so nothing refers back to it and the pending blocks are
-    # freed as soon as the call returns
-    runs = ((0, 1),)
-    expansions = 0
+    expansions = len(chain)
+    # each step adds the exact log terms of `slivers` and pushes `runs`,
+    # then pops and expands the widest block; all state is local to this
+    # loop, so nothing refers back to it and the pending blocks are freed as
+    # soon as the call returns
     while True:
-        gc = gcs[gen]
-        for run_left, run_count in runs:
-            for left, count in _split_at_x(gc, run_left, run_count):
-                enc = _enclose_block(gc, left, count)
-                if enc is None:
-                    unresolved += 1
-                    width = _INF
-                else:
-                    width = enc[1] - enc[0]
-                    pending_width = nextafter(pending_width + width, _INF)
-                heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
-                pushed += 1
-        if expansions >= max_expansions or not heap:
-            break
-        if not unresolved and (acc_hi - acc_lo) + pending_width <= tail_budget:
-            break
-        neg_width, _ident, gen, left, count, enc = heapq.heappop(heap)
-        if enc is None:
-            unresolved -= 1
-        else:
-            pending_width = nextafter(pending_width + neg_width, _INF)
-        gc = gcs[gen]
-        sliver, runs = _open_block(gc, left, count, model.u)
-        if sliver is not None:
-            i_lo, i_hi = _indicator_bounds(sliver, sliver + gc.slen, gc.x)
-            t_lo, t_hi = mul_bounds(i_lo, i_hi, *gc.w_next)
-            acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, t_lo, t_hi)
-            gen += 1
-            if gen == len(gcs):
-                if gen > MAX_GENERATIONS:
-                    raise ValueError(f"the carrier chain at {Fraction(xn, xd)} runs past "
-                                     f"generation {MAX_GENERATIONS} without ending")
-                gcs.append(_GenConstants(model, gen, xd).at(xn))
+        for gen, left in slivers:
+            gc = gcs[gen]
+            i_lo, i_hi = _indicator_bounds(left, left + gc.slen, gc.x)
+            acc_lo, acc_hi = add_bounds(acc_lo, acc_hi, *mul_bounds(i_lo, i_hi, *gc.w_next))
+        for gen, left, count in runs:
+            enc = _enclose_block(gcs[gen], left, count)
+            width = enc[1] - enc[0]
+            pending_width = nextafter(pending_width + width, _INF)
+            heapq.heappush(heap, (-width, pushed, gen, left, count, enc))
+            pushed += 1
+        capped = expansions >= _MAX_EXPANSIONS or not heap
+        if capped or (acc_hi - acc_lo) + pending_width <= tail_budget:
+            # fsum is correctly rounded, so one ulp outward encloses the exact
+            # sum, whatever the heap layout; if that leaves it a few ulps
+            # wider than the running sum that fit, the walk goes on
+            bounds = [(acc_lo, acc_hi)] + [enc for *_block, enc in heap]
+            lo = nextafter(fsum(lo for lo, _hi in bounds), -_INF)
+            hi = nextafter(fsum(hi for _lo, hi in bounds), _INF)
+            if capped or hi - lo <= tail_budget:
+                return (lo, hi), expansions
+        neg_width, _ident, gen, left, count, _enc = heapq.heappop(heap)
+        pending_width = nextafter(pending_width + neg_width, _INF)
+        sliver, runs = _open_block(gcs[gen], gen, left, count, model.u)
+        slivers = () if sliver is None else (sliver,)
+        if sliver is not None and gen + 1 == len(gcs):
+            gcs.append(_GenConstants(model, gen + 1, xd).at(xn))
         expansions += 1
-    if unresolved:
-        return None, expansions
-    # fsum is correctly rounded, so one ulp outward encloses the exact sum,
-    # whatever the heap layout
-    bounds = [(acc_lo, acc_hi)] + [enc for *_block, enc in heap]
-    return (nextafter(fsum(lo for lo, _hi in bounds), -_INF),
-            nextafter(fsum(hi for _lo, hi in bounds), _INF)), expansions
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +321,6 @@ def walk(model: WeightModel, xn: int, xd: int, tail_budget: float,
 
 _TAIL_SHARE = 1 / 16  # of the walk's budget, for the cut power series
 _MAX_DEGREE = 60
-_MAX_EXPANSIONS = 20000  # as in hilbert_weight
 _PAD = nextafter(0.0, _INF)  # the least float, which pads a support cell's terms and tail
 
 
@@ -568,14 +547,13 @@ class CellField:
         # den = xd * 3^((gen+1)k), the centre of S and R = den // xd are integers
         self.xn, self.xd = 2 * cell.index + 1, 2 * 3 ** cell.depth
         self._gcs: dict[int, _CellConstants] = {}
-        self.chain = model.carriers_holding(cell.left, cell.right)
+        self.chain, index = model.support_chain(cell.left)
         gen = len(self.chain) - 1
-        if (cell.depth, cell.index) != ((gen + 1) * model.k, self.chain[-1] * 3 ** model.k
-                                        + model.support_offset(gen + 1)):
+        if (cell.depth, cell.index) != ((gen + 1) * model.k, index):
             raise ValueError("not a support cell of the model")
         # w on S, which is a support cell of generation gen + 1
         self.w = self._consts(gen).w_next
-        runs, slivers = self._descend()
+        runs, slivers = _descend(model, self.chain, self.xd)
         walk_budget = budget / (1 + _TAIL_SHARE)
         frontier, self.expansions = self._expand(runs, slivers, walk_budget)
         self.coeffs, self.tail = self._sum_series(frontier, slivers, walk_budget)
@@ -607,7 +585,7 @@ class CellField:
             z_near, z_far = r / (d_near - r), r / (d_far - r)
             return 4 * gc.mv[1] * (z_near ** 3 - z_far ** 3), (side, d_near, d_far, None)
         rq = r * gc.q
-        points = _run_points(gc, side, left, count, rq)
+        points = _run_points(gc, side, left, count)
         z0, zl, zq, ze = (rq / (p - rq) for p in points[1])
         width = 2 * (gc.mv[1] + gc.mw[1]) * (
             2 * z0 ** 3 + gc.mu[1] * (z0 * z0 - zl * zl - zq * zq + ze * ze))
@@ -624,32 +602,6 @@ class CellField:
                                 ratio_bounds(r, d_far), gc.mv,
                                 ratio_bounds(r * gc.q, base + cen), tol)
         return _run_series(*sums[side], gc, ratio_bounds(r, d_near)[1], points, tol)
-
-    def _descend(self):
-        """Split the mass of S's carrier chain, root first.
-
-        Returns the runs as (gen, left, count) and the support cells as (gen,
-        left), on each generation's scale.  Each chain carrier's core tiles
-        are cut at the next chain carrier, and the last one's at the core
-        tile next to S, which comes last as a run of its own; the support
-        cells are those of every chain carrier but the last, whose support
-        cell is S.
-        """
-        model, xd = self.model, self.xd
-        up, u = 3 ** model.k, model.u
-        last = len(self.chain) - 1
-        near = self.chain[-1] * up + min(max(model.support_offset(last + 1), u), 2 * u - 1)
-        runs, slivers = [], []
-        for gen, (carrier, cut) in enumerate(zip(self.chain, self.chain[1:] + [near])):
-            if gen < last:
-                slivers.append((gen, (carrier * up + model.support_offset(gen + 1)) * xd))
-            first, end = carrier * up + u, carrier * up + 2 * u
-            if cut > first:
-                runs.append((gen + 1, first * up * xd, cut - first))
-            if end > cut + 1:
-                runs.append((gen + 1, (cut + 1) * up * xd, end - cut - 1))
-        runs.append((last + 1, near * up * xd, 1))
-        return runs, slivers
 
     def _expand(self, runs, slivers, budget: float):
         """Expand the block that is least certain over S until the sum fits
@@ -675,11 +627,9 @@ class CellField:
                 return heap, expansions
             neg_width, _ident, gen, left, count, _geometry = heapq.heappop(heap)
             pending += neg_width
-            sliver, pieces = _open_block(self._consts(gen), left, count, u)
+            sliver, runs = _open_block(self._consts(gen), gen, left, count, u)
             if sliver is not None:
-                slivers.append((gen, sliver))
-                gen += 1
-            runs = [(gen, piece_left, piece_count) for piece_left, piece_count in pieces]
+                slivers.append(sliver)
             expansions += 1
 
     def _sum_series(self, frontier, slivers, budget: float):

@@ -24,6 +24,10 @@ FAMILY_CAP = 2048
 MAX_GENERATIONS = 400  # deepest carrier a descent may reach
 
 
+class BoundaryError(ValueError):
+    """Evaluation point sits on a support-cell endpoint (log singularity)."""
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Parameters of one weight pair: k >= 2, p > 1, r in (max(1,1/(p-1)), p')."""
@@ -221,6 +225,26 @@ class WeightModel:
                 raise ValueError(f"the carrier chain at {a} runs past generation "
                                  f"{MAX_GENERATIONS} without ending")
             chain.append(tile)
+
+    def support_chain(self, x) -> tuple[list[int], int]:
+        """`carriers_holding(x, x)` and the index of its last carrier's
+        support cell S among the cells of depth len(chain)*k; ValueError
+        unless S holds x.  A support cell's right end, off the support,
+        raises `BoundaryError`: S's, or a left-placed one's of the carrier
+        before, where the first tile of its core starts the chain's last.
+        """
+        x = Fraction(x)
+        chain = self.carriers_holding(x, x)
+        step, gen = 3 ** self.k, len(chain)
+        index = chain[-1] * step + self.support_offset(gen)
+        at = x * step ** gen  # in lengths of S
+        if index <= at < index + 1:
+            return chain, index
+        message = f"x={x} lies outside the support of w"
+        if at == index + 1 or gen > 1 and at == (
+                chain[-2] * step + self.support_offset(gen - 1) + 1) * step:
+            raise BoundaryError(message + ", at a support cell's right end")
+        raise ValueError(message)
 
     # -- materialization ----------------------------------------------------
 

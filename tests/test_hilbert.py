@@ -62,15 +62,6 @@ def test_indicator_additivity():
     assert whole[1] - whole[0] < 1e-12 and parts[1] - parts[0] < 1e-12
 
 
-def test_far_field_enclosure():
-    m = model()
-    hv = hilbert_weight(m, Q(2), tail_budget=0.4)
-    # total mass 1 and kernel between 1/2 and 1 on [0,1)
-    assert 0.5 <= hv.value.lo and hv.value.hi <= 1.0
-    far = hilbert_weight(m, Q(11), tail_budget=1e-3)
-    assert far.value.hi <= 1 / 10
-
-
 def test_boundary_point_rejected():
     m = model(k=2)
     support = m.support_cells(1)[0].cell
@@ -91,9 +82,12 @@ def test_gen1_ratio_matches_harmonic_sum():
 
 
 def test_reflection_antisymmetry():
+    """Points of right-placed support cells mirror into left-placed ones."""
     right = model(k=3)
     left = model(k=3, placement="left")
-    for x in (Q(7, 10), Q(13, 16), Q(2)):
+    deep, shallow = right.support_cells(2)[1].cell, right.support_cells(1)[0].cell
+    for x in (Q(7, 10), deep.left + deep.length * Q(2, 7),
+              shallow.right - shallow.length * Q(1, 3 ** 8)):
         a = hilbert_weight(right, x, tail_budget=1e-4)
         b = hilbert_weight(left, 1 - x, tail_budget=1e-4)
         assert abs(a.value.mid + b.value.mid) < 3e-4
@@ -125,8 +119,8 @@ def test_pointwise_report_walks_a_wide_point_again(monkeypatch):
     real = hilbert.hilbert_weight
     walks = {}  # x -> [(tail_budget, returned value)]
 
-    def first_walk_wide(model_, x, tail_budget=1e-6, max_expansions=20000):
-        hv = real(model_, x, tail_budget, max_expansions)
+    def first_walk_wide(model_, x, tail_budget=1e-6):
+        hv = real(model_, x, tail_budget)
         if x not in walks:
             half = 0.15 * abs(hv.value.mid)
             hv = hilbert.HilbertValue(FloatInterval(hv.value.mid - half, hv.value.mid + half),
@@ -524,10 +518,9 @@ def _meets(hv, ref) -> bool:
 def _equivalence_points(m, gen, seed):
     rng = random.Random(f"equiv|{m.k}|{gen}|{seed}")
     pts = [x for _cell, x in probe_points(m, gen, 2, 1, seed)]
-    # a point of the support cell off the probe grid, and one anywhere
-    support = m.support_cells(gen)[0].cell
-    pts.append(support.left + support.length * Q(rng.randrange(1, 97), 97))
-    pts.append(Q(rng.randrange(1, 10 ** 6), 10 ** 6))
+    # points of the first and last support cell off the probe grid
+    for support in (m.support_cells(gen)[0].cell, m.support_cells(gen)[-1].cell):
+        pts.append(support.left + support.length * Q(rng.randrange(1, 97), 97))
     return pts
 
 
@@ -556,24 +549,19 @@ def test_integer_walk_matches_fraction_reference(k, placement):
     assert 5 * got <= ref, (got, ref)
 
 
-@pytest.mark.parametrize("placement", ["right", "alternating"])
-def test_integer_walk_matches_reference_off_the_unit_interval(placement):
-    m = model(k=3, placement=placement)
-    cases = [(x, budget) for x in (Q(2), Q(11), Q(-5, 7)) for budget in (0.4, 1e-3, 1e-6)]
-    got, ref = _check_against_reference(m, cases)
-    assert 5 * got <= ref, (got, ref)
-
-
-def test_integer_walk_matches_reference_when_capped():
+def test_integer_walk_matches_reference_when_capped(monkeypatch):
     """A capped walk still returns a certified enclosure: it meets the
     reference's at the same cap and one that the reference took 2,000
-    expansions for."""
+    expansions for.  The walk counts x's two chain carriers as expansions
+    before it checks the cap."""
     m = model(k=4, placement="alternating")
     x = probe_points(m, 2, 1, 1, 0)[0][1]
+    assert len(m.carriers_holding(x, x)) == 2
     full = reference_hilbert_weight(m, x, 1e-9, 2000)
     for cap in (0, 1, 5, 40):
-        got = hilbert_weight(m, x, tail_budget=1e-9, max_expansions=cap)
-        assert got.expansions <= cap and not got.converged
+        monkeypatch.setattr(treewalk, "_MAX_EXPANSIONS", cap)
+        got = hilbert_weight(m, x, tail_budget=1e-9)
+        assert got.expansions == max(cap, 2) and not got.converged
         assert _meets(got, reference_hilbert_weight(m, x, 1e-9, cap)), cap
         assert _meets(got, full), cap
 
@@ -588,16 +576,28 @@ def test_walk_converges_where_first_order_brackets_hit_the_cap():
     assert _meets(hv, reference_hilbert_weight(m, x, 1e-3, 2000))
 
 
-def test_walk_falls_back_to_first_order_where_a_shifted_run_nears_x():
-    """Here a run's shifted cells come within 2e-4 of a cell of x, where
-    the second-order bracket is ~4e10 wide.  Such widths left
-    enough rounding error in the walk's running sum of pending widths that
-    it stopped unconverged; within L/4 of x the run takes the first order."""
-    m = model(k=8)
-    x = Q(378602, 1000003)
-    for rel in (1e-6, 1e-9):
-        hv = hilbert_weight(m, x, tail_budget=rel * 8 * float(m.w_value(1)))
-        assert hv.converged, (rel, hv)
+def _near_ends(cell, js):
+    """Points 3^-j of the cell's length from either end of it."""
+    return [x for j in js for x in (cell.left + cell.length * Q(1, 3 ** j),
+                                    cell.right - cell.length * Q(1, 3 ** j))]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_walk_converges_next_to_support_cell_ends(k):
+    """Points 3^-3..3^-12 of a support cell's length from either end of it,
+    on the first cell of generation 1 and the last of generation 2: the
+    core tile next to S is a block of its own and no run nears x, so every
+    walk converges down to 1e-9 * k * w_g with second-order brackets alone,
+    and meets the reference walk's enclosure."""
+    m = model(k=k, placement=PLACEMENTS[k % 3])
+    for gen, support in ((1, m.support_cells(1)[0]), (2, m.support_cells(2)[-1])):
+        scale = k * float(m.w_value(gen))
+        for x in _near_ends(support.cell, range(3, 13)):
+            ref = reference_hilbert_weight(m, x, 1e-2 * scale, 400)
+            for rel in (1e-3, 1e-6, 1e-9):
+                hv = hilbert_weight(m, x, tail_budget=rel * scale)
+                assert hv.converged, (x, rel, hv)
+                assert _meets(hv, ref), (x, rel)
 
 
 # An independent 50-digit oracle for whole Hilbert points.  It sums the
@@ -677,15 +677,15 @@ def _oracle_hilbert(m, x):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_hilbert_weight_contains_a_50_digit_oracle(k, placement):
-    """At probe points of generations 1 and 2, a point 3^-8 of a support
-    cell from its left end, x = 2 and x = -5/7, every enclosure for budgets
+    """At probe points of generations 1 and 2 and at points 3^-8 of a
+    support cell from either end of it, every enclosure for budgets
     1e-3..1e-6 converges and contains the oracle, which is at least 100
     times narrower than the budget."""
     pytest.importorskip("mpmath")
     m = model(k=k, placement=placement)
     support = m.support_cells(2)[0].cell
     points = [x for gen in (1, 2) for _cell, x in probe_points(m, gen, 2, 1, 0)]
-    points += [support.left + support.length * Q(1, 3 ** 8), Q(2), Q(-5, 7)]
+    points += _near_ends(support, [8])
     for x in points:
         lo, hi = _oracle_hilbert(m, x)
         for budget in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -718,8 +718,7 @@ def test_walk_names_a_carrier_chain_that_never_ends(k, placement):
     for x in (Q(1, 2), Q(5, 8)):
         if (k, x) == (3, Q(5, 8)):
             assert len(m.carriers_holding(x, x)) == 2
-            assert hilbert_weight(m, x).converged
-            continue
+            continue  # see test_hilbert_weight_rejects_points_off_the_support
         message = f"the carrier chain at {x} runs past generation 400 without ending"
         with pytest.raises(ValueError, match=message):
             m.carriers_holding(x, x)
@@ -727,32 +726,47 @@ def test_walk_names_a_carrier_chain_that_never_ends(k, placement):
             hilbert_weight(m, x)
 
 
+def test_hilbert_weight_rejects_points_off_the_support():
+    """Off the unit interval, in a gap of the root carrier and at 5/8 for
+    k = 3, which lies in a generation-1 carrier but not in its support
+    cell."""
+    for placement in PLACEMENTS:
+        m = model(k=3, placement=placement)
+        gap = Q(1, 10)  # in the root carrier's first third
+        for x in (Q(2), Q(-5, 7), gap, Q(5, 8)):
+            with pytest.raises(ValueError, match="lies outside the support of w"):
+                hilbert_weight(m, x, tail_budget=1e-3)
+
+
 # Outputs pinned bit for bit: (k, placement, x, budget / (k * w_2), and
 # hilbert_weight's (lo, hi, expansions)); then (k, placement, gen, tail,
 # expansions, coefficients) of the CellField on support cell 1 of generation
-# gen at budget 2e-3 * k * w_gen.  The last three points also take the
-# walk's first-order run bracket.  A change that moves an enclosure on
-# purpose records the new values here.
+# gen at budget 2e-3 * k * w_gen.  The points are probe points and points
+# 3^-9 of support cell 1 of generation 2 from either end of it.  A change
+# that moves an enclosure on purpose records the new values here.
 
 _PINNED_POINTS = [
-    (2, 'right', Q(85, 162), 0.0001, (7.74617957782826, 7.7470853442505625, 14)),
-    (2, 'left', Q(77, 162), 0.0001, (-7.747023814140997, -7.746243551333234, 14)),
-    (2, 'alternating', Q(77, 162), 0.0001, (-9.222757868489241, -9.221955202000183, 14)),
-    (2, 'right', Q(2), 1e-10, (0.699938010179633, 0.6999380109832084, 19)),
-    (6, 'right', Q(560845, 1062882), 0.0001, (53.5820656099204, 53.58730016780977, 46)),
-    (6, 'left', Q(560357, 1062882), 0.0001, (-51.61018234813172, -51.60520328478193, 46)),
-    (6, 'alternating', Q(560357, 1062882), 0.0001, (-51.63999784215406, -51.63501984504042, 46)),
-    (6, 'right', Q(2), 1e-10, (0.6697628183748237, 0.6697628186686172, 1)),
+    (2, 'right', Q(85, 162), 0.0001, (7.74617957782826, 7.7470853442505625, 13)),
+    (2, 'left', Q(77, 162), 0.0001, (-7.747023814140997, -7.746243551333234, 13)),
+    (2, 'alternating', Q(77, 162), 0.0001, (-9.222757868489241, -9.221955202000183, 13)),
+    (2, 'right', Q(826687, 1594323), 1e-10, (-33.60094466738045, -33.60094466640531, 186)),
+    (6, 'right', Q(560845, 1062882), 0.0001, (53.582214676926704, 53.58715999529307, 46)),
+    (6, 'left', Q(560357, 1062882), 0.0001, (-51.610319308707474, -51.60508288921317, 45)),
+    (6, 'alternating', Q(560357, 1062882), 0.0001, (-51.6401347367626, -51.63489951175275, 45)),
+    (6, 'right', Q(3510718928, 10460353203), 1e-10, (120.49575328482953, 120.4957532901758, 1469)),
     (12, 'right', Q(219600632845, 564859072962), 0.0001,
-     (107.50789620662552, 107.51711802791895, 68)),
+     (107.50730269505614, 107.51769118004249, 67)),
     (12, 'left', Q(219600278549, 564859072962), 0.0001,
-     (-117.1892564133235, -117.17939488322942, 67)),
+     (-117.18926021080031, -117.17936070632395, 66)),
     (12, 'alternating', Q(219600278549, 564859072962), 0.0001,
-     (-117.18935017037408, -117.17948864539461, 67)),
-    (12, 'right', Q(2), 1e-10, (0.6694311087600808, 0.6694311087600847, 1)),
-    (2, 'left', Q(440764, 1000003), 1e-06, (-0.5545752124209945, -0.5545657325862464, 28)),
-    (6, 'alternating', Q(653159, 1000003), 0.0001, (3.623517757305233, 3.6286244206632383, 22)),
-    (12, 'alternating', Q(653159, 1000003), 0.0001, (15.659266888704726, 15.669705966330756, 92)),
+     (-117.18935396784757, -117.17945446851905, 66)),
+    (12, 'right', Q(1853926752796102, 5559060566555523), 1e-10,
+     (13.617903646700071, 13.617903657482378, 2185)),
+    (2, 'left', Q(767636, 1594323), 1e-06, (33.60093995452627, 33.60094950912337, 36)),
+    (6, 'alternating', Q(3505896595, 10460353203), 0.0001,
+     (-150.81681496658777, -150.81236336389085, 31)),
+    (12, 'alternating', Q(1853923266011699, 5559060566555523), 0.0001,
+     (-59.36754713259681, -59.356906918140936, 58)),
 ]
 
 _PINNED_FIELDS = [
@@ -855,7 +869,9 @@ def test_walk_returns_the_width_it_stopped_on(gen):
     # be no wider, or it comes back unconverged below the expansion cap
     m = model(k=5, placement="alternating")
     budget = 1e-10 * 5 * float(m.w_value(gen))
-    hv = hilbert_weight(m, Q(380064650, 1000000007), tail_budget=budget)
+    support = m.support_cells(2)[1].cell
+    hv = hilbert_weight(m, support.left + support.length * Q(380064650, 1000000007),
+                        tail_budget=budget)
     assert hv.converged and hv.width <= budget
     assert hv.expansions < 20000
 
@@ -1119,15 +1135,15 @@ def test_cell_field_runs_stay_farther_than_r(k, placement):
     for gen in (1, 2):
         for branch in (0, m.jcell_count(gen) - 1):
             field = treewalk.CellField(m, m.place_core(m.jcell(gen, branch), gen)[0], 1e-3)
-            runs, _slivers = field._descend()
+            runs, _slivers = treewalk._descend(m, field.chain, field.xd)
             for run_gen, left, count in runs:
                 if count == 1:
                     continue  # a carrier's own bracket, as for the near tile
                 consts = field._consts(run_gen)
                 side, _near, _far = treewalk._distances(
                     consts, *treewalk._mass_span(consts, left, count))
-                rq = consts.r * consts.q
-                assert treewalk._run_points(consts, side, left, count, rq) is not None
+                (_a, _b), (p0, *_ends) = treewalk._run_points(consts, side, left, count)
+                assert p0 > consts.r * consts.q
 
 
 # Reference copy of the descent that `CellField` ran before it read S's
@@ -1214,7 +1230,8 @@ def test_cell_field_descent_matches_reference(k, placement):
             near, far, slivers, exact = _reference_descend(field)
             [(near_gen, near_left, near_count)] = near
             assert near_count == 1
-            assert field._descend() == (far + [(near_gen, near_left * field.xd, 1)], slivers)
+            assert treewalk._descend(m, field.chain, field.xd) == (
+                far + [(near_gen, near_left * field.xd, 1)], slivers)
             assert exact == [(Q(field.xn - 1, field.xd), Q(field.xn + 1, field.xd), field.w)]
             assert (exact[0][0], exact[0][1]) == (cell.left, cell.right)
 
