@@ -25,10 +25,9 @@ from .report import fit_loglog_slope, fit_slope, logspace
 from .sparse import (carleson_check, chain_decay_check, gen_adversarial,
                      gen_random_martingale, restricted_packing_check,
                      sparse_packing_check, testing_report, transplant_family)
-from .triadic import IntervalQ, TriadicCell, cell_from_index, cell_of
+from .triadic import UNIT, IntervalQ, TriadicCell, cell_from_index, cell_of
 from .weights import ConstructionParams, build_construction
 
-UNIT = IntervalQ(Q(0), Q(1))
 
 CRITERIA: dict = {}  # id -> runner, in declaration order
 CRITERION_SCENARIOS: dict[str, tuple[str, ...]] = {}  # CLI scenario -> ids
@@ -433,8 +432,7 @@ def c14_psi_bump(ks=(2, 3, 4, 5, 6, 7, 8), r=Q(3, 2), dual_constant=16):
 def c15_fundamental(r=Q(3, 2), grid_points=49):
     young = phi_r_young(r)
     gauge = psi(r)
-    res = fundamental_compare(young, gauge, logspace(1e-12, 1.0, grid_points),
-                              tol=1e-12)
+    res = fundamental_compare(young, gauge, logspace(1e-12, 1.0, grid_points))
     ok = (1 / 64 <= res["min"] and res["max"] <= 64
           and res["max_residual"] < 1e-10)
     rows = [{"s": row["s"], "product": row["product"], "residual": row["residual"]}

@@ -12,7 +12,6 @@ import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from .acceptance import CRITERIA, CRITERION_SCENARIOS, run_criterion
@@ -22,7 +21,7 @@ from .lorentz import blowup_suite, distribution, lorentz_norm, phi0, psi
 from .measures import average, mass
 from .report import write_csv, write_json
 from .sparse import gen_adversarial, gen_random_martingale, testing_report
-from .triadic import IntervalQ, TriadicCell
+from .triadic import UNIT, IntervalQ, TriadicCell
 from .weights import PLACEMENTS, ConstructionParams, build_construction
 
 SCENARIOS = {**CRITERION_SCENARIOS, "counterexample": ("C5", "C9", "C13"),
@@ -154,7 +153,6 @@ def cmd_sparse_test(args) -> int:
     model = build_construction(_params_from_args(args))
     eps = parse_q(args.eps)
     rows = []
-    unit = IntervalQ(Fraction(0), Fraction(1))
     for s in range(args.families):
         if args.kind == "random":
             fam = gen_random_martingale(args.grid_depth, eps, (args.seed or 0) + s)
@@ -162,7 +160,7 @@ def cmd_sparse_test(args) -> int:
             fam = gen_adversarial(model, args.kind, TriadicCell(0, 0), eps)
         if not fam.members:
             continue
-        rep = testing_report(model, fam, unit, max_depth=2 * model.k + 60)
+        rep = testing_report(model, fam, UNIT, max_depth=2 * model.k + 60)
         rows.append({"k": model.k, "p": qstr(model.params.p), "eps": qstr(eps),
                      "family": s, "members": len(fam.members),
                      "sum_lo": qstr(rep.sum.lo), "sum_hi": qstr(rep.sum.hi),

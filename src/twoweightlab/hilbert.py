@@ -74,8 +74,7 @@ def probe_points(model: WeightModel, gen: int, cells: int, samples_per_cell: int
     return out
 
 
-def hilbert_pointwise_report(model: WeightModel, generations: int,
-                             samples_per_cell: int = 1, seed: int = 0,
+def hilbert_pointwise_report(model: WeightModel, generations: int, seed: int = 0,
                              cells_per_gen: int = 12) -> dict:
     """Ratios |Hw(x)|/w(x) over probe samples at generations <= `generations`."""
     if generations < 1:
@@ -86,7 +85,7 @@ def hilbert_pointwise_report(model: WeightModel, generations: int,
     for gen in range(1, generations + 1):
         w_val = model.w_value(gen)
         scale = model.k * float(w_val)
-        for probe, x in probe_points(model, gen, cells_per_gen, samples_per_cell, seed):
+        for probe, x in probe_points(model, gen, cells_per_gen, 1, seed):
             hv = hilbert_weight(model, x, tail_budget=0.5 * REL_WIDTH * scale)
             if hv.value.mid != 0 and hv.width > REL_WIDTH * abs(hv.value.mid):
                 hv = hilbert_weight(model, x, tail_budget=0.8 * REL_WIDTH * abs(hv.value.mid))
@@ -355,15 +354,14 @@ def maximal_at(model: WeightModel, x, extra_gens: int = 2) -> dict:
 
 
 def maximal_report(model: WeightModel, generations: int, cells_per_gen: int = 8,
-                   samples_per_cell: int = 1, seed: int = 0,
-                   extra_gens: int = 2) -> dict:
+                   seed: int = 0) -> dict:
     """Worst Mw/w over probe samples; the classical bound is 13."""
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
     rows = []
     for gen in range(1, generations + 1):
-        for probe, x in probe_points(model, gen, cells_per_gen, samples_per_cell, seed):
-            res = maximal_at(model, x, extra_gens)
+        for probe, x in probe_points(model, gen, cells_per_gen, 1, seed):
+            res = maximal_at(model, x)
             rows.append({"k": model.k, "gen": gen, "x": x, "w": res["w"],
                          "m_lo": res["lower"], "m_hi": res["upper"],
                          "ratio_upper": res["ratio_upper"]})

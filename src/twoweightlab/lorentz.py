@@ -25,7 +25,7 @@ from .weights import WeightModel
 _PAD = 8
 _INF = float("inf")
 _NINF = -_INF
-_INVERSE_STEPS = 128  # doublings, then halvings, of `YoungFn.inverse`
+_ROOT_TOL = 1e-12  # relative width at which `_bracket` stops
 _ATOM_LEVELS = 200  # w-tail levels expanded into atoms
 _SERIES_TERMS = 2_000_000  # terms of `series_ratio` before it gives up
 
@@ -180,6 +180,36 @@ def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
 # ---------------------------------------------------------------------------
 # Young functions and Luxemburg norms.
 
+def _bracket(above: Callable[[float], bool], start: float) -> tuple[float, float]:
+    """(lo, hi) with above(lo) false, above(hi) true and hi - lo <= _ROOT_TOL*lo.
+
+    `above` is false below a boundary in (0, inf) and true above it.  The
+    search doubles or halves from `start` until the predicate flips, then
+    bisects; ArithmeticError if a float cannot be doubled, halved or split
+    any further before the bracket closes.
+    """
+    lo = hi = start
+    if above(start):
+        while above(lo):
+            hi, lo = lo, lo / 2
+            if lo == 0.0:
+                raise ArithmeticError(f"bracket cannot reach tol={_ROOT_TOL}: no lower end")
+    else:
+        while not above(hi):
+            lo, hi = hi, hi * 2
+            if hi == _INF:
+                raise ArithmeticError(f"bracket cannot reach tol={_ROOT_TOL}: no upper end")
+    while hi - lo > _ROOT_TOL * lo:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ArithmeticError(f"bisection cannot reach tol={_ROOT_TOL}")
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @dataclass
 class YoungFn:
     """Convex increasing Phi with Phi(0)=0 and Phi(t)/t -> infinity (sampled)."""
@@ -195,40 +225,13 @@ class YoungFn:
             raise ValueError("Young functions take nonnegative arguments")
         return self.point_eval(t) if t > 0 else 0.0
 
-    def inverse(self, y: float, tol: float = 1e-12) -> tuple[float, float]:
-        """Right-continuous inverse sup{t : Phi(t) <= y}; returns (t, rel residual)."""
-        if y < 0:
-            raise ValueError("inverse of negative value")
-        if y == 0:
-            hi = 1.0
-            while self(hi) > 0 and hi > 1e-300:
-                hi /= 2
-            return hi, 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(_INVERSE_STEPS):
-            if self(hi) > y:
-                break
-            lo = hi
-            hi *= 2
-        else:
-            raise ArithmeticError(f"{self.name}: inverse bracket for {y} not found")
-        if lo == 0.0:
-            lo = hi / 2
-            while self(lo) > y:
-                hi = lo
-                lo /= 2
-                if lo < 1e-300:
-                    break
-        for _ in range(_INVERSE_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self(mid) <= y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(lo, 1e-300):
-                break
-        residual = abs(self(lo) - y) / max(y, 1e-300)
-        return lo, residual
+    def inverse(self, y: float) -> tuple[float, float]:
+        """Right-continuous inverse sup{t : Phi(t) <= y} of y > 0; returns
+        (t, rel residual)."""
+        if y <= 0:
+            raise ValueError(f"inverse of nonpositive value {y}")
+        t, _ = _bracket(lambda t: self(t) > y, 1.0)
+        return t, abs(self(t) - y) / y
 
     def validate(self):
         if self(0.0) != 0.0:
@@ -264,14 +267,13 @@ def llogl_young() -> YoungFn:
     return YoungFn("LlogL", lambda t: t * math.log(t) if t > 1.0 else 0.0)
 
 
-def luxemburg_norm(atoms: list[tuple], young: YoungFn, tol: float = 1e-12) -> float:
+def luxemburg_norm(atoms: list[tuple], young: YoungFn) -> float:
     """Luxemburg norm of a nonnegative step function on a probability space.
 
     `atoms` lists (value, measure) pairs; measures must be nonnegative with
-    total <= 1 (the remainder is where the function vanishes).  The bracket
-    and the bisection run until they close, however far the largest value
-    lies from the norm; ArithmeticError if a float cannot be doubled, halved
-    or split any further before they do.
+    total <= 1 (the remainder is where the function vanishes).  The search
+    starts at the largest value and closes however far that lies from the
+    norm (see `_bracket`).
     """
     pairs = [(float(v), float(m)) for v, m in atoms if float(m) > 0 and float(v) > 0]
     if not pairs:
@@ -283,30 +285,7 @@ def luxemburg_norm(atoms: list[tuple], young: YoungFn, tol: float = 1e-12) -> fl
     def g(lam: float) -> float:
         return sum(m * young(v / lam) for v, m in pairs)
 
-    hi = max(v for v, _ in pairs)
-    while g(hi) > 1.0:
-        hi *= 2
-        if hi == _INF:
-            raise ArithmeticError("Luxemburg bracketing failed (upper)")
-    lo = hi
-    while True:
-        cand = lo / 2
-        if cand <= 0:
-            raise ArithmeticError("Luxemburg bracketing failed (lower)")
-        if g(cand) > 1.0:
-            break
-        lo = cand
-    lo = lo / 2
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ArithmeticError(f"Luxemburg bisection cannot reach tol={tol}")
-        if g(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * hi:
-            return hi
+    return _bracket(lambda lam: g(lam) <= 1.0, max(v for v, _ in pairs))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +616,14 @@ def step_function_distribution(atoms: list[tuple]) -> DistributionSteps:
 # ---------------------------------------------------------------------------
 # Appendix-style numeric comparisons.
 
-def fundamental_compare(young: YoungFn, gauge: QuasiConcaveFn, s_grid: list[float],
-                        tol: float = 1e-12) -> dict:
+def fundamental_compare(young: YoungFn, gauge: QuasiConcaveFn, s_grid: list[float]) -> dict:
     """Window of gauge(s) * Phi^{-1}(1/s) over a grid in (0, 1]."""
     rows = []
     worst_res = 0.0
     for s in s_grid:
         if not 0 < s <= 1:
             raise ValueError(f"grid point {s} outside (0,1]")
-        y, res = young.inverse(1.0 / s, tol=tol)
+        y, res = young.inverse(1.0 / s)
         worst_res = max(worst_res, res)
         product = gauge.point_eval(s) * y
         rows.append({"s": s, "inverse": y, "product": product, "residual": res})

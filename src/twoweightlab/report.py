@@ -27,18 +27,13 @@ def fmt(value) -> str:
 
 def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log y against log x."""
-    if len(xs) < 2:
-        raise ValueError("need at least two points")
-    lx = [math.log(v) for v in xs]
-    ly = [math.log(v) for v in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    den = sum((a - mx) ** 2 for a in lx)
-    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / den
+    return fit_slope([math.log(v) for v in xs], [math.log(v) for v in ys])
 
 
 def fit_slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of y against x (no logs)."""
+    if len(xs) < 2:
+        raise ValueError("need at least two points")
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     den = sum((a - mx) ** 2 for a in xs)
@@ -64,8 +59,7 @@ def write_csv(path: Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: fmt(row.get(k)) if not isinstance(row.get(k), str)
-                             else row[k] for k in columns})
+            writer.writerow({k: fmt(row.get(k)) for k in columns})
 
 
 def write_json(path: Path, payload: dict) -> None:

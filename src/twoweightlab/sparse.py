@@ -168,7 +168,7 @@ def gen_adversarial(model: WeightModel, kind: str, carrier: TriadicCell,
                                                   side, eps, kind)), eps)
     # boundaryChain: the carrier plus straddling chains in disjoint sibling tiles
     members: list[IntervalQ] = [carrier.interval()]
-    tiles = _sample_tiles(model, core, count=4)
+    tiles = _sample_tiles(model, core)
     for tile in tiles:
         tgen = gen + 1
         tcore = tile.middle_child()
@@ -219,10 +219,10 @@ def _boundary_chain(model, carrier, core, placed, side, eps, kind) -> list[Inter
     return out
 
 
-def _sample_tiles(model: WeightModel, core: TriadicCell, count: int) -> list[TriadicCell]:
+def _sample_tiles(model: WeightModel, core: TriadicCell) -> list[TriadicCell]:
     width = model.k - 1
     total = 3 ** width
-    picks = sorted({0, total // 3, (2 * total) // 3, total - 1})[:count]
+    picks = sorted({0, total // 3, (2 * total) // 3, total - 1})
     return [core.descendant(width, t) for t in picks]
 
 

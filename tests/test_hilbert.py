@@ -151,7 +151,7 @@ def test_reports_reject_an_empty_probe_set(report):
         with pytest.raises(ValueError, match="generations must be >= 1"):
             report(m, generations)
     with pytest.raises(ValueError, match="samples per cell must be >= 1"):
-        report(m, 1, samples_per_cell=0)
+        probe_points(m, 1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -228,8 +228,6 @@ def test_maximal_rejects_negative_extra_gens(extra_gens):
     x = probe_points(m, 1, 1, 1, 0)[0][1]
     with pytest.raises(ValueError, match="extra_gens"):
         maximal_at(m, x, extra_gens)
-    with pytest.raises(ValueError, match="extra_gens"):
-        maximal_report(m, 1, cells_per_gen=1, extra_gens=extra_gens)
 
 
 # ---------------------------------------------------------------------------

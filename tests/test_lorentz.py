@@ -185,10 +185,38 @@ def test_orlicz_bump_product_on_the_root_carrier():
     assert product.hi < bump_product(m, m.kcell(0, 0), "entropyPhi0", "forward").lo
 
 
-def test_luxemburg_norm_raises_when_the_bisection_cannot_close():
+def test_luxemburg_norm_raises_when_the_bisection_cannot_close(monkeypatch):
     young = phi_r_young(Q(3, 2))
+    monkeypatch.setattr(lorentz, "_ROOT_TOL", 0.0)
     with pytest.raises(ArithmeticError, match="cannot reach tol"):
-        luxemburg_norm([(2.0, 0.3), (7.0, 0.1)], young, tol=0.0)
+        luxemburg_norm([(2.0, 0.3), (7.0, 0.1)], young)
+
+
+@pytest.mark.parametrize("young", [phi_r_young(Q(3, 2)), llogl_young()],
+                         ids=["phi_r", "llogl"])
+def test_young_inverse_brackets_its_value(young):
+    """Phi(t) <= y < Phi(t(1 + 2e-12)) where the search halves from 1
+    (y below Phi(1), none for LlogL, which vanishes on [0, 1]) and where it
+    doubles (y up to 1e12)."""
+    halving = [young(1.0) * v for v in (1e-6, 0.2, 0.5, 0.999) if young(1.0) > 0]
+    doubling = [young(1.0) + v for v in (1e-9, 1.0, 1e3, 1e9, 1e12)]
+    for y in halving + doubling:
+        t, residual = young.inverse(y)
+        assert young(t) <= y < young(t * (1 + 2e-12)), y
+        assert residual == abs(young(t) - y) / y
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0])
+def test_young_inverse_rejects_nonpositive_values(y):
+    with pytest.raises(ValueError, match="nonpositive"):
+        phi_r_young(Q(3, 2)).inverse(y)
+
+
+def test_young_inverse_raises_when_the_bisection_cannot_close(monkeypatch):
+    young = phi_r_young(Q(3, 2))
+    monkeypatch.setattr(lorentz, "_ROOT_TOL", 0.0)
+    with pytest.raises(ArithmeticError, match="cannot reach tol"):
+        young.inverse(3.7)
 
 
 def test_bump_product_on_support_cell_is_one():
