@@ -133,7 +133,7 @@ def c03_packing(ks=range(2, 9)):
             full = packing_sum(m, carrier, "w")
             closed = (m.u + 1) * m.carrier_w_mass(gen)
             ratio = full.lo / (3 ** k * m.carrier_w_mass(gen))
-            partial = packing_partial(m, gen, gen + 30, "w")
+            partial = packing_partial(m, gen, gen + 30)
             tail = m.carrier_w_mass(gen) * Q(m.u, m.u + 1) ** 31 * (m.u + 1)
             converged = partial.lo < closed and partial.lo + tail == closed
             good = (full.is_exact and full.lo == closed

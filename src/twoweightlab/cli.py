@@ -197,7 +197,7 @@ def cmd_lorentz(args) -> int:
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     # the rows read only each generation's first K-cell, which does not
-    # depend on the materialized depth
+    # depend on the model's depth
     model = build_construction(_params_from_args(args, depth=max(args.depth, 1)))
     gauge = phi0() if args.norm == "entropyPhi0" else psi(model.params.r)
     rows = []

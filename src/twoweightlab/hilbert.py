@@ -80,7 +80,7 @@ def hilbert_pointwise_report(model: WeightModel, generations: int, seed: int = 0
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
     if generations > model.depth:
-        raise ValueError("generations exceed the materialized depth")
+        raise ValueError("generations exceed the model's depth")
     rows = []
     for gen in range(1, generations + 1):
         w_val = model.w_value(gen)

@@ -66,13 +66,11 @@ def packing_sum(model: WeightModel, carrier: TriadicCell, which: str = "w") -> E
     return _carrier_mass(model, which, gen) * (model.u + 1)
 
 
-def packing_partial(model: WeightModel, gen: int, upto_gen: int, which: str = "w") -> Enclosure:
-    """Truncated packing sum over generations gen..upto_gen (test oracle surface)."""
-    terms = []
-    for g in range(gen, upto_gen + 1):
-        count = 3 ** ((g - gen) * (model.k - 1))
-        terms.append(_carrier_mass(model, which, g) * count)
-    return enclosure_sum(terms)
+def packing_partial(model: WeightModel, gen: int, upto_gen: int) -> Enclosure:
+    """Truncated packing sum of w's carrier masses over generations
+    gen..upto_gen (test oracle surface)."""
+    return Enclosure.exact(sum((model.carrier_w_mass(g) * 3 ** ((g - gen) * (model.k - 1))
+                                for g in range(gen, upto_gen + 1)), Q(0)))
 
 
 def _interval_mass(model: WeightModel, which: str, a: Fraction, b: Fraction,

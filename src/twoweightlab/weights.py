@@ -4,15 +4,16 @@ Generation by generation, every carrier cell pushes its whole w-mass onto
 the union of its middle child (the "core") and one adjacent cell of length
 3^(1-k) times the core's (the "support cell"), uniformly.  The dual weight
 sigma is w^(1-p) on the support.  Everything about the limit object has a
-closed form per generation, so the model is lazy: families are materialized
-up to a depth budget (capped lists for huge generations), while masses,
-values and averages at any generation come from exact formulas.
+closed form per generation, so the model is lazy: its families up to a
+depth budget (capped lists for huge generations) are built on first read,
+while masses, values and averages at any generation come from exact formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .enclosure import Enclosure, Q, pow_enclosure, qstr
 from .triadic import TriadicCell, cell_from_index
@@ -61,7 +62,7 @@ class ConstructionParams:
 
 @dataclass(frozen=True)
 class SupportCell:
-    """One materialized support cell of generation `gen`, beside its core;
+    """One support cell of generation `gen`, beside its core, built on first read;
     w and sigma on it are `WeightModel.w_value(gen)` and `sigma_value(gen)`."""
 
     gen: int
@@ -86,9 +87,10 @@ class WeightModel:
         self.c = (3 * self.b) / (Enclosure.exact(3) - self.b)
         self.scale = pow_enclosure(Enclosure.exact(Q(k)), -params.r)
         self.depth = params.depth
+        if family_cap < 1:
+            raise ValueError(f"family_cap must be >= 1, got {family_cap}")
         self.family_cap = family_cap
         self._moments: dict[int, tuple[Fraction, Fraction]] = {}
-        self._materialize()
 
     # -- counts and closed forms ------------------------------------------
 
@@ -246,19 +248,23 @@ class WeightModel:
             raise BoundaryError(message + ", at a support cell's right end")
         raise ValueError(message)
 
-    # -- materialization ----------------------------------------------------
+    # -- families, built on first read --------------------------------------
 
-    def _materialize(self):
-        cap = self.family_cap
-        self.kcells: list[list[TriadicCell]] = []
-        for gen in range(self.depth + 1):
-            branches = _even_sample(self.kcell_count(gen), cap)
-            self.kcells.append([self.kcell(gen, i) for i in branches])
-        self.support: list[SupportCell] = []
+    @cached_property
+    def kcells(self) -> list[list[TriadicCell]]:
+        """Carrier cells of generations 0..depth, up to `family_cap` each."""
+        return [[self.kcell(gen, i) for i in _even_sample(self.kcell_count(gen), self.family_cap)]
+                for gen in range(self.depth + 1)]
+
+    @cached_property
+    def support(self) -> list[SupportCell]:
+        """Support cells of generations 1..depth, up to `family_cap` each."""
+        cells = []
         for gen in range(1, self.depth + 1):
-            for i in _even_sample(self.jcell_count(gen), cap):
+            for i in _even_sample(self.jcell_count(gen), self.family_cap):
                 core = self.jcell(gen, i)
-                self.support.append(SupportCell(gen, core, self.place_core(core, gen)[0]))
+                cells.append(SupportCell(gen, core, self.place_core(core, gen)[0]))
+        return cells
 
     def support_cells(self, gen: int) -> list[SupportCell]:
         return [s for s in self.support if s.gen == gen]

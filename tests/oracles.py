@@ -1,14 +1,15 @@
 """Oracles the tests share: the weight on one triadic cell and the smallest
 carrier of an interval, each read from the carrier chain and `place_core`
 alone, against which `mass`, the dual testing sum and the support geometry
-are checked; and the parser of base-3 addresses with the nesting of cells,
-against which `TriadicCell.address` and `ancestor` are checked."""
+are checked; the capped families, against which `WeightModel.kcells` and
+`support` are checked; and the parser of base-3 addresses with the nesting
+of cells, against which `TriadicCell.address` and `ancestor` are checked."""
 
 from dataclasses import dataclass
 
 from twoweightlab.enclosure import Enclosure
 from twoweightlab.triadic import AddressError, IntervalQ, TriadicCell, cell_from_index
-from twoweightlab.weights import WeightModel, _carrier_mass, _check_which, _value
+from twoweightlab.weights import SupportCell, WeightModel, _carrier_mass, _check_which, _value
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,33 @@ def smallest_carrier(model: WeightModel, interval: IntervalQ):
     core = carrier.middle_child()
     placed, _ = model.place_core(core, gen + 1)
     return carrier, gen, core, placed
+
+
+def families(model: WeightModel) -> tuple[list[list[TriadicCell]], list[SupportCell]]:
+    """`model.kcells` and `model.support`, enumerated independently.
+
+    Generation g lists its carriers by branch, each from `kcell`, and its
+    support cells beside the middle children of generation g-1's carriers,
+    each from `place_core`.  A generation of n > cap members keeps the one at
+    position i*n // cap for i < cap; these positions rise strictly since
+    n/cap > 1.  Only the kept positions are built: generation 3 at k = 5
+    alone has 531,441 carriers.
+    """
+    cap = model.family_cap
+
+    def sample(count, member):
+        positions = range(count) if count <= cap else (i * count // cap for i in range(cap))
+        return [member(i) for i in positions]
+
+    def support_cell(gen, branch):
+        core = model.kcell(gen - 1, branch).middle_child()
+        return SupportCell(gen, core, model.place_core(core, gen)[0])
+
+    kcells = [sample(model.kcell_count(g), lambda i, g=g: model.kcell(g, i))
+              for g in range(model.depth + 1)]
+    support = [s for g in range(1, model.depth + 1)
+               for s in sample(model.kcell_count(g - 1), lambda i, g=g: support_cell(g, i))]
+    return kcells, support
 
 
 def cell_from_address(address: str) -> TriadicCell:

@@ -113,7 +113,7 @@ def test_packing_closed_forms():
     assert Q(1, 3) < ratio <= Q(4, 9)
     sig = packing_sum(m, root, "sigma")
     assert sig.encloses(Enclosure.exact(Q(4, 69) / (1 - Q(4, 27))))
-    partial = packing_partial(m, 0, 25, "w")
+    partial = packing_partial(m, 0, 25)
     assert partial.lo < 4
     tail = Q(3, 4) ** 26 * 4
     assert partial.lo + tail == 4

@@ -9,7 +9,7 @@ from twoweightlab.measures import mass
 from twoweightlab.triadic import IntervalQ, cell_from_index
 from twoweightlab.weights import PLACEMENTS, ConstructionParams, build_construction
 
-from oracles import cell_contains, cell_from_address, smallest_carrier, weight_on_cell
+from oracles import cell_contains, cell_from_address, families, smallest_carrier, weight_on_cell
 
 
 def test_parameter_validation():
@@ -155,6 +155,31 @@ def test_implicit_family_indexing_matches_lists():
     for gen in range(3):
         for idx, cell in enumerate(m.kcells[gen]):
             assert m.kcell(gen, idx) == cell
+
+
+def test_families_are_built_on_first_read():
+    m = build_construction(ConstructionParams(k=3, depth=2))
+    assert "kcells" not in vars(m) and "support" not in vars(m)
+    kcells, support = m.kcells, m.support
+    assert "kcells" in vars(m) and "support" in vars(m)
+    assert m.kcells is kcells and m.support is support
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_families_match_an_independent_enumeration(k, placement, depth):
+    for cap in (1, 7, 27, 2048):
+        m = build_construction(ConstructionParams(k=k, placement=placement, depth=depth),
+                               family_cap=cap)
+        kcells, support = families(m)
+        assert m.kcells == kcells and m.support == support, cap
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_family_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="family_cap must be >= 1"):
+        build_construction(ConstructionParams(k=3), family_cap=cap)
 
 
 def test_generations_out_of_range_are_rejected():
