@@ -315,7 +315,8 @@ class DistributionSteps:
 
     `steps` are contiguous (t0, t1, N) pieces in increasing t; beyond the
     last listed piece N is 0 unless `tail` is a WTail continuing upward; a
-    BandTail covers (0, t_end) below the first listed piece.
+    BandTail covers (0, t_end) below the first listed piece.  Frozen and
+    made of tuples, so `distribution` shares one per (generation, which).
     """
 
     steps: tuple[tuple[Fraction, Fraction, Fraction], ...]
@@ -343,18 +344,31 @@ class DistributionSteps:
 
 
 def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w") -> DistributionSteps:
-    """Exact distribution of w or sigma over a carrier cell (normalized measure)."""
+    """Exact distribution of w or sigma over a carrier cell (normalized measure).
+
+    It depends on the carrier's generation alone, so each (generation, which)
+    is built once, on first use, and kept in the model's own namespace; every
+    later call returns that same immutable object.  A call that raises keeps
+    nothing.
+    """
     gen = carrier_generation(model, carrier)
-    k = model.k
+    if which not in ("w", "sigma"):
+        raise ValueError("distribution supports which in {w, sigma}")
+    if which == "sigma" and not model.b.is_exact:
+        raise ValueError("sigma distribution needs an exact dual value (integer p)")
+    cache = vars(model).setdefault("_distributions", {})
+    dist = cache.get((gen, which))
+    if dist is None:
+        dist = cache[gen, which] = _build_distribution(model, gen, which)
+    return dist
+
+
+def _build_distribution(model: WeightModel, gen: int, which: str) -> DistributionSteps:
     rho = model.rho
-    n0 = Q(3, 2) / 3 ** k
+    n0 = Q(3, 2) / 3 ** model.k
     if which == "w":
         steps = ((Q(0), rho ** (gen + 1), n0),)
         return DistributionSteps(steps, WTail(gen + 1, rho, n0 * 3 ** gen))
-    if which != "sigma":
-        raise ValueError("distribution supports which in {w, sigma}")
-    if not model.b.is_exact:
-        raise ValueError("sigma distribution needs an exact dual value (integer p)")
     b = model.b.lo
     top = gen + 1 + 24  # sigma levels listed as steps before the band tail
     steps = []

@@ -2,10 +2,13 @@
 carrier of an interval, each read from the carrier chain and `place_core`
 alone, against which `mass`, the dual testing sum and the support geometry
 are checked; the capped families, against which `WeightModel.kcells` and
-`support` are checked; and the parser of base-3 addresses with the nesting
-of cells, against which `TriadicCell.address` and `ancestor` are checked."""
+`support` are checked; the level sets of w and sigma over a carrier,
+against which `lorentz.distribution` is checked; and the parser of base-3
+addresses with the nesting of cells, against which `TriadicCell.address`
+and `ancestor` are checked."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from twoweightlab.enclosure import Enclosure
 from twoweightlab.triadic import AddressError, IntervalQ, TriadicCell, cell_from_index
@@ -80,6 +83,30 @@ def families(model: WeightModel) -> tuple[list[list[TriadicCell]], list[SupportC
     support = [s for g in range(1, model.depth + 1)
                for s in sample(model.kcell_count(g - 1), lambda i, g=g: support_cell(g, i))]
     return kcells, support
+
+
+def carrier_level_set(model: WeightModel, gen: int, which: str, t: Fraction) -> Fraction:
+    """N(t): the normalized measure of {v > t} on a generation-`gen` carrier.
+
+    Read from the weight's values alone: the carrier's support cells of
+    generation gen+j+1 fill 3^(-k-j) of it and carry v(gen+j+1), with
+    v = `w_value` or `sigma_value`.  w rises with the generation, so its
+    terms from the first j with v > t on sum to 3^(-k-j)*3/2; sigma falls,
+    so its terms stop at the first j with v <= t.
+    """
+    if which == "w":
+        j = 0
+        while model.w_value(gen + j + 1) <= t:
+            j += 1
+        return Fraction(3, 2) / 3 ** (model.k + j)
+    total, j = Fraction(0), 0
+    while True:
+        value = model.sigma_value(gen + j + 1)
+        assert value.is_exact
+        if value.lo <= t:
+            return total
+        total += Fraction(1, 3 ** (model.k + j))
+        j += 1
 
 
 def cell_from_address(address: str) -> TriadicCell:

@@ -1,7 +1,9 @@
 """Distributions, Lorentz/Luxemburg norms, bump products, series bounds."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +18,7 @@ from twoweightlab.lorentz import (BandTail, WTail, blowup_distribution, blowup_s
                                   series_ratio, step_function_distribution)
 from twoweightlab.weights import ConstructionParams, build_construction
 
-from oracles import cell_from_address
+from oracles import carrier_level_set, cell_from_address
 
 
 def model(k=2, depth=2):
@@ -360,12 +362,67 @@ def test_gauges_are_built_once():
 
 
 def test_distribution_requires_carrier_and_exact_dual():
+    """A non-carrier cell, an unknown `which` and sigma without an exact dual
+    value raise on every call, before and after the model caches a
+    distribution, and a call that raises caches nothing."""
     m = model()
-    with pytest.raises(ValueError):
-        distribution(m, cell_from_address("0"), "w")
     frac = build_construction(ConstructionParams(k=2, p=Q(5, 2), r=Q(7, 6), depth=1))
-    with pytest.raises(ValueError):
-        distribution(frac, cell_from_address(""), "sigma")
+    calls = [(m, cell_from_address("0"), "w"), (m, cell_from_address(""), "x"),
+             (frac, cell_from_address(""), "sigma")]
+    for _ in range(2):
+        for args in calls:
+            with pytest.raises(ValueError):
+                distribution(*args)
+    assert "_distributions" not in vars(m) and "_distributions" not in vars(frac)
+    distribution(m, cell_from_address(""), "w")
+    for args in calls[:2]:
+        with pytest.raises(ValueError):
+            distribution(*args)
+    assert list(vars(m)["_distributions"]) == [(0, "w")]
+
+
+@pytest.mark.parametrize("which", ["w", "sigma"])
+@pytest.mark.parametrize("k", range(2, 6))
+def test_distribution_matches_the_level_set_oracle(k, which):
+    """Every listed step and the first two plateaus of the tail, at both ends
+    and the middle of each, against N(t) summed from the weight's values."""
+    m = model(k=k)
+    for gen in range(3):
+        dist = distribution(m, m.kcell(gen, m.kcell_count(gen) - 1), which)
+        pieces = list(dist.steps)
+        tail = dist.tail
+        if which == "w":
+            assert isinstance(tail, WTail)
+            pieces += [(tail.rho ** l, tail.rho ** (l + 1), tail.coeff / 3 ** l)
+                       for l in (tail.l0, tail.l0 + 1)]
+        else:
+            assert isinstance(tail, BandTail)
+            b = m.sigma_value(1).lo
+            for t0, t1 in ((b * tail.t_end, tail.t_end), (b * b * tail.t_end, b * tail.t_end)):
+                n = carrier_level_set(m, gen, which, t0)
+                assert tail.n_lo <= n <= tail.n_hi
+                assert carrier_level_set(m, gen, which, (t0 + t1) / 2) == n
+        for t0, t1, n in pieces:
+            for t in (t0, (t0 + t1) / 2, t1 - (t1 - t0) / 10 ** 6):
+                assert carrier_level_set(m, gen, which, t) == n, (gen, t0, t1)
+
+
+def test_distribution_is_built_once_per_generation():
+    """Carriers of one generation share one object, equal to a fresh build;
+    it lives on the model, so a dropped model frees it."""
+    m = model(k=3)
+    assert "_distributions" not in vars(m)
+    for gen in range(3):
+        for which in ("w", "sigma"):
+            first = distribution(m, m.kcell(gen, 0), which)
+            assert distribution(m, m.kcell(gen, m.kcell_count(gen) - 1), which) is first
+            fresh = distribution(model(k=3), m.kcell(gen, 0), which)
+            assert fresh == first and fresh is not first
+    assert sorted(vars(m)["_distributions"]) == [(g, w) for g in range(3) for w in ("sigma", "w")]
+    ref = weakref.ref(m)
+    del m, first
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
