@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import nextafter
 from typing import Callable
 
@@ -169,12 +169,29 @@ def psi(r: Fraction) -> QuasiConcaveFn:
 
 def fundamental_of(young: "YoungFn") -> QuasiConcaveFn:
     """s -> 1/Phi^{-1}(1/s), the fundamental function of the Orlicz space."""
+    return _Fundamental(young)
 
-    def ev(s: float) -> float:
-        t, _res = young.inverse(1.0 / s)
-        return 1.0 / t
 
-    return QuasiConcaveFn(f"fundamental[{young.name}]", ev)
+class _Fundamental(QuasiConcaveFn):
+    def __init__(self, young: "YoungFn"):
+        def ev(s: float) -> float:
+            t, _res = young.inverse(1.0 / s)
+            return 1.0 / t
+
+        self.young = young
+        super().__init__(f"fundamental[{young.name}]", ev)
+
+    def eval_interval(self, s: Fraction) -> FloatInterval:
+        # phi(s) = 1/Phi^{-1}(1/s) increases in s, and Phi(t_lo) <= y < Phi(t_hi):
+        # the lower end is 1/t_hi at y = 1/s_lo rounded up, the upper 1/t_lo at
+        # y = 1/s_hi rounded down, each rounded outward
+        if s <= 0:
+            return super().eval_interval(s)
+        bounds = FloatInterval.from_fraction(s)
+        y_hi, y_lo = nextafter(1.0 / bounds.lo, _INF), nextafter(1.0 / bounds.hi, _NINF)
+        t_hi = _bracket(lambda t: self.young(t) > y_hi, 1.0)[1]
+        t_lo = _bracket(lambda t: self.young(t) > y_lo, 1.0)[0]
+        return _pad_out(nextafter(1.0 / t_hi, _NINF), nextafter(1.0 / t_lo, _INF))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +334,8 @@ class DistributionSteps:
     last listed piece N is 0 unless `tail` is a WTail continuing upward; a
     BandTail covers (0, t_end) below the first listed piece.  Frozen and
     made of tuples, so `distribution` shares one per (generation, which).
+    `widths` bound each step's t1 - t0, then a BandTail's t_end, in floats
+    rounded outward; cached on first read, they are no field of `==` or `hash`.
     """
 
     steps: tuple[tuple[Fraction, Fraction, Fraction], ...]
@@ -341,6 +360,13 @@ class DistributionSteps:
         if isinstance(self.tail, BandTail):
             if self.steps and self.steps[0][0] != self.tail.t_end:
                 raise ValueError("BandTail must end where the steps begin")
+
+    @cached_property
+    def widths(self) -> tuple[FloatInterval, ...]:
+        ends = [t1 - t0 for t0, t1, _ in self.steps]
+        if isinstance(self.tail, BandTail):
+            ends.append(self.tail.t_end)
+        return tuple(FloatInterval.from_fraction(x) for x in ends)
 
 
 def distribution(model: WeightModel, carrier: TriadicCell, which: str = "w") -> DistributionSteps:
@@ -401,20 +427,22 @@ def blowup_distribution(model: WeightModel) -> DistributionSteps:
 def lorentz_norm(dist: DistributionSteps, phi: QuasiConcaveFn, rel_tol: float = 1e-9) -> Enclosure:
     """Enclosure of the Lorentz norm: integral of phi(N(t)) dt over the steps.
 
+    Step widths are `dist.widths`, float bounds cached on the shared, frozen
+    distribution, so each is rounded from its rational once, not per norm.
     A w tail without a closed form is summed in steps of one term or, for a
     gauge with `log_form_derivs`, of one block of terms, at most 400,000
     steps; ArithmeticError says when the tail did not close within them.
     """
     acc = FZERO
-    for t0, t1, n in dist.steps:
+    for (_, _, n), width in zip(dist.steps, dist.widths):
         if n == 0:
             continue
-        acc = acc + phi.eval_interval(n) * FloatInterval.from_fraction(t1 - t0)
+        acc = acc + phi.eval_interval(n) * width
     tail = dist.tail
     if isinstance(tail, BandTail):
         lo = phi.eval_interval(tail.n_lo).lo if tail.n_lo > 0 else 0.0
         hi = phi.eval_interval(tail.n_hi).hi
-        acc = acc + FloatInterval(lo, hi) * FloatInterval.from_fraction(tail.t_end)
+        acc = acc + FloatInterval(lo, hi) * dist.widths[-1]
     elif isinstance(tail, WTail):
         acc = acc + _wtail_norm(tail, phi, rel_tol, 400_000)
     return acc.to_enclosure()

@@ -1,5 +1,6 @@
 """Distributions, Lorentz/Luxemburg norms, bump products, series bounds."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from twoweightlab import lorentz
+from twoweightlab.acceptance import _random_step_function
 from twoweightlab.enclosure import FZERO, LN3, Enclosure, FloatInterval, log_interval
 from twoweightlab.lorentz import (BandTail, WTail, blowup_distribution, blowup_suite,
                                   bump_product, distribution, entropy_ratio,
@@ -423,6 +425,127 @@ def test_distribution_is_built_once_per_generation():
     del m, first
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# Step widths: float bounds cached on the shared distribution.
+
+def _width_table_cases():
+    """Every `distribution` for k = 2..9, generations 0..2 and both `which`,
+    each k's `blowup_distribution`, and C17's step-function distributions."""
+    for k in range(2, 10):
+        m = model(k=k)
+        for gen in range(3):
+            for which in ("w", "sigma"):
+                yield f"k={k} gen={gen} {which}", distribution(m, m.kcell(gen, 0), which)
+        yield f"k={k} blowup", blowup_distribution(m)
+    rng = random.Random("orlicz|4242")
+    for i in range(100):
+        yield f"C17 sample {i}", step_function_distribution(_random_step_function(rng))
+
+
+def test_widths_enclose_each_step_within_one_ulp():
+    for case, dist in _width_table_cases():
+        exact = [t1 - t0 for t0, t1, _ in dist.steps]
+        if isinstance(dist.tail, BandTail):
+            exact.append(dist.tail.t_end)
+        assert len(dist.widths) == len(exact), case
+        for x, width in zip(exact, dist.widths):
+            assert Q(width.lo) <= x <= Q(width.hi), case
+            assert width.hi in (width.lo, math.nextafter(width.lo, math.inf)), case
+
+
+def _parent_lorentz_norm(dist, phi, rel_tol=1e-9):
+    """`lorentz_norm` as it was before the widths were cached: each step
+    width rounded from its rational on every call."""
+    acc = FZERO
+    for t0, t1, n in dist.steps:
+        if n == 0:
+            continue
+        acc = acc + phi.eval_interval(n) * FloatInterval.from_fraction(t1 - t0)
+    tail = dist.tail
+    if isinstance(tail, BandTail):
+        lo = phi.eval_interval(tail.n_lo).lo if tail.n_lo > 0 else 0.0
+        hi = phi.eval_interval(tail.n_hi).hi
+        acc = acc + FloatInterval(lo, hi) * FloatInterval.from_fraction(tail.t_end)
+    elif isinstance(tail, WTail):
+        acc = acc + lorentz._wtail_norm(tail, phi, rel_tol, 400_000)
+    return acc.to_enclosure()
+
+
+def test_lorentz_norm_is_bit_identical_to_the_per_step_loop():
+    fundamental = fundamental_of(phi_r_young(Q(3, 2)))
+    checked = 0
+    for case, dist in _width_table_cases():
+        if case.startswith("C17"):
+            gauges = (phi0(), fundamental)
+        elif isinstance(dist.tail, BandTail):
+            gauges = (psi(Q(3, 2)), phi0(), fundamental)
+        else:  # the fundamental gauge has no geometric w tail
+            gauges = (psi(Q(3, 2)), phi0())
+        for gauge in gauges:
+            for rel_tol in (1e-7, 1e-9) if gauge is psi(Q(3, 2)) else (1e-9,):
+                got = lorentz_norm(dist, gauge, rel_tol=rel_tol)
+                want = _parent_lorentz_norm(dist, gauge, rel_tol=rel_tol)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (case, gauge.name, rel_tol)
+                checked += 1
+    assert checked == 392
+
+
+def test_widths_are_cached_outside_eq_hash_and_the_frozen_fields():
+    """Reading the widths caches them on the object alone: `==` and `hash`
+    read the fields, which stay frozen, and carriers of one generation share
+    one widths tuple."""
+    m = model(k=3)
+    for which in ("w", "sigma"):
+        dist = distribution(m, m.kcell(1, 0), which)
+        fresh = lorentz._build_distribution(model(k=3), 1, which)
+        before = hash(dist)
+        assert "widths" not in vars(dist) and dist == fresh and before == hash(fresh)
+        widths = dist.widths
+        assert vars(dist)["widths"] is widths and "widths" not in vars(fresh)
+        assert dist == fresh and hash(dist) == before == hash(fresh)
+        assert [f.name for f in dataclasses.fields(dist)] == ["steps", "tail"]
+        for name, value in (("steps", ()), ("tail", None), ("widths", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(dist, name, value)
+        assert dist.widths is widths
+        last = m.kcell(1, m.kcell_count(1) - 1)
+        assert distribution(m, last, which).widths is distribution(m, m.kcell(1, 0), which).widths
+
+
+def test_fundamental_gauge_encloses_a_50_digit_value():
+    """1/Phi^{-1}(1/s) against a 50-digit root, at seeded s over 1e-9..1,
+    for both Young functions; each interval is a few 1e-12 wide."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    rng = random.Random("fundamental|50")
+    points = [Q(1), Q(1, 3), Q(9, 10)]
+    points += [Q(rng.randint(1, 10 ** 6), 10 ** 6) / 10 ** rng.randint(0, 3) for _ in range(21)]
+    with mp.workdps(50):
+        e = mpmath.e
+        r = mpmath.mpf(3) / 2
+        youngs = (
+            (phi_r_young(Q(3, 2)),
+             lambda t: t * mpmath.log(e + t) * mpmath.log(mpmath.log(mpmath.exp(e) + t)) ** r),
+            (llogl_young(), lambda t: t * mpmath.log(t)),
+        )
+        for young, big_phi in youngs:
+            gauge = fundamental_of(young)
+            for s in points:
+                y = mpmath.mpf(s.denominator) / s.numerator
+                t_lo, _ = young.inverse(float(y))
+                bracket = (mpmath.mpf(t_lo) * (1 - mpmath.mpf(10) ** -9),
+                           mpmath.mpf(t_lo) * (1 + mpmath.mpf(10) ** -9))
+                root = mpmath.findroot(lambda t: big_phi(t) - y, bracket, solver="anderson")
+                assert abs(big_phi(root) - y) < mpmath.mpf(10) ** -40 * y
+                enc = gauge.eval_interval(s)
+                assert enc.lo <= 1 / root <= enc.hi, (young.name, s)
+                assert enc.hi - enc.lo <= 3e-12 * enc.hi, (young.name, s)
+            zero = gauge.eval_interval(Q(0))
+            assert zero.lo <= 0.0 <= zero.hi < 1e-300
+            with pytest.raises(ValueError, match="negative"):
+                gauge.eval_interval(Q(-1, 3))
 
 
 # ---------------------------------------------------------------------------
